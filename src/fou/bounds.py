@@ -24,6 +24,7 @@ import numpy as np
 from .constants import (
     ModelParams,
     b_t_closed_form,
+    check_log_horizons,
     delta_h,
     rate_exponent,
     sigma2_h,
@@ -122,12 +123,6 @@ def psi_terms(params: ModelParams, grid: Grid) -> BoundTerms:
                       max_psi=max(psi1, psi2, psi3), ingredients=ing)
 
 
-def _grid_for(horizon: float, n: int | None, dt: float | None) -> Grid:
-    if (n is None) == (dt is None):
-        raise ValueError("exactly one of n (fixed cell count) or dt (fixed step) is required")
-    return Grid(horizon, n) if n is not None else Grid.from_step(horizon, dt)
-
-
 def asymptotics_report(params: ModelParams, t_list, n: int | None = None,
                        dt: float | None = None) -> list[AsymptoticsRow]:
     """Measure every bound ingredient across a horizon grid.
@@ -141,6 +136,7 @@ def asymptotics_report(params: ModelParams, t_list, n: int | None = None,
     if any(t2 <= t1 for t1, t2 in zip(t_list, t_list[1:])):
         raise ValueError("t_list must be strictly increasing")
     theta, h = params.theta, params.hurst
+    check_log_horizons(h, t_list)
     a = stationary_variance(params)
     lim_g2 = delta_h(h) / (2.0 * theta ** (1 + 4 * h))
     lim_fg = math.sqrt(theta / sigma2_h(h)) * lim_g2
@@ -149,7 +145,7 @@ def asymptotics_report(params: ModelParams, t_list, n: int | None = None,
     rows = []
     for t in t_list:
         p = ModelParams(theta=theta, hurst=h, horizon=float(t))
-        grid = _grid_for(float(t), n, dt)
+        grid = Grid.for_horizon(float(t), n=n, dt=dt)
         ing = _ingredients(p, grid)
         # h is rank one, so its tensor norm is (v' W v)^2 at O(n^2)
         v = np.exp(-theta * (t - grid.midpoints))

@@ -2,7 +2,10 @@
 
 Commands:
     simulate     one path per horizon            (columns T,t,x)
-    estimate     per-replication drift estimates (columns T,rep,theta_hat,...)
+    estimate     per-replication drift estimates (columns T,rep,theta_hat,...),
+                 batched: chunks of replications go through the batched
+                 sampler, fOU recursion and pathwise kernel, with one
+                 Skorohod correction per horizon
     bounds       bound terms per horizon         (fixed schema, see below)
     asymptotics  measured quantities vs limits   (long format, fixed schema)
     kolmogorov   Monte Carlo distance per horizon
@@ -21,10 +24,10 @@ from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import montecarlo as mc
-from .constants import ModelParams
+from .constants import ModelParams, skorohod_correction
 from .errors import NumericsError
-from .fgn import Grid, derive_seed, sample_fgn
-from .process import estimate_pathwise, simulate_fou
+from .fgn import Grid, derive_seed, sample_fgn, sample_fgn_batch
+from .process import check_denominators, pathwise_terms, simulate_fou, simulate_fou_batch
 
 COMMANDS = ("simulate", "estimate", "bounds", "asymptotics", "kolmogorov", "rate-fit")
 
@@ -122,16 +125,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _grid(cfg: RunConfig, horizon: float) -> Grid:
-    if cfg.n is not None:
-        return Grid(horizon, cfg.n)
-    return Grid.from_step(horizon, cfg.dt)
-
-
 def _rows_simulate(cfg: RunConfig):
     rows = []
     for i, t in enumerate(cfg.t_list):
-        grid = _grid(cfg, t)
+        grid = Grid.for_horizon(t, n=cfg.n, dt=cfg.dt)
         params = ModelParams(theta=cfg.theta, hurst=cfg.hurst, horizon=t)
         noise = sample_fgn(grid, cfg.hurst, derive_seed(cfg.seed, i, 0))
         path = simulate_fou(grid, params, noise)
@@ -143,14 +140,18 @@ def _rows_simulate(cfg: RunConfig):
 def _rows_estimate(cfg: RunConfig):
     rows = []
     for i, t in enumerate(cfg.t_list):
-        grid = _grid(cfg, t)
+        grid = Grid.for_horizon(t, n=cfg.n, dt=cfg.dt)
         params = ModelParams(theta=cfg.theta, hurst=cfg.hurst, horizon=t)
-        for r in range(cfg.reps):
-            noise = sample_fgn(grid, cfg.hurst, derive_seed(cfg.seed, i, r))
-            est = estimate_pathwise(simulate_fou(grid, params, noise))
-            rows.append({"T": t, "rep": r, "theta_hat": est.theta_hat,
-                         "numerator": est.numerator, "denominator": est.denominator,
-                         "method": est.method})
+        c_t = skorohod_correction(params)
+        for r0, r1 in mc.row_chunks(cfg.reps, grid.n):
+            xi = sample_fgn_batch(grid, cfg.hurst,
+                                  [derive_seed(cfg.seed, i, r) for r in range(r0, r1)])
+            x = simulate_fou_batch(grid, params, xi)
+            num, den, method = pathwise_terms(grid, params, x, c_t)
+            check_denominators(params, den)
+            rows.extend({"T": t, "rep": r, "theta_hat": float(a / b), "numerator": float(a),
+                         "denominator": float(b), "method": method}
+                        for r, a, b in zip(range(r0, r1), num, den))
     return rows
 
 
@@ -158,7 +159,7 @@ def _rows_bounds(cfg: RunConfig):
     rows = []
     for t in cfg.t_list:
         params = ModelParams(theta=cfg.theta, hurst=cfg.hurst, horizon=t)
-        terms = bounds_mod.psi_terms(params, _grid(cfg, t))
+        terms = bounds_mod.psi_terms(params, Grid.for_horizon(t, n=cfg.n, dt=cfg.dt))
         ing = terms.ingredients
         rows.append({"T": t, "psi1": terms.psi1, "psi2": terms.psi2,
                      "psi3": terms.psi3, "max_psi": terms.max_psi,
@@ -222,23 +223,20 @@ _ROW_BUILDERS = {
 def emit_report(rows, cfg: RunConfig) -> str:
     """Write rows to cfg.out in the fixed schema for cfg.command; returns the path."""
     columns = CSV_COLUMNS[cfg.command]
-    try:
-        if cfg.format == "csv":
-            lines = [",".join(columns)]
-            lines.extend(",".join(_fmt(row[c]) for c in columns) for row in rows)
-            with open(cfg.out, "w", newline="") as fh:
-                fh.write("\n".join(lines) + "\n")
-        else:
-            payload = {"command": cfg.command,
-                       "config": {k: (list(v) if isinstance(v, tuple) else v)
-                                  for k, v in vars(cfg).items()},
-                       "columns": columns,
-                       "rows": [{c: row[c] for c in columns} for row in rows]}
-            with open(cfg.out, "w") as fh:
-                json.dump(payload, fh, indent=1)
-                fh.write("\n")
-    except OSError:
-        raise
+    if cfg.format == "csv":
+        lines = [",".join(columns)]
+        lines.extend(",".join(_fmt(row[c]) for c in columns) for row in rows)
+        with open(cfg.out, "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    else:
+        payload = {"command": cfg.command,
+                   "config": {k: (list(v) if isinstance(v, tuple) else v)
+                              for k, v in vars(cfg).items()},
+                   "columns": columns,
+                   "rows": [{c: row[c] for c in columns} for row in rows]}
+        with open(cfg.out, "w") as fh:
+            json.dump(payload, fh, indent=1)
+            fh.write("\n")
     return cfg.out
 
 

@@ -43,6 +43,16 @@ class ModelParams:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
 
 
+def check_log_horizons(hurst: float, t_list) -> None:
+    """At H = 3/4 the normalized statistic and the denominator-kernel
+    quantities carry a 1/sqrt(log T) or 1/log T scaling, which needs T > 1."""
+    if hurst == HURST_MAX:
+        bad = [t for t in t_list if t <= 1.0]
+        if bad:
+            raise ValueError(f"at H = {HURST_MAX} the scaling by log T needs every "
+                             f"horizon T > 1, got T = {bad[0]}")
+
+
 @dataclass(frozen=True)
 class RateExponent:
     """Kolmogorov-distance decay: C/T^beta, or C/log T when log_corrected.

@@ -5,11 +5,15 @@ cell-pair covariances is the Gram matrix of indicator functions under the
 fBm inner product, so every weighted inner product downstream carries no
 quadrature error from the singular kernel.
 
-Sampling uses circulant embedding of the fGn autocovariance (length-2n,
-FFT-based), which is distribution-exact when the embedding is nonnegative
-definite; for H <= 3/4 it is in practice, and a dense Cholesky fallback
-guards the contract anyway.  Streams are derived from 64-bit seeds with a
-splitmix64 mix so replications are reproducible independent of scheduling.
+Sampling uses circulant embedding of the fGn autocovariance (Davies & Harte
+1987; Wood & Chan 1994).  The length-2n embedding is nonnegative definite
+for every H in [1/2, 3/4] (Dietrich & Newsam 1997; Craigmile 2003), so the
+route is distribution-exact; a negative eigenvalue raises NumericsError
+rather than falling back to another sampler.  The structured Gaussian
+vector is Hermitian, so only its n+1 non-redundant coefficients are built
+and one real-output inverse transform (`hfft`) replaces a length-2n complex
+FFT.  Streams are derived from 64-bit seeds with a splitmix64 mix so
+replications are reproducible independent of scheduling and batching.
 """
 from __future__ import annotations
 
@@ -19,13 +23,10 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import _check_hurst
+from .errors import NumericsError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-# Relative floor for embedding eigenvalues before declaring the circulant
-# route invalid and falling back to Cholesky.
-EMBEDDING_EIG_TOL = -1e-9
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,16 @@ class Grid:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         return cls(horizon=horizon, n=max(2, int(round(horizon / dt))))
+
+    @classmethod
+    def for_horizon(cls, horizon: float, n: int | None = None,
+                    dt: float | None = None) -> "Grid":
+        """The discretization policy: a fixed cell count n (the step grows
+        with the horizon) or a fixed step dt (the cell count grows with it).
+        Exactly one of n and dt must be given."""
+        if (n is None) == (dt is None):
+            raise ValueError("exactly one of n (fixed cell count) or dt (fixed step) is required")
+        return cls(horizon, n) if n is not None else cls.from_step(horizon, dt)
 
     @property
     def step(self) -> float:
@@ -151,7 +162,7 @@ def derive_seed(master_seed: int, *indices: int) -> int:
 @lru_cache(maxsize=32)
 def _embedding_sqrt_eigs(n: int, hurst: float) -> tuple:
     """Scaled sqrt-eigenvalue factors of the length-2n circulant embedding
-    of the unit-step fGn autocovariance, or None if the embedding fails.
+    of the unit-step fGn autocovariance.
 
     Returns (sqrt(lam_0/m), sqrt(lam_n/m), sqrt(lam_{1..n-1}/(2m))) with
     m = 2n, ready to scale the structured complex Gaussian vector.
@@ -159,9 +170,10 @@ def _embedding_sqrt_eigs(n: int, hurst: float) -> tuple:
     gamma = _unit_autocov(n, hurst)
     c = np.concatenate([gamma[:n], gamma[n : n + 1], gamma[n - 1 : 0 : -1]])
     lam = np.fft.fft(c).real
-    if lam.min() < EMBEDDING_EIG_TOL * lam.max():
-        return (None,)
-    lam = np.clip(lam, 0.0, None)
+    if lam.min() < 0.0:
+        raise NumericsError(
+            f"circulant embedding at n={n}, H={hurst} has a negative eigenvalue "
+            f"{lam.min():.3e} (largest {lam.max():.3e})")
     m = 2 * n
     return (np.sqrt(lam[0] / m), np.sqrt(lam[n] / m), np.sqrt(lam[1:n] / (2 * m)))
 
@@ -177,29 +189,30 @@ def sample_fgn_batch(grid: Grid, hurst: float, seeds) -> np.ndarray:
     """Exact fGn draws, one row per seed; row r depends only on seeds[r].
 
     Each stream contributes 2n standard normals laid out as
-    [V0, Vn, Re_1..Re_{n-1}, Im_1..Im_{n-1}]; the embedding is built on a
-    unit step and scaled by step^H (self-similarity), so the PSD guard is
+    [V0, Vn, Re_1..Re_{n-1}, Im_1..Im_{n-1}].  They fill the n+1
+    non-redundant coefficients z_0..z_n of a Hermitian vector, whose
+    length-2n FFT is real; a half-spectrum transform (`hfft`) computes it
+    from those coefficients.  The embedding is built on a unit step and
+    scaled by step^H (self-similarity), so the nonnegativity check is
     scale-free.
     """
     _check_hurst(hurst)
     n = grid.n
     m = 2 * n
-    factors = _embedding_sqrt_eigs(n, hurst)
+    f0, fn, fmid = _embedding_sqrt_eigs(n, hurst)
     draws = np.empty((len(seeds), m))
     for r, s in enumerate(seeds):
         rng = np.random.Generator(np.random.Philox(key=s & _MASK64))
-        draws[r] = rng.standard_normal(m)
-    if factors[0] is None:
-        # Embedding produced a genuinely negative eigenvalue: dense route.
-        chol = _unit_cholesky(n, hurst)
-        return grid.step**hurst * (draws[:, :n] @ chol.T)
-    f0, fn, fmid = factors
-    z = np.empty((len(seeds), m), dtype=complex)
-    z[:, 0] = f0 * draws[:, 0]
-    z[:, n] = fn * draws[:, 1]
-    z[:, 1:n] = fmid * (draws[:, 2 : n + 1] + 1j * draws[:, n + 1 : 2 * n])
-    z[:, n + 1 :] = np.conj(z[:, n - 1 : 0 : -1])
-    return grid.step**hurst * np.fft.fft(z, axis=1).real[:, :n]
+        rng.standard_normal(out=draws[r])
+    # zc holds conj(z): hfft(z) is the unscaled irfft of conj(z), and
+    # filling the conjugate directly spares hfft its complex copy.
+    zc = np.zeros((len(seeds), n + 1), dtype=complex)
+    re, im = zc.real, zc.imag
+    np.multiply(f0, draws[:, 0], out=re[:, 0])
+    np.multiply(fn, draws[:, 1], out=re[:, n])
+    np.multiply(fmid, draws[:, 2 : n + 1], out=re[:, 1:n])
+    np.multiply(-fmid, draws[:, n + 1 :], out=im[:, 1:n])
+    return grid.step**hurst * np.fft.irfft(zc, n=m, axis=1, norm="forward")[:, :n]
 
 
 def sample_fgn(grid: Grid, hurst: float, seed: int) -> NoisePath:

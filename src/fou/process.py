@@ -13,6 +13,10 @@ The estimator -int X dX / int X^2 dt comes in two computable forms:
   divergence-trace correction.  c_T needs the true theta, so this form is
   a simulation instrument only.
 
+Path simulation and the pathwise estimator are batched, one row per path
+(`simulate_fou_batch`, `pathwise_terms`); the single-path functions are a
+batch of one.
+
 The same error, normalized by sqrt(T / (theta sigma2_H)), equals a ratio
 of two recentred quadratic forms in the driving noise (second-chaos form);
 `i2` and `normalized_statistic` evaluate that ratio on the discrete grid.
@@ -64,55 +68,72 @@ class EstimatorResult:
             raise ValueError(f"denominator must be positive, got {self.denominator}")
 
 
+def simulate_fou_batch(grid: Grid, params: ModelParams, xi: np.ndarray) -> np.ndarray:
+    """Node values of one path per row of noise xi (rows x n): the
+    exact-factor recursion x[k+1] = exp(-theta dt) x[k] + xi[k], x[0] = 0."""
+    rho = math.exp(-params.theta * grid.step)
+    x = np.empty((xi.shape[0], grid.n + 1))
+    x[:, 0] = 0.0
+    x[:, 1:] = lfilter([1.0], [1.0, -rho], xi, axis=1)
+    return x
+
+
 def simulate_fou(grid: Grid, params: ModelParams, noise: NoisePath) -> FouPath:
-    """Run the exact-factor recursion x[k+1] = exp(-theta dt) x[k] + xi[k]."""
+    """One path of the exact-factor recursion; a batch of one."""
     if noise.grid != grid:
         raise ValueError("noise was generated on a different grid")
     if noise.hurst != params.hurst:
         raise ValueError(f"noise hurst {noise.hurst} != params hurst {params.hurst}")
     if grid.horizon != params.horizon:
         raise ValueError(f"grid horizon {grid.horizon} != params horizon {params.horizon}")
-    rho = math.exp(-params.theta * grid.step)
-    x = np.empty(grid.n + 1)
-    x[0] = 0.0
-    x[1:] = lfilter([1.0], [1.0, -rho], noise.xi)
+    x = simulate_fou_batch(grid, params, noise.xi[None, :])[0]
     return FouPath(grid=grid, params=params, x=x, noise=noise)
 
 
-def _integral_x2(path: FouPath) -> float:
-    """Trapezoid rule for int_0^T X^2 dt on the node values."""
-    x2 = path.x * path.x
-    return float(path.grid.step * (0.5 * x2[0] + x2[1:-1].sum() + 0.5 * x2[-1]))
+def denominator_floor(params: ModelParams) -> float:
+    """Smallest int X^2 dt a genuine path can produce; below it the path is degenerate."""
+    return DEGENERATE_DENOM_FACTOR * params.horizon * stationary_variance(params)
+
+
+def check_denominators(params: ModelParams, denominator: np.ndarray) -> None:
+    """Raise DegeneratePathError if any row's int X^2 dt is below the floor."""
+    floor = denominator_floor(params)
+    low = np.flatnonzero(denominator < floor)
+    if low.size:
+        raise DegeneratePathError(
+            f"int X^2 dt = {denominator[low[0]]} below {floor} at T={params.horizon}; "
+            "wiring or RNG problem")
+
+
+def pathwise_terms(grid: Grid, params: ModelParams, x: np.ndarray,
+                   c_t: float) -> tuple[np.ndarray, np.ndarray, str]:
+    """Least-squares drift estimate theta_hat = numerator / denominator for
+    each row of node values x (rows x n+1); returns (numerator, denominator,
+    method).  c_t is skorohod_correction(params), unused at H = 1/2.
+
+    The denominator is the trapezoid rule for int X^2 dt.  H = 1/2 uses the
+    Ito identity directly.  H > 1/2 evaluates the Young integral of X dX by
+    the trapezoid sum, which telescopes exactly to X_T^2 / 2, then subtracts
+    the theta-dependent trace correction.  (A left-point sum differs by half
+    the discrete quadratic variation, which at step dt decays only like
+    dt^(2H-1) and visibly biases the estimate; the trapezoid sum is the same
+    Riemann-Stieltjes limit without that defect.)
+    """
+    x2 = x * x
+    denominator = grid.step * (0.5 * x2[:, 0] + x2[:, 1:-1].sum(axis=1) + 0.5 * x2[:, -1])
+    if params.hurst == 0.5:
+        return 0.5 * (params.horizon - x2[:, -1]), denominator, PATHWISE_ITO
+    return -(0.5 * x2[:, -1] - c_t), denominator, SKOROHOD_ORACLE
 
 
 def estimate_pathwise(path: FouPath) -> EstimatorResult:
-    """Least-squares drift estimate from one trajectory.
-
-    H = 1/2 uses the Ito identity directly.  H > 1/2 evaluates the Young
-    integral of X dX by the trapezoid sum, which telescopes exactly to
-    X_T^2 / 2, then subtracts the theta-dependent trace correction.  (A
-    left-point sum differs by half the discrete quadratic variation, which
-    at step dt decays only like dt^(2H-1) and visibly biases the estimate;
-    the trapezoid sum is the same Riemann-Stieltjes limit without that
-    defect.)
-    """
+    """Least-squares drift estimate from one trajectory; a batch of one of
+    `pathwise_terms`.  Raises DegeneratePathError below the denominator floor."""
     p = path.params
-    denominator = _integral_x2(path)
-    floor = DEGENERATE_DENOM_FACTOR * p.horizon * stationary_variance(p)
-    if denominator < floor:
-        raise DegeneratePathError(
-            f"int X^2 dt = {denominator} below {floor}; wiring or RNG problem")
-    x_t = float(path.x[-1])
-    if p.hurst == 0.5:
-        numerator = 0.5 * (p.horizon - x_t * x_t)
-        method = PATHWISE_ITO
-    else:
-        young = 0.5 * x_t * x_t  # trapezoid sum of X dX telescopes exactly
-        numerator = -(young - skorohod_correction(p))
-        method = SKOROHOD_ORACLE
-    return EstimatorResult(theta_hat=numerator / denominator,
-                           numerator=numerator, denominator=denominator,
-                           method=method)
+    num, den, method = pathwise_terms(path.grid, p, path.x[None, :], skorohod_correction(p))
+    check_denominators(p, den)
+    return EstimatorResult(theta_hat=float(num[0] / den[0]), numerator=float(num[0]),
+                           denominator=float(den[0]), method=method)
 
 
 def i2(kernel, noise: NoisePath, weights: GramWeights) -> float:

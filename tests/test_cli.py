@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
+import fou.montecarlo as mc
+import fou.process as process
 from fou.cli import CSV_COLUMNS, RunConfig, emit_report, main, parse_args
+from fou.constants import ModelParams, stationary_variance
 
 
 def test_parse_kolmogorov_example():
@@ -171,3 +174,49 @@ def test_cli_entry_point_exit_codes():
     res = run_cli(["kolmogorov", "--theta", "1", "--hurst", "0.9", "--t", "50"])
     assert res.returncode == 2
     assert "[0.5, 0.75]" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["kolmogorov", "--t", "1,2,4"],
+    ["kolmogorov", "--t", "0.5,2,4"],
+    ["rate-fit", "--t", "1,2,4"],
+    ["asymptotics", "--t", "1,2", "--n", "64"],
+])
+def test_three_quarters_rejects_horizon_without_log_scaling(args, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code = main([args[0], "--theta", "1", "--hurst", "0.75", *args[1:], "--reps", "100",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "log T needs every horizon T > 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hurst, method", [("0.5", "pathwise_ito"), ("0.7", "skorohod_oracle")])
+def test_estimate_method_label_on_every_row(hurst, method, tmp_path, monkeypatch):
+    monkeypatch.setattr(mc, "CHUNK_CELLS", 250)  # several chunks per horizon
+    out = tmp_path / "est.csv"
+    assert main(["estimate", "--theta", "1", "--hurst", hurst, "--t", "10,20",
+                 "--dt", "0.1", "--reps", "7", "--out", str(out)]) == 0
+    rows = open(out).read().splitlines()[1:]
+    assert len(rows) == 14
+    assert {row.split(",")[-1] for row in rows} == {method}
+
+
+def test_estimate_one_row_below_floor_exits_3(tmp_path, monkeypatch, capsys):
+    # Lift the floor just past the smallest denominator, so exactly one row
+    # of one chunk is degenerate.
+    monkeypatch.setattr(mc, "CHUNK_CELLS", 250)
+    args = ["estimate", "--theta", "1", "--hurst", "0.6", "--t", "20", "--dt", "0.1",
+            "--reps", "9"]
+    first = tmp_path / "first.json"
+    assert main([*args, "--format", "json", "--out", str(first)]) == 0
+    dens = [row["denominator"] for row in json.load(open(first))["rows"]]
+    lowest = min(dens)
+    assert sorted(dens)[1] > lowest * (1 + 1e-9)
+    scale = 20.0 * stationary_variance(ModelParams(theta=1.0, hurst=0.6, horizon=20.0))
+    monkeypatch.setattr(process, "DEGENERATE_DENOM_FACTOR", lowest * (1 + 1e-9) / scale)
+    second = tmp_path / "second.csv"
+    assert main([*args, "--out", str(second)]) == 3
+    assert "below" in capsys.readouterr().err
+    assert not second.exists()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import fou.fgn as fgn
+from fou.errors import NumericsError
 from fou.fgn import (
     Grid,
     derive_seed,
@@ -156,3 +158,16 @@ def test_circulant_and_cholesky_sampler_agree_in_distribution(h):
         # se of a covariance entry: sqrt((w_ii w_jj + w_ij^2)/reps)
         se = np.sqrt((np.outer(np.diag(w), np.diag(w)) + w**2) / reps)
         assert np.all(np.abs(cov - w) < 4.5 * se)
+
+
+def test_negative_embedding_eigenvalue_raises(monkeypatch):
+    # lag-1 correlation 1.5 is no autocovariance: its circulant embedding
+    # has eigenvalues 1 + 3 cos(2 pi k / 2n), negative near k = n
+    monkeypatch.setattr(fgn, "_unit_autocov",
+                        lambda kmax, hurst: np.r_[1.0, 1.5, np.zeros(kmax - 1)])
+    fgn._embedding_sqrt_eigs.cache_clear()
+    try:
+        with pytest.raises(NumericsError, match="negative eigenvalue"):
+            sample_fgn_batch(Grid(horizon=1.0, n=8), 0.6, [1])
+    finally:
+        fgn._embedding_sqrt_eigs.cache_clear()

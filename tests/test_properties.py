@@ -1,0 +1,139 @@
+"""Property tests of the batched engine against its oracles over random
+small (theta, H, T, n): the half-spectrum sampler against a full-length
+complex FFT, batch and chunk invariance of every row, the one-scan chaos
+statistic against the dense quadratic forms, and the batched `estimate`
+rows against the single-path estimator.
+"""
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import fou.montecarlo as mc
+from fou.cli import RunConfig, _rows_estimate
+from fou.constants import ModelParams, b_t_closed_form
+from fou.fgn import (
+    Grid,
+    NoisePath,
+    derive_seed,
+    fgn_autocov,
+    gram_weights,
+    sample_fgn,
+    sample_fgn_batch,
+)
+from fou.hilbert import kernel_f, kernel_g
+from fou.montecarlo import MCConfig, _chaos_batch, _chaos_traces, run
+from fou.process import estimate_pathwise, i2, simulate_fou
+
+SETTINGS = settings(max_examples=30, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+hursts = st.one_of(st.sampled_from([0.5, 0.625, 0.75]), st.floats(0.5, 0.75))
+thetas = st.floats(0.2, 3.0)
+horizons = st.floats(1.5, 60.0)
+cells = st.integers(2, 160)
+master_seeds = st.integers(0, 2**64 - 1)
+
+
+def hermitian_vector(grid, hurst, seeds):
+    """The full length-2n Hermitian vector of the circulant sampler: same
+    draws, same layout [V0, Vn, Re_1..Re_{n-1}, Im_1..Im_{n-1}],
+    eigenvalues computed here."""
+    n, m = grid.n, 2 * grid.n
+    gamma = fgn_autocov(np.arange(n + 1), 1.0, hurst)
+    lam = np.fft.fft(np.concatenate([gamma[:n], gamma[n:n + 1], gamma[n - 1:0:-1]])).real
+    draws = np.stack([np.random.Generator(np.random.Philox(key=s)).standard_normal(m)
+                      for s in seeds])
+    z = np.empty((len(seeds), m), dtype=complex)
+    z[:, 0] = np.sqrt(lam[0] / m) * draws[:, 0]
+    z[:, n] = np.sqrt(lam[n] / m) * draws[:, 1]
+    z[:, 1:n] = np.sqrt(lam[1:n] / (2 * m)) * (draws[:, 2:n + 1] + 1j * draws[:, n + 1:])
+    z[:, n + 1:] = np.conj(z[:, n - 1:0:-1])
+    return z
+
+
+def seeds_for(master, count):
+    return [derive_seed(master, 0, r) for r in range(count)]
+
+
+@SETTINGS
+@given(hurst=hursts, horizon=horizons, n=cells, master=master_seeds)
+def test_half_spectrum_sampler_matches_full_fft(hurst, horizon, n, master):
+    grid = Grid(horizon, n)
+    seeds = seeds_for(master, 3)
+    fast = sample_fgn_batch(grid, hurst, seeds)
+    z = hermitian_vector(grid, hurst, seeds)
+    scale = grid.step**hurst
+    oracle = scale * np.fft.fft(z, axis=1).real[:, :n]
+    np.testing.assert_allclose(fast, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
+    # the sampler's irfft of the conjugate is hfft on the half spectrum, bit for bit
+    half = scale * np.fft.hfft(z[:, :n + 1], n=2 * n, axis=1)[:, :n]
+    assert np.array_equal(fast, half)
+
+
+@SETTINGS
+@given(hurst=hursts, n=cells, master=master_seeds, data=st.data())
+def test_sampler_rows_independent_of_batching(hurst, n, master, data):
+    grid = Grid(10.0, n)
+    seeds = seeds_for(master, 7)
+    whole = sample_fgn_batch(grid, hurst, seeds)
+    cuts = sorted(data.draw(st.lists(st.integers(1, 6), max_size=3, unique=True)))
+    parts = [sample_fgn_batch(grid, hurst, seeds[a:b])
+             for a, b in zip([0, *cuts], [*cuts, len(seeds)])]
+    assert np.array_equal(np.concatenate(parts), whole)
+    r = data.draw(st.integers(0, len(seeds) - 1))
+    assert np.array_equal(sample_fgn(grid, hurst, seeds[r]).xi, whole[r])
+
+
+@SETTINGS
+@given(theta=thetas, hurst=hursts, horizon=horizons, n=st.integers(2, 96),
+       master=master_seeds)
+def test_one_scan_chaos_matches_dense_i2(theta, hurst, horizon, n, master):
+    grid = Grid(horizon, n)
+    params = ModelParams(theta=theta, hurst=hurst, horizon=horizon)
+    b_t = b_t_closed_form(params)
+    seeds = seeds_for(master, 3)
+    xi = sample_fgn_batch(grid, hurst, seeds)
+    fast, _ = _chaos_batch(params, grid, xi, b_t, _chaos_traces(params, grid))
+    w = gram_weights(grid, hurst)
+    f, g = kernel_f(params, grid), kernel_g(params, grid)
+    for r, seed in enumerate(seeds):
+        noise = NoisePath(grid=grid, hurst=hurst, xi=xi[r], seed=seed)
+        dense = -i2(f, noise, w) / (i2(g, noise, w) + b_t)
+        assert fast[r] == pytest.approx(dense, rel=1e-9, abs=1e-9)
+
+
+@SETTINGS
+@given(theta=thetas, hurst=hursts, dt=st.sampled_from([0.05, 0.1, 0.25]),
+       reps=st.integers(1, 12), chunk_cells=st.integers(1, 2000),
+       seed=st.integers(0, 2**32))
+def test_batched_estimate_rows_equal_single_path(theta, hurst, dt, reps, chunk_cells, seed):
+    cfg = RunConfig(command="estimate", theta=theta, hurst=hurst, t_list=(3.0, 7.0),
+                    dt=dt, n=None, reps=reps, seed=seed, eps=0.01, out="-",
+                    format="csv", method="chaos_ratio")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "CHUNK_CELLS", chunk_cells)
+        rows = _rows_estimate(cfg)
+    assert [(row["T"], row["rep"]) for row in rows] == \
+        [(t, r) for t in cfg.t_list for r in range(reps)]
+    for row in rows:
+        i = cfg.t_list.index(row["T"])
+        grid = Grid.from_step(row["T"], dt)
+        params = ModelParams(theta=theta, hurst=hurst, horizon=row["T"])
+        noise = sample_fgn(grid, hurst, derive_seed(seed, i, row["rep"]))
+        est = estimate_pathwise(simulate_fou(grid, params, noise))
+        assert (row["theta_hat"], row["numerator"], row["denominator"], row["method"]) == \
+            (est.theta_hat, est.numerator, est.denominator, est.method)
+
+
+@settings(max_examples=8, deadline=None)
+@given(chunk_cells=st.integers(1, 1500), method=st.sampled_from(["chaos_ratio", "pathwise"]))
+def test_mc_samples_independent_of_chunk_budget(chunk_cells, method):
+    cfg = MCConfig(theta=1.0, hurst=0.7, t_list=(5.0, 10.0), replications=100,
+                   master_seed=13, dt=0.1, statistic_method=method)
+    reference = run(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "CHUNK_CELLS", chunk_cells)
+        chunked = run(cfg)
+    for a, b in zip(reference.rows, chunked.rows):
+        assert np.array_equal(a.samples, b.samples)
