@@ -9,10 +9,22 @@ weighted norms, inner products and 1-contractions of f and g:
     Psi3 = 2 sqrt(||g||^4 + 2 ||g x1 g||^2) / b^2
 
 b enters through the closed form, not the matrix quadrature, so that the
-bound terms do not compound discretization error.  The asymptotics report
-re-measures each ingredient across a T grid against its known limit and
-decay rate; the bound constants themselves are existential and never
-claimed, so rate checks are ratio-based.
+bound terms do not compound discretization error.
+
+Only two n x n products are formed per horizon: A = W f and A A, with W
+the Gram weights of the grid.  The denominator kernel g = c1 f - c2 v v'
+is f plus a rank-one term, so B = W g = c1 A - c2 u v' with u = W v, and
+every ingredient that involves g is a trace of a low-rank update of A or
+A A, evaluated through matrix-vector products by
+
+    tr((a X + P Q')(b X + R S'))
+        = a b tr(X X) + a tr(S' X R) + b tr(Q' X P) + tr((Q' R)(S' P)).
+
+`horizon_grids` resolves every horizon's grid and enforces the dense
+ceiling `hilbert.MAX_DENSE_N` before any n x n array exists.  The
+asymptotics report re-measures each ingredient across a T grid against
+its known limit and decay rate; the bound constants themselves are
+existential and never claimed, so rate checks are ratio-based.
 """
 from __future__ import annotations
 
@@ -21,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hilbert
 from .constants import (
     ModelParams,
     b_t_closed_form,
@@ -31,7 +44,7 @@ from .constants import (
     stationary_variance,
 )
 from .fgn import Grid, gram_weights
-from .hilbert import kernel_f, kernel_g
+from .hilbert import boundary_vector, kernel_f, kernel_g_coefficients
 
 
 @dataclass(frozen=True)
@@ -80,37 +93,73 @@ def psi_from_ingredients(ing: Ingredients) -> tuple[float, float, float]:
     return psi1, psi2, psi3
 
 
-def _ingredients(params: ModelParams, grid: Grid) -> Ingredients:
-    """All seven ingredients through shared W-products.
+def horizon_grids(t_list, n: int | None = None, dt: float | None = None) -> list[Grid]:
+    """The grid of every horizon under the discretization policy (see
+    `Grid.for_horizon`), each checked against `hilbert.MAX_DENSE_N` before
+    any n x n array is built; a violation is a ValueError."""
+    grids = [Grid.for_horizon(float(t), n=n, dt=dt) for t in t_list]
+    for g in grids:
+        if g.n > hilbert.MAX_DENSE_N:
+            raise ValueError(f"horizon T={g.horizon} needs n={g.n} cells, above the dense "
+                             f"ceiling of {hilbert.MAX_DENSE_N} cells for the bound terms")
+    return grids
 
-    With A = W f and B = W g:
-        ||f||^2      = tr(A A)        <f, g>  = tr(A B)
-        ||g||^2      = tr(B B)
-        ||f x1 f||^2 = tr((A A)^2)    ||g x1 g||^2 = tr((B B)^2)
-        ||f x1 g||^2 = tr((A B)(B A))
-    which is six n^3 products instead of one chain per quantity.
+
+def _trace_update(x: np.ndarray, tr_x2: float, a: float, p: np.ndarray, q: np.ndarray,
+                  b: float, r: np.ndarray, s: np.ndarray) -> float:
+    """tr((a X + P Q')(b X + R S')) for n x k factors P, Q, R, S, given
+    tr(X X); the only n x n work is the products X P and X R."""
+    return float(a * b * tr_x2
+                 + a * np.einsum("ik,ik->", s, x @ r)
+                 + b * np.einsum("ik,ik->", q, x @ p)
+                 + np.einsum("ij,ji->", q.T @ r, s.T @ p))
+
+
+def _ingredients(params: ModelParams, grid: Grid, *,
+                 with_norm_h2: bool = False) -> Ingredients | tuple[Ingredients, float]:
+    """All seven ingredients from the two products A = W f and A A.
+
+    With u = W v, p = A u, q = A' v and s = v' u (so that ||h||^2 = s^2):
+        ||f||^2      = tr(A A)
+        ||f x1 f||^2 = tr((A A)^2)
+        <f, g>       = tr(A B) = c1 tr(A A) - c2 v'p
+        ||g||^2      = tr(B B) = c1^2 tr(A A) - 2 c1 c2 v'p + c2^2 s^2
+        ||f x1 g||^2 = tr((A B)(B A)),  A B = c1 A A - c2 p v',
+                                        B A = c1 A A - c2 u q'
+        ||g x1 g||^2 = tr((B B)^2),     B B = c1^2 A A + c2 (c2 s u - c1 p) v'
+                                                       - c1 c2 u q'
+    The last two are low-rank updates of A A and go through
+    `_trace_update`.  Returns the Ingredients, or (Ingredients, ||h||^2)
+    when `with_norm_h2` is set.  The grid is not checked against the
+    dense ceiling here; `horizon_grids` does that for every command.
     """
     if params.horizon != grid.horizon:
         raise ValueError(f"params horizon {params.horizon} != grid horizon {grid.horizon}")
+    c1, c2 = kernel_g_coefficients(params)
     w = gram_weights(grid, params.hurst).w
-    f = kernel_f(params, grid).k
-    g = kernel_g(params, grid).k
-    a = w @ f
-    b = w @ g
+    v = boundary_vector(params, grid)
+    u = w @ v
+    a = w @ kernel_f(params, grid).k
     aa = a @ a
-    bb = b @ b
-    ab = a @ b
-    ba = b @ a
-    tr = lambda x, y: float(np.einsum("ij,ji->", x, y))
-    return Ingredients(
+    p, q, s = a @ u, v @ a, float(v @ u)
+    tr_a2 = float(np.trace(aa))
+    tr_a4 = float(np.einsum("ij,ji->", aa, aa))
+    vp = float(v @ p)
+    f1g2 = _trace_update(aa, tr_a4, c1, -c2 * p[:, None], v[:, None],
+                         c1, -c2 * u[:, None], q[:, None])
+    bb_p = np.column_stack([c2 * (c2 * s * u - c1 * p), -c1 * c2 * u])
+    bb_q = np.column_stack([v, q])
+    g1g2 = _trace_update(aa, tr_a4, c1 * c1, bb_p, bb_q, c1 * c1, bb_p, bb_q)
+    ing = Ingredients(
         b_t=b_t_closed_form(params),
-        norm_f2=tr(a, a),
-        norm_f1f=math.sqrt(max(tr(aa, aa), 0.0)),
-        norm_f1g=math.sqrt(max(tr(ab, ba), 0.0)),
-        inner_fg=tr(a, b),
-        norm_g2=tr(b, b),
-        norm_g1g=math.sqrt(max(tr(bb, bb), 0.0)),
+        norm_f2=tr_a2,
+        norm_f1f=math.sqrt(max(tr_a4, 0.0)),
+        norm_f1g=math.sqrt(max(f1g2, 0.0)),
+        inner_fg=c1 * tr_a2 - c2 * vp,
+        norm_g2=c1 * c1 * tr_a2 - 2.0 * c1 * c2 * vp + c2 * c2 * s * s,
+        norm_g1g=math.sqrt(max(g1g2, 0.0)),
     )
+    return (ing, s * s) if with_norm_h2 else ing
 
 
 def psi_terms(params: ModelParams, grid: Grid) -> BoundTerms:
@@ -143,13 +192,10 @@ def asymptotics_report(params: ModelParams, t_list, n: int | None = None,
     exp_f1f = rate_exponent(h)
     log_case = h == 0.75
     rows = []
-    for t in t_list:
-        p = ModelParams(theta=theta, hurst=h, horizon=float(t))
-        grid = Grid.for_horizon(float(t), n=n, dt=dt)
-        ing = _ingredients(p, grid)
-        # h is rank one, so its tensor norm is (v' W v)^2 at O(n^2)
-        v = np.exp(-theta * (t - grid.midpoints))
-        norm_h2 = float(v @ gram_weights(grid, h).w @ v) ** 2
+    for grid in horizon_grids(t_list, n=n, dt=dt):
+        t = grid.horizon
+        p = ModelParams(theta=theta, hurst=h, horizon=t)
+        ing, norm_h2 = _ingredients(p, grid, with_norm_h2=True)
         st = math.sqrt(t)
         lt = math.log(t)
         q = {
@@ -178,7 +224,7 @@ def asymptotics_report(params: ModelParams, t_list, n: int | None = None,
             "2*norm_f2": None if log_case else 3.0 - 4.0 * h,
             "norm_f1f": None if exp_f1f.log_corrected else exp_f1f.beta,
         }
-        rows.append(AsymptoticsRow(t=float(t), quantities=quantities, rates=rates))
+        rows.append(AsymptoticsRow(t=t, quantities=quantities, rates=rates))
     return rows
 
 

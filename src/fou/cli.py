@@ -9,7 +9,10 @@ Commands:
     bounds       bound terms per horizon         (fixed schema, see below)
     asymptotics  measured quantities vs limits   (long format, fixed schema)
     kolmogorov   Monte Carlo distance per horizon
-    rate-fit     kolmogorov + fitted log-log rate
+    rate-fit     kolmogorov + fitted log-log rate (at least 3 horizons)
+
+`bounds` and `asymptotics` reject any horizon whose grid exceeds the dense
+ceiling `hilbert.MAX_DENSE_N` before building an n x n array.
 
 Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O.  The resolved
 configuration (defaults included) is echoed to stderr before any work, and
@@ -105,6 +108,8 @@ def parse_args(argv) -> RunConfig:
             raise ValueError(f"reps must be positive, got {ns.reps}")
         if ns.command in ("kolmogorov", "rate-fit") and ns.reps < 100:
             raise ValueError(f"distance estimation needs at least 100 replications, got {ns.reps}")
+        if ns.command == "rate-fit" and len(t_list) < 3:
+            raise ValueError(f"rate-fit needs at least 3 horizons, got {len(t_list)}")
         if ns.eps < 0:
             raise ValueError(f"eps must be nonnegative, got {ns.eps}")
         if dt is not None and dt <= 0:
@@ -157,9 +162,10 @@ def _rows_estimate(cfg: RunConfig):
 
 def _rows_bounds(cfg: RunConfig):
     rows = []
-    for t in cfg.t_list:
+    for grid in bounds_mod.horizon_grids(cfg.t_list, n=cfg.n, dt=cfg.dt):
+        t = grid.horizon
         params = ModelParams(theta=cfg.theta, hurst=cfg.hurst, horizon=t)
-        terms = bounds_mod.psi_terms(params, Grid.for_horizon(t, n=cfg.n, dt=cfg.dt))
+        terms = bounds_mod.psi_terms(params, grid)
         ing = terms.ingredients
         rows.append({"T": t, "psi1": terms.psi1, "psi2": terms.psi2,
                      "psi3": terms.psi3, "max_psi": terms.max_psi,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .constants import _check_hurst
 from .errors import NumericsError
@@ -134,9 +135,7 @@ def gram_weights(grid: Grid, hurst: float) -> GramWeights:
     """Exact covariance matrix of the n fGn increments on the grid."""
     _check_hurst(hurst)
     gamma = grid.step ** (2.0 * hurst) * _unit_autocov(grid.n - 1, hurst)
-    idx = np.arange(grid.n)
-    w = gamma[np.abs(idx[:, None] - idx[None, :])]
-    return GramWeights(grid=grid, hurst=hurst, w=w)
+    return GramWeights(grid=grid, hurst=hurst, w=toeplitz(gamma))
 
 
 def _splitmix64(z: int) -> int:

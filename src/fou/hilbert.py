@@ -19,12 +19,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .constants import ModelParams, sigma2_h
 from .errors import NumericsError
 from .fgn import Grid, GramWeights, gram_weights
 
-# Dense chains are O(n^3); this is the supported ceiling.
+# Dense chains are O(n^3) in time and hold a few n x n arrays; this is the
+# supported ceiling, enforced on every horizon by `bounds.horizon_grids`.
 MAX_DENSE_N = 4096
 
 
@@ -50,17 +52,29 @@ def _check_grid(grid: Grid, *objs) -> None:
 
 
 def kernel_f(params: ModelParams, grid: Grid) -> KernelMatrix:
-    """Numerator kernel (1 / (2 sqrt(theta sigma2_H T))) exp(-theta|t-s|)."""
-    tm = grid.midpoints
+    """Numerator kernel (1 / (2 sqrt(theta sigma2_H T))) exp(-theta|t-s|);
+    Toeplitz, since midpoints i and j are |i - j| steps apart."""
     scale = 1.0 / (2.0 * math.sqrt(params.theta * sigma2_h(params.hurst) * params.horizon))
-    k = scale * np.exp(-params.theta * np.abs(tm[:, None] - tm[None, :]))
-    return KernelMatrix(grid=grid, k=k, symmetric=True)
+    k = scale * np.exp(-params.theta * grid.step * np.arange(grid.n))
+    return KernelMatrix(grid=grid, k=toeplitz(k), symmetric=True)
+
+
+def boundary_vector(params: ModelParams, grid: Grid) -> np.ndarray:
+    """Midpoint samples v_i = exp(-theta (T - t*_i)); the boundary kernel is v v'."""
+    return np.exp(-params.theta * (params.horizon - grid.midpoints))
 
 
 def kernel_h(params: ModelParams, grid: Grid) -> KernelMatrix:
     """Boundary kernel exp(-theta(T-t) - theta(T-s)); rank one by construction."""
-    v = np.exp(-params.theta * (params.horizon - grid.midpoints))
+    v = boundary_vector(params, grid)
     return KernelMatrix(grid=grid, k=np.outer(v, v), symmetric=True)
+
+
+def kernel_g_coefficients(params: ModelParams) -> tuple[float, float]:
+    """(c1, c2) with g = c1 f - c2 h: c1 = sqrt(sigma2_H / (theta T)),
+    c2 = 1 / (2 theta T)."""
+    theta_t = params.theta * params.horizon
+    return math.sqrt(sigma2_h(params.hurst) / theta_t), 1.0 / (2.0 * theta_t)
 
 
 def kernel_g(params: ModelParams, grid: Grid) -> KernelMatrix:
@@ -70,8 +84,7 @@ def kernel_g(params: ModelParams, grid: Grid) -> KernelMatrix:
     """
     f = kernel_f(params, grid)
     h = kernel_h(params, grid)
-    c1 = math.sqrt(sigma2_h(params.hurst) / (params.theta * params.horizon))
-    c2 = 1.0 / (2.0 * params.theta * params.horizon)
+    c1, c2 = kernel_g_coefficients(params)
     return KernelMatrix(grid=grid, k=c1 * f.k - c2 * h.k, symmetric=True)
 
 

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import fou.bounds as bounds
+import fou.hilbert as hilbert
 import fou.montecarlo as mc
 import fou.process as process
 from fou.cli import CSV_COLUMNS, RunConfig, emit_report, main, parse_args
@@ -220,3 +222,31 @@ def test_estimate_one_row_below_floor_exits_3(tmp_path, monkeypatch, capsys):
     assert main([*args, "--out", str(second)]) == 3
     assert "below" in capsys.readouterr().err
     assert not second.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["bounds", "--t", "10", "--n", "128"],
+    ["asymptotics", "--t", "10", "--n", "128"],
+    ["bounds", "--t", "5,20", "--dt", "0.25"],       # n = 20, then 80
+    ["asymptotics", "--t", "5,20", "--dt", "0.25"],
+])
+def test_dense_ceiling_rejects_before_any_dense_work(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(hilbert, "MAX_DENSE_N", 64)
+    monkeypatch.setattr(bounds, "gram_weights",
+                        lambda *a: pytest.fail("n x n work before the ceiling check"))
+    out = tmp_path / "out.csv"
+    code = main([args[0], "--theta", "1", "--hurst", "0.6", *args[1:], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "dense ceiling of 64 cells" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizons", [[], ["--t", "10"], ["--t", "10,20"]])
+def test_rate_fit_needs_three_horizons(horizons, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code = main(["rate-fit", "--theta", "1", "--hurst", "0.6", *horizons, "--dt", "0.1",
+                 "--reps", "100", "--out", str(out)])
+    assert code == 2
+    assert "rate-fit needs at least 3 horizons" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,15 +1,19 @@
 """Property tests of the batched engine against its oracles over random
 small (theta, H, T, n): the half-spectrum sampler against a full-length
 complex FFT, batch and chunk invariance of every row, the one-scan chaos
-statistic against the dense quadratic forms, and the batched `estimate`
-rows against the single-path estimator.
+statistic against the dense quadratic forms, the batched `estimate`
+rows against the single-path estimator, and the two-product bound
+ingredients against the dense tensor algebra of `hilbert`.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fou.montecarlo as mc
+from fou.bounds import _ingredients, asymptotics_report
 from fou.cli import RunConfig, _rows_estimate
 from fou.constants import ModelParams, b_t_closed_form
 from fou.fgn import (
@@ -21,7 +25,7 @@ from fou.fgn import (
     sample_fgn,
     sample_fgn_batch,
 )
-from fou.hilbert import kernel_f, kernel_g
+from fou.hilbert import contract1, inner_h2, kernel_f, kernel_g, norm2_h2
 from fou.montecarlo import MCConfig, _chaos_batch, _chaos_traces, run
 from fou.process import estimate_pathwise, i2, simulate_fou
 
@@ -137,3 +141,30 @@ def test_mc_samples_independent_of_chunk_budget(chunk_cells, method):
         chunked = run(cfg)
     for a, b in zip(reference.rows, chunked.rows):
         assert np.array_equal(a.samples, b.samples)
+
+
+@SETTINGS
+@given(theta=thetas, hurst=hursts, horizon=horizons, n=st.integers(2, 96))
+def test_two_product_ingredients_match_dense_oracles(theta, hurst, horizon, n):
+    grid = Grid(horizon, n)
+    params = ModelParams(theta=theta, hurst=hurst, horizon=horizon)
+    ing, norm_h2 = _ingredients(params, grid, with_norm_h2=True)
+    assert _ingredients(params, grid) == ing
+    w = gram_weights(grid, hurst)
+    f, g = kernel_f(params, grid), kernel_g(params, grid)
+    dense = {
+        "b_t": b_t_closed_form(params),
+        "norm_f2": norm2_h2(f, w),
+        "norm_f1f": math.sqrt(norm2_h2(contract1(f, f, w), w)),
+        "norm_f1g": math.sqrt(norm2_h2(contract1(f, g, w), w)),
+        "inner_fg": inner_h2(f, g, w),
+        "norm_g2": norm2_h2(g, w),
+        "norm_g1g": math.sqrt(norm2_h2(contract1(g, g, w), w)),
+    }
+    for name, want in dense.items():
+        assert getattr(ing, name) == pytest.approx(want, rel=1e-10), name
+    v = np.exp(-theta * (horizon - grid.midpoints))
+    vwv2 = float(v @ w.w @ v) ** 2
+    assert norm_h2 == pytest.approx(vwv2, rel=1e-10)
+    (row,) = asymptotics_report(params, [horizon], n=n)
+    assert row.quantities["norm_h2/T"][0] * horizon == pytest.approx(vwv2, rel=1e-10)
