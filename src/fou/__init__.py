@@ -4,75 +4,12 @@ Simulation of fOU paths driven by exactly-sampled fractional Gaussian
 noise, the least-squares drift estimator in pathwise and second-chaos
 form, the computable Kolmogorov-distance bound terms, and a Monte Carlo
 harness for empirical convergence rates.
+
+The package namespace re-exports nothing; import the layer modules
+(`fou.cli`, `fou.montecarlo`, `fou.bounds`, `fou.hilbert`, `fou.process`,
+`fou.fgn`, `fou.constants`, `fou.errors`) directly.  The dense reference
+implementations that the tests check these against are not part of the
+package.
 """
 
-from .bounds import (
-    AsymptoticsRow,
-    BoundTerms,
-    Ingredients,
-    asymptotics_report,
-    psi_from_ingredients,
-    psi_terms,
-    theoretical_rate_curve,
-)
-from .constants import (
-    ModelParams,
-    RateExponent,
-    alpha_h,
-    b_t_closed_form,
-    delta_h,
-    rate_exponent,
-    sigma2_h,
-    skorohod_correction,
-    stationary_variance,
-)
-from .errors import DegeneratePathError, NumericsError, QuadratureError
-from .fgn import (
-    GramWeights,
-    Grid,
-    NoisePath,
-    derive_seed,
-    fbm_cov,
-    fgn_autocov,
-    gram_weights,
-    sample_fgn,
-    sample_fgn_batch,
-)
-from .hilbert import (
-    KernelMatrix,
-    b_t_gram_quadrature,
-    contract1,
-    inner_h,
-    inner_h2,
-    kernel_f,
-    kernel_g,
-    kernel_h,
-    norm2_h2,
-)
-from .montecarlo import MCConfig, MCReport, MCRow, RateFit, ks_distance, rate_fit, run
-from .process import (
-    EstimatorResult,
-    FouPath,
-    estimate_pathwise,
-    i2,
-    normalized_pathwise_statistic,
-    normalized_statistic,
-    simulate_fou,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AsymptoticsRow", "BoundTerms", "DegeneratePathError", "EstimatorResult",
-    "FouPath", "GramWeights", "Grid", "Ingredients", "KernelMatrix", "MCConfig",
-    "MCReport", "MCRow", "ModelParams", "NoisePath", "NumericsError",
-    "QuadratureError", "RateExponent", "RateFit", "alpha_h",
-    "asymptotics_report", "b_t_closed_form", "b_t_gram_quadrature",
-    "contract1", "delta_h", "derive_seed", "estimate_pathwise", "fbm_cov",
-    "fgn_autocov", "gram_weights", "i2", "inner_h", "inner_h2", "kernel_f",
-    "kernel_g", "kernel_h", "ks_distance", "norm2_h2",
-    "normalized_pathwise_statistic", "normalized_statistic",
-    "psi_from_ingredients", "psi_terms", "rate_exponent", "rate_fit", "run",
-    "sample_fgn", "sample_fgn_batch", "sigma2_h", "simulate_fou",
-    "skorohod_correction", "stationary_variance", "theoretical_rate_curve",
-]

@@ -172,9 +172,9 @@ def psi_terms(params: ModelParams, grid: Grid) -> BoundTerms:
                       max_psi=max(psi1, psi2, psi3), ingredients=ing)
 
 
-def asymptotics_report(params: ModelParams, t_list, n: int | None = None,
+def asymptotics_report(theta: float, hurst: float, t_list, n: int | None = None,
                        dt: float | None = None) -> list[AsymptoticsRow]:
-    """Measure every bound ingredient across a horizon grid.
+    """Measure every bound ingredient at (theta, H) across a horizon grid.
 
     Quantity names carry the scaling actually applied; at H = 3/4 the
     denominator-kernel quantities take their log-corrected scalings and
@@ -184,9 +184,9 @@ def asymptotics_report(params: ModelParams, t_list, n: int | None = None,
     t_list = list(t_list)
     if any(t2 <= t1 for t1, t2 in zip(t_list, t_list[1:])):
         raise ValueError("t_list must be strictly increasing")
-    theta, h = params.theta, params.hurst
+    h = hurst
     check_log_horizons(h, t_list)
-    a = stationary_variance(params)
+    a = stationary_variance(ModelParams(theta=theta, hurst=h, horizon=1.0))
     lim_g2 = delta_h(h) / (2.0 * theta ** (1 + 4 * h))
     lim_fg = math.sqrt(theta / sigma2_h(h)) * lim_g2
     exp_f1f = rate_exponent(h)

@@ -11,8 +11,9 @@ Commands:
     kolmogorov   Monte Carlo distance per horizon
     rate-fit     kolmogorov + fitted log-log rate (at least 3 horizons)
 
-`bounds` and `asymptotics` reject any horizon whose grid exceeds the dense
-ceiling `hilbert.MAX_DENSE_N` before building an n x n array.
+Every command needs at least one --t horizon.  `bounds` and `asymptotics`
+reject any horizon whose grid exceeds the dense ceiling
+`hilbert.MAX_DENSE_N` before building an n x n array.
 
 Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O.  The resolved
 configuration (defaults included) is echoed to stderr before any work, and
@@ -55,7 +56,6 @@ class RunConfig:
     n: int | None
     reps: int
     seed: int
-    eps: float
     out: str
     format: str
     method: str
@@ -88,7 +88,6 @@ def parse_args(argv) -> RunConfig:
         p.add_argument("--n", type=int, default=None, help="fixed cell count per horizon")
         p.add_argument("--reps", type=int, default=1000, help="replications (default 1000)")
         p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-        p.add_argument("--eps", type=float, default=0.01, help="rate loss at H=5/8 (default 0.01)")
         p.add_argument("--out", default=None, help="output path (default <command>.<format>)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--method", choices=(mc.CHAOS_RATIO, mc.PATHWISE),
@@ -96,13 +95,11 @@ def parse_args(argv) -> RunConfig:
     ns = parser.parse_args(argv)
 
     t_list = _parse_horizons(ns.t or [])
-    if not t_list and ns.command in ("simulate", "estimate", "bounds"):
-        parser.error(f"{ns.command} requires at least one --t horizon")
     if ns.dt is not None and ns.n is not None:
         parser.error("--dt and --n are mutually exclusive")
     dt = ns.dt if (ns.dt is not None or ns.n is not None) else 0.05
     try:
-        for t in t_list or [1.0]:
+        for t in t_list:
             ModelParams(theta=ns.theta, hurst=ns.hurst, horizon=t)
         if ns.reps <= 0:
             raise ValueError(f"reps must be positive, got {ns.reps}")
@@ -110,8 +107,8 @@ def parse_args(argv) -> RunConfig:
             raise ValueError(f"distance estimation needs at least 100 replications, got {ns.reps}")
         if ns.command == "rate-fit" and len(t_list) < 3:
             raise ValueError(f"rate-fit needs at least 3 horizons, got {len(t_list)}")
-        if ns.eps < 0:
-            raise ValueError(f"eps must be nonnegative, got {ns.eps}")
+        if not t_list:
+            raise ValueError(f"{ns.command} requires at least one --t horizon")
         if dt is not None and dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if ns.n is not None and ns.n < 2:
@@ -121,7 +118,7 @@ def parse_args(argv) -> RunConfig:
     out = ns.out if ns.out is not None else f"{ns.command}.{ns.format}"
     return RunConfig(command=ns.command, theta=ns.theta, hurst=ns.hurst,
                      t_list=t_list, dt=dt, n=ns.n, reps=ns.reps, seed=ns.seed,
-                     eps=ns.eps, out=out, format=ns.format, method=ns.method)
+                     out=out, format=ns.format, method=ns.method)
 
 
 def _fmt(value) -> str:
@@ -177,13 +174,9 @@ def _rows_bounds(cfg: RunConfig):
 
 
 def _rows_asymptotics(cfg: RunConfig):
-    if not cfg.t_list:
-        return []
-    params = ModelParams(theta=cfg.theta, hurst=cfg.hurst, horizon=cfg.t_list[-1])
-    report = bounds_mod.asymptotics_report(params, cfg.t_list, n=cfg.n,
-                                           dt=cfg.dt if cfg.n is None else None)
     rows = []
-    for row in report:
+    for row in bounds_mod.asymptotics_report(cfg.theta, cfg.hurst, cfg.t_list,
+                                             n=cfg.n, dt=cfg.dt):
         for name, (measured, limit, ratio) in row.quantities.items():
             rows.append({"T": row.t, "quantity": name, "measured": measured,
                          "paper_limit": limit,
@@ -193,8 +186,7 @@ def _rows_asymptotics(cfg: RunConfig):
 
 def _mc_report(cfg: RunConfig):
     config = mc.MCConfig(theta=cfg.theta, hurst=cfg.hurst, t_list=cfg.t_list,
-                         replications=cfg.reps, master_seed=cfg.seed,
-                         dt=cfg.dt if cfg.n is None else None,
+                         replications=cfg.reps, master_seed=cfg.seed, dt=cfg.dt,
                          n_per_t=cfg.n, statistic_method=cfg.method)
     return mc.run(config)
 

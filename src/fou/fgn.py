@@ -52,7 +52,10 @@ class Grid:
         """Grid with cell width as close to dt as an integer cell count allows."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        return cls(horizon=horizon, n=max(2, int(round(horizon / dt))))
+        n = int(round(horizon / dt))
+        if n < 2:
+            raise ValueError(f"step dt={dt} leaves fewer than 2 cells on horizon T={horizon}")
+        return cls(horizon=horizon, n=n)
 
     @classmethod
     def for_horizon(cls, horizon: float, n: int | None = None,
@@ -98,30 +101,6 @@ class NoisePath:
     hurst: float
     xi: np.ndarray = field(repr=False)
     seed: int = 0
-
-
-def fbm_cov(t: float, s: float, hurst: float) -> float:
-    """E[B^H_t B^H_s] = (t^2H + s^2H - |t-s|^2H) / 2."""
-    _check_hurst(hurst)
-    if t < 0 or s < 0:
-        raise ValueError(f"times must be nonnegative, got ({t}, {s})")
-    two_h = 2.0 * hurst
-    return 0.5 * (t**two_h + s**two_h - abs(t - s) ** two_h)
-
-
-def fgn_autocov(k, dt: float, hurst: float):
-    """Lag-k autocovariance of fGn on step dt.
-
-    gamma(k) = dt^2H (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2; gamma(0) = dt^2H.
-    Accepts scalar or array lags.
-    """
-    _check_hurst(hurst)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    k = np.abs(np.asarray(k, dtype=float))
-    two_h = 2.0 * hurst
-    out = 0.5 * dt**two_h * ((k + 1) ** two_h - 2 * k**two_h + np.abs(k - 1) ** two_h)
-    return float(out) if out.ndim == 0 else out
 
 
 def _unit_autocov(kmax: int, hurst: float) -> np.ndarray:
@@ -177,13 +156,6 @@ def _embedding_sqrt_eigs(n: int, hurst: float) -> tuple:
     return (np.sqrt(lam[0] / m), np.sqrt(lam[n] / m), np.sqrt(lam[1:n] / (2 * m)))
 
 
-@lru_cache(maxsize=8)
-def _unit_cholesky(n: int, hurst: float) -> np.ndarray:
-    gamma = _unit_autocov(n - 1, hurst)
-    idx = np.arange(n)
-    return np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx[None, :])])
-
-
 def sample_fgn_batch(grid: Grid, hurst: float, seeds) -> np.ndarray:
     """Exact fGn draws, one row per seed; row r depends only on seeds[r].
 
@@ -217,13 +189,4 @@ def sample_fgn_batch(grid: Grid, hurst: float, seeds) -> np.ndarray:
 def sample_fgn(grid: Grid, hurst: float, seed: int) -> NoisePath:
     """One exact fGn path; deterministic function of (grid, hurst, seed)."""
     xi = sample_fgn_batch(grid, hurst, [seed])[0]
-    return NoisePath(grid=grid, hurst=hurst, xi=xi, seed=seed)
-
-
-def sample_fgn_cholesky(grid: Grid, hurst: float, seed: int) -> NoisePath:
-    """Dense-Cholesky sampler; the distributional oracle for the FFT route."""
-    _check_hurst(hurst)
-    rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
-    chol = _unit_cholesky(grid.n, hurst)
-    xi = grid.step**hurst * (chol @ rng.standard_normal(grid.n))
     return NoisePath(grid=grid, hurst=hurst, xi=xi, seed=seed)

@@ -15,6 +15,8 @@ form needs one forward scan:
 The boundary kernel is rank one, and the recentering traces use the
 Toeplitz structure of the Gram weights; everything is O(n) or O(n log n)
 per replication and agrees with the dense operations to rounding error.
+The scale of f, the coefficients of g and the boundary vector come from
+`hilbert`, once per horizon, through `_chaos_traces`.
 At H = 3/4 the statistic carries the extra 1/sqrt(log T) normalization.
 
 Replications are drawn in chunks of at most CHUNK_CELLS cells (rows x n),
@@ -47,6 +49,7 @@ from .constants import (
 )
 from .errors import DegeneratePathError
 from .fgn import Grid, _unit_autocov, derive_seed, sample_fgn_batch
+from .hilbert import boundary_vector, kernel_f_scale, kernel_g_coefficients
 from .process import (
     CHAOS_RATIO,
     NEAR_ZERO_DENOM,
@@ -145,13 +148,10 @@ def rate_fit(rows) -> RateFit:
 
 def _chaos_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
                  b_t: float, traces: tuple) -> tuple[np.ndarray, int]:
-    """Chaos-ratio statistic for each row of xi; returns (values, degenerate count)."""
-    theta, h, horizon = params.theta, params.hurst, params.horizon
-    rho = math.exp(-theta * grid.step)
-    tr_f, tr_h, w_vec = traces
-    sf = 1.0 / (2.0 * math.sqrt(theta * sigma2_h(h) * horizon))
-    cg1 = math.sqrt(sigma2_h(h) / (theta * horizon))
-    cg2 = 1.0 / (2.0 * theta * horizon)
+    """Chaos-ratio statistic for each row of xi; returns (values, degenerate count).
+    `traces` is what `_chaos_traces` returns for the same params and grid."""
+    rho = math.exp(-params.theta * grid.step)
+    tr_f, tr_h, v, sf, c1, c2 = traces
     u = lfilter([1.0], [1.0, -rho], xi, axis=1)
     u *= 2.0
     u -= xi
@@ -159,26 +159,28 @@ def _chaos_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
     q_exp = u.sum(axis=1)
     # einsum, not a BLAS matvec: its per-row sum does not depend on how many
     # rows share the call, so no value depends on chunk boundaries.
-    q_h = np.einsum("ij,j->i", xi, w_vec) ** 2
+    q_h = np.einsum("ij,j->i", xi, v) ** 2
     i2_f = sf * q_exp - tr_f
-    i2_g = cg1 * i2_f - cg2 * (q_h - tr_h)
+    i2_g = c1 * i2_f - c2 * (q_h - tr_h)
     den = i2_g + b_t
     degenerate = int(np.sum(np.abs(den) < NEAR_ZERO_DENOM))
     return -i2_f / den, degenerate
 
 
 def _chaos_traces(params: ModelParams, grid: Grid) -> tuple:
-    """Recentering traces tr(K_f W), tr(K_h W) via the Toeplitz structure."""
-    theta, h, horizon = params.theta, params.hurst, params.horizon
+    """Per-horizon inputs of `_chaos_batch`: the recentering traces
+    tr(K_f W) and tr(K_h W) via the Toeplitz structure, then the boundary
+    vector v, the scale of f and the coefficients c1, c2 of g."""
+    theta, h = params.theta, params.hurst
     n, dt = grid.n, grid.step
     gamma = dt ** (2 * h) * _unit_autocov(n - 1, h)
     k = np.arange(n, dtype=float)
-    sf = 1.0 / (2.0 * math.sqrt(theta * sigma2_h(h) * horizon))
+    sf = kernel_f_scale(params)
     rho_pow = np.exp(-theta * dt * k)
     tr_f = sf * (n * gamma[0] + 2.0 * np.sum((n - k[1:]) * rho_pow[1:] * gamma[1:]))
-    w_vec = np.exp(-theta * (horizon - grid.midpoints))
-    tr_h = float(w_vec @ matmul_toeplitz(gamma, w_vec))
-    return tr_f, tr_h, w_vec
+    v = boundary_vector(params, grid)
+    tr_h = float(v @ matmul_toeplitz(gamma, v))
+    return (tr_f, tr_h, v, sf, *kernel_g_coefficients(params))
 
 
 def _pathwise_batch(params: ModelParams, grid: Grid, xi: np.ndarray,

@@ -15,11 +15,8 @@ The estimator -int X dX / int X^2 dt comes in two computable forms:
 
 Path simulation and the pathwise estimator are batched, one row per path
 (`simulate_fou_batch`, `pathwise_terms`); the single-path functions are a
-batch of one.
-
-The same error, normalized by sqrt(T / (theta sigma2_H)), equals a ratio
-of two recentred quadratic forms in the driving noise (second-chaos form);
-`i2` and `normalized_statistic` evaluate that ratio on the discrete grid.
+batch of one.  The second-chaos form of the same error is evaluated per
+replication by `montecarlo._chaos_batch`.
 """
 from __future__ import annotations
 
@@ -29,14 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from .constants import (
-    ModelParams,
-    sigma2_h,
-    skorohod_correction,
-    stationary_variance,
-)
-from .errors import DegeneratePathError, NumericsError
-from .fgn import Grid, GramWeights, NoisePath, gram_weights
+from .constants import ModelParams, skorohod_correction, stationary_variance
+from .errors import DegeneratePathError
+from .fgn import Grid, NoisePath
 
 PATHWISE_ITO = "pathwise_ito"
 SKOROHOD_ORACLE = "skorohod_oracle"
@@ -134,47 +126,3 @@ def estimate_pathwise(path: FouPath) -> EstimatorResult:
     check_denominators(p, den)
     return EstimatorResult(theta_hat=float(num[0] / den[0]), numerator=float(num[0]),
                            denominator=float(den[0]), method=method)
-
-
-def i2(kernel, noise: NoisePath, weights: GramWeights) -> float:
-    """Discrete double Wiener-Ito integral of a midpoint-sampled kernel:
-
-        sum_ij K[i,j] (xi_i xi_j - W[i,j]),
-
-    a quadratic form recentred with the exact increment covariances, so
-    its expectation is zero by construction.
-    """
-    k = kernel.k
-    if noise.grid != weights.grid or kernel.grid != weights.grid:
-        raise ValueError("kernel, noise and weights must share one grid")
-    if noise.hurst != weights.hurst:
-        raise ValueError(f"noise hurst {noise.hurst} != weights hurst {weights.hurst}")
-    xi = noise.xi
-    return float(xi @ k @ xi - np.einsum("ij,ij->", k, weights.w))
-
-
-def normalized_statistic(path: FouPath, kernel_f, kernel_g, b_t: float,
-                         weights: GramWeights | None = None) -> float:
-    """sqrt(T / (theta sigma2_H)) (theta_hat - theta) in second-chaos form.
-
-    Equals -I2(f) / (I2(g) + b_T) on the path's own noise: the numerator
-    kernel enters with a minus sign because the estimator error is minus
-    the divergence integral over the denominator.  b_t must come from the
-    closed form (positive).
-    """
-    if b_t <= 0:
-        raise ValueError(f"b_t must be positive, got {b_t}")
-    if weights is None:
-        weights = gram_weights(path.grid, path.params.hurst)
-    numerator = -i2(kernel_f, path.noise, weights)
-    denominator = i2(kernel_g, path.noise, weights) + b_t
-    if abs(denominator) < NEAR_ZERO_DENOM:
-        raise NumericsError(f"chaos denominator {denominator} is numerically zero")
-    return numerator / denominator
-
-
-def normalized_pathwise_statistic(path: FouPath) -> float:
-    """sqrt(T / (theta sigma2_H)) (theta_hat - theta) from estimate_pathwise."""
-    p = path.params
-    est = estimate_pathwise(path)
-    return math.sqrt(p.horizon / (p.theta * sigma2_h(p.hurst))) * (est.theta_hat - p.theta)

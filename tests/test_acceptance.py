@@ -24,7 +24,7 @@ from fou.constants import (
     stationary_variance,
 )
 from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn_batch
-from fou.hilbert import b_t_gram_quadrature, kernel_f, norm2_h2
+from fou.hilbert import kernel_f
 from fou.montecarlo import (
     MCConfig,
     _chaos_batch,
@@ -33,6 +33,7 @@ from fou.montecarlo import (
     ks_distance,
     run,
 )
+from oracles import b_t_gram_quadrature, norm2_h2
 
 THETA = 1.0
 

@@ -12,7 +12,8 @@ from fou.bounds import (
 )
 from fou.constants import ModelParams, delta_h, sigma2_h, stationary_variance
 from fou.fgn import Grid, gram_weights
-from fou.hilbert import contract1, inner_h2, kernel_f, kernel_g, norm2_h2
+from fou.hilbert import kernel_f, kernel_g
+from oracles import contract1, inner_h2, norm2_h2
 
 
 def ing(**kw):
@@ -93,7 +94,7 @@ def test_psi1_gap_term_grows_against_contraction():
 
 def test_asymptotics_report_brownian_limits():
     p = ModelParams(theta=1.0, hurst=0.5, horizon=100.0)
-    rows = asymptotics_report(p, [100.0], n=2048)
+    rows = asymptotics_report(p.theta, p.hurst, [100.0], n=2048)
     q = rows[0].quantities
     a = stationary_variance(p)
     meas, lim, ratio = q["2*norm_f2"]
@@ -112,7 +113,7 @@ def test_asymptotics_report_brownian_limits():
 
 def test_asymptotics_report_zhou_trend():
     p = ModelParams(theta=1.0, hurst=0.6, horizon=100.0)
-    rows = asymptotics_report(p, [25.0, 50.0, 100.0], dt=0.05)
+    rows = asymptotics_report(p.theta, p.hurst, [25.0, 50.0, 100.0], dt=0.05)
     scaled = [math.sqrt(r.t) * r.quantities["norm_f1f"][0] for r in rows]
     assert max(scaled) / min(scaled) < 2.0
     assert rows[0].rates["norm_f1f"] == pytest.approx(0.5)
@@ -120,7 +121,7 @@ def test_asymptotics_report_zhou_trend():
 
 def test_asymptotics_report_log_branch_names():
     p = ModelParams(theta=1.0, hurst=0.75, horizon=50.0)
-    rows = asymptotics_report(p, [50.0], n=256)
+    rows = asymptotics_report(p.theta, p.hurst, [50.0], n=256)
     names = set(rows[0].quantities)
     assert "T/log(T)*norm_g2" in names
     assert "sqrt(T/log(T))*inner_fg" in names
@@ -131,11 +132,11 @@ def test_asymptotics_report_log_branch_names():
 def test_asymptotics_report_validation():
     p = ModelParams(theta=1.0, hurst=0.6, horizon=10.0)
     with pytest.raises(ValueError):
-        asymptotics_report(p, [10.0, 5.0], n=64)
+        asymptotics_report(p.theta, p.hurst, [10.0, 5.0], n=64)
     with pytest.raises(ValueError):
-        asymptotics_report(p, [5.0, 10.0])           # no policy
+        asymptotics_report(p.theta, p.hurst, [5.0, 10.0])           # no policy
     with pytest.raises(ValueError):
-        asymptotics_report(p, [5.0, 10.0], n=64, dt=0.1)  # both policies
+        asymptotics_report(p.theta, p.hurst, [5.0, 10.0], n=64, dt=0.1)  # both policies
 
 
 def test_theoretical_rate_curve_values():

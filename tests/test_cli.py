@@ -9,7 +9,7 @@ import fou.bounds as bounds
 import fou.hilbert as hilbert
 import fou.montecarlo as mc
 import fou.process as process
-from fou.cli import CSV_COLUMNS, RunConfig, emit_report, main, parse_args
+from fou.cli import COMMANDS, CSV_COLUMNS, RunConfig, emit_report, main, parse_args
 from fou.constants import ModelParams, stationary_variance
 
 
@@ -53,15 +53,32 @@ def test_parse_rejects_dt_and_n_together():
     assert exc.value.code == 2
 
 
-def test_parse_requires_horizon_for_path_commands():
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parse_requires_horizon_for_path_commands(command):
     with pytest.raises(SystemExit) as exc:
-        parse_args(["simulate", "--theta", "1", "--hurst", "0.6"])
+        parse_args([command, "--theta", "1", "--hurst", "0.6"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_eps_is_not_a_flag(command):
+    with pytest.raises(SystemExit) as exc:
+        parse_args([command, "--theta", "1", "--hurst", "0.6", "--t", "10", "--eps", "5"])
+    assert exc.value.code == 2
+
+
+def test_step_wider_than_horizon_exits_2(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code = main(["asymptotics", "--theta", "1", "--hurst", "0.6", "--t", "10", "--dt", "20",
+                 "--out", str(out)])
+    assert code == 2
+    assert "dt=20.0 leaves fewer than 2 cells on horizon T=10.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def cfg_for(tmp_path, command, fmt="csv", t_list=()):
     return RunConfig(command=command, theta=1.0, hurst=0.5, t_list=tuple(t_list),
-                     dt=0.1, n=None, reps=100, seed=1, eps=0.01,
+                     dt=0.1, n=None, reps=100, seed=1,
                      out=str(tmp_path / f"out.{fmt}"), format=fmt, method="chaos_ratio")
 
 
@@ -101,7 +118,7 @@ def test_emit_json_round_trip(tmp_path):
 
 def test_emit_unwritable_path_raises(tmp_path):
     cfg = RunConfig(command="kolmogorov", theta=1.0, hurst=0.5, t_list=(),
-                    dt=0.1, n=None, reps=100, seed=1, eps=0.01,
+                    dt=0.1, n=None, reps=100, seed=1,
                     out=str(tmp_path / "no_such_dir" / "out.csv"),
                     format="csv", method="chaos_ratio")
     with pytest.raises(OSError):

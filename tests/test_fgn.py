@@ -3,16 +3,8 @@ import pytest
 
 import fou.fgn as fgn
 from fou.errors import NumericsError
-from fou.fgn import (
-    Grid,
-    derive_seed,
-    fbm_cov,
-    fgn_autocov,
-    gram_weights,
-    sample_fgn,
-    sample_fgn_batch,
-    sample_fgn_cholesky,
-)
+from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
+from oracles import fbm_cov, fgn_autocov, sample_fgn_cholesky
 
 
 def test_grid_basics():
@@ -27,6 +19,12 @@ def test_grid_basics():
         Grid(horizon=-1.0, n=4)
     with pytest.raises(ValueError):
         Grid(horizon=1.0, n=1)
+
+
+def test_from_step_rejects_fewer_than_two_cells():
+    assert Grid.from_step(10.0, 4.0).n == 2  # 10 / 4 rounds to 2
+    with pytest.raises(ValueError, match=r"dt=8\.0 .* T=10\.0"):
+        Grid.from_step(10.0, 8.0)            # 10 / 8 rounds to 1
 
 
 def test_fbm_cov_values():

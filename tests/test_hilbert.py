@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from fou.constants import ModelParams, b_t_closed_form, delta_h, sigma2_h
-from fou.fgn import Grid, fbm_cov, gram_weights
-from fou.hilbert import (
-    KernelMatrix,
+from fou.fgn import Grid, gram_weights
+from fou.hilbert import KernelMatrix, kernel_f, kernel_g
+from oracles import (
     b_t_gram_quadrature,
     contract1,
+    fbm_cov,
     inner_h,
     inner_h2,
-    kernel_f,
-    kernel_g,
     kernel_h,
     norm2_h2,
 )

@@ -17,7 +17,8 @@ from fou.montecarlo import (
     rate_fit,
     run,
 )
-from fou.process import normalized_pathwise_statistic, normalized_statistic, simulate_fou
+from fou.process import simulate_fou
+from oracles import normalized_pathwise_statistic, normalized_statistic
 
 
 def test_ks_distance_hand_computed():

@@ -6,15 +6,9 @@ import pytest
 from fou.constants import ModelParams, b_t_closed_form, sigma2_h
 from fou.errors import DegeneratePathError, NumericsError
 from fou.fgn import Grid, NoisePath, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
-from fou.hilbert import KernelMatrix, kernel_f, kernel_g, norm2_h2
-from fou.process import (
-    FouPath,
-    estimate_pathwise,
-    i2,
-    normalized_pathwise_statistic,
-    normalized_statistic,
-    simulate_fou,
-)
+from fou.hilbert import KernelMatrix, kernel_f, kernel_g
+from fou.process import FouPath, estimate_pathwise, simulate_fou
+from oracles import i2, norm2_h2, normalized_pathwise_statistic, normalized_statistic
 
 
 def make_path_from_x(theta, h, grid, x):

@@ -3,7 +3,7 @@ small (theta, H, T, n): the half-spectrum sampler against a full-length
 complex FFT, batch and chunk invariance of every row, the one-scan chaos
 statistic against the dense quadratic forms, the batched `estimate`
 rows against the single-path estimator, and the two-product bound
-ingredients against the dense tensor algebra of `hilbert`.
+ingredients against the dense tensor algebra of `oracles`.
 """
 import math
 
@@ -16,18 +16,11 @@ import fou.montecarlo as mc
 from fou.bounds import _ingredients, asymptotics_report
 from fou.cli import RunConfig, _rows_estimate
 from fou.constants import ModelParams, b_t_closed_form
-from fou.fgn import (
-    Grid,
-    NoisePath,
-    derive_seed,
-    fgn_autocov,
-    gram_weights,
-    sample_fgn,
-    sample_fgn_batch,
-)
-from fou.hilbert import contract1, inner_h2, kernel_f, kernel_g, norm2_h2
+from fou.fgn import Grid, NoisePath, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
+from fou.hilbert import kernel_f, kernel_g
 from fou.montecarlo import MCConfig, _chaos_batch, _chaos_traces, run
-from fou.process import estimate_pathwise, i2, simulate_fou
+from fou.process import estimate_pathwise, simulate_fou
+from oracles import contract1, fgn_autocov, i2, inner_h2, norm2_h2
 
 SETTINGS = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -113,7 +106,7 @@ def test_one_scan_chaos_matches_dense_i2(theta, hurst, horizon, n, master):
        seed=st.integers(0, 2**32))
 def test_batched_estimate_rows_equal_single_path(theta, hurst, dt, reps, chunk_cells, seed):
     cfg = RunConfig(command="estimate", theta=theta, hurst=hurst, t_list=(3.0, 7.0),
-                    dt=dt, n=None, reps=reps, seed=seed, eps=0.01, out="-",
+                    dt=dt, n=None, reps=reps, seed=seed, out="-",
                     format="csv", method="chaos_ratio")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mc, "CHUNK_CELLS", chunk_cells)
@@ -166,5 +159,5 @@ def test_two_product_ingredients_match_dense_oracles(theta, hurst, horizon, n):
     v = np.exp(-theta * (horizon - grid.midpoints))
     vwv2 = float(v @ w.w @ v) ** 2
     assert norm_h2 == pytest.approx(vwv2, rel=1e-10)
-    (row,) = asymptotics_report(params, [horizon], n=n)
+    (row,) = asymptotics_report(theta, hurst, [horizon], n=n)
     assert row.quantities["norm_h2/T"][0] * horizon == pytest.approx(vwv2, rel=1e-10)
