@@ -35,6 +35,7 @@ import numpy as np
 
 from . import hilbert
 from .constants import (
+    HURST_MAX,
     ModelParams,
     b_t_closed_form,
     check_log_horizons,
@@ -190,31 +191,26 @@ def asymptotics_report(theta: float, hurst: float, t_list, n: int | None = None,
     lim_g2 = delta_h(h) / (2.0 * theta ** (1 + 4 * h))
     lim_fg = math.sqrt(theta / sigma2_h(h)) * lim_g2
     exp_f1f = rate_exponent(h)
-    log_case = h == 0.75
+    log_case = h == HURST_MAX
+    label = "T/log(T)" if log_case else "T"
     rows = []
     for grid in horizon_grids(t_list, n=n, dt=dt):
         t = grid.horizon
         p = ModelParams(theta=theta, hurst=h, horizon=t)
         ing, norm_h2 = _ingredients(p, grid, with_norm_h2=True)
-        st = math.sqrt(t)
         lt = math.log(t)
+        scale = t / lt if log_case else t
         q = {
             "b_T": (ing.b_t, a),
             "2*norm_f2": (2.0 * ing.norm_f2 / lt if log_case else 2.0 * ing.norm_f2,
                           a * a),
             "norm_f1f": (ing.norm_f1f, 0.0),
             "norm_h2/T": (norm_h2 / t, 0.0),
+            f"{label}*norm_g2": (scale * ing.norm_g2, lim_g2),
+            f"sqrt({label})*inner_fg": (math.sqrt(scale) * ing.inner_fg, lim_fg),
+            f"sqrt({label})*norm_f1g": (math.sqrt(scale) * ing.norm_f1g, 0.0),
+            f"sqrt({label})*norm_g1g": (math.sqrt(scale) * ing.norm_g1g, 0.0),
         }
-        if log_case:
-            q["T/log(T)*norm_g2"] = (t / lt * ing.norm_g2, lim_g2)
-            q["sqrt(T/log(T))*inner_fg"] = (math.sqrt(t / lt) * ing.inner_fg, lim_fg)
-            q["sqrt(T/log(T))*norm_f1g"] = (math.sqrt(t / lt) * ing.norm_f1g, 0.0)
-            q["sqrt(T/log(T))*norm_g1g"] = (math.sqrt(t / lt) * ing.norm_g1g, 0.0)
-        else:
-            q["T*norm_g2"] = (t * ing.norm_g2, lim_g2)
-            q["sqrt(T)*inner_fg"] = (st * ing.inner_fg, lim_fg)
-            q["sqrt(T)*norm_f1g"] = (st * ing.norm_f1g, 0.0)
-            q["sqrt(T)*norm_g1g"] = (st * ing.norm_g1g, 0.0)
         quantities = {
             name: (meas, lim, meas / lim if lim not in (0.0, None) else None)
             for name, (meas, lim) in q.items()

@@ -3,9 +3,8 @@
 Commands:
     simulate     one path per horizon            (columns T,t,x)
     estimate     per-replication drift estimates (columns T,rep,theta_hat,...),
-                 batched: chunks of replications go through the batched
-                 sampler, fOU recursion and pathwise kernel, with one
-                 Skorohod correction per horizon
+                 drawn like kolmogorov by `montecarlo.replicate`, on the
+                 FOU_THREADS pool, with one Skorohod correction per horizon
     bounds       bound terms per horizon         (fixed schema, see below)
     asymptotics  measured quantities vs limits   (long format, fixed schema)
     kolmogorov   Monte Carlo distance per horizon
@@ -30,7 +29,7 @@ from . import bounds as bounds_mod
 from . import montecarlo as mc
 from .constants import ModelParams, skorohod_correction
 from .errors import NumericsError
-from .fgn import Grid, derive_seed, sample_fgn, sample_fgn_batch
+from .fgn import Grid, derive_seed, sample_fgn
 from .process import check_denominators, pathwise_terms, simulate_fou, simulate_fou_batch
 
 COMMANDS = ("simulate", "estimate", "bounds", "asymptotics", "kolmogorov", "rate-fit")
@@ -140,20 +139,23 @@ def _rows_simulate(cfg: RunConfig):
 
 
 def _rows_estimate(cfg: RunConfig):
-    rows = []
-    for i, t in enumerate(cfg.t_list):
-        grid = Grid.for_horizon(t, n=cfg.n, dt=cfg.dt)
-        params = ModelParams(theta=cfg.theta, hurst=cfg.hurst, horizon=t)
+    def setup(params, grid):
         c_t = skorohod_correction(params)
-        for r0, r1 in mc.row_chunks(cfg.reps, grid.n):
-            xi = sample_fgn_batch(grid, cfg.hurst,
-                                  [derive_seed(cfg.seed, i, r) for r in range(r0, r1)])
-            x = simulate_fou_batch(grid, params, xi)
-            num, den, method = pathwise_terms(grid, params, x, c_t)
+
+        def statistic(xi):
+            num, den, method = pathwise_terms(grid, params, simulate_fou_batch(grid, params, xi), c_t)
             check_denominators(params, den)
-            rows.extend({"T": t, "rep": r, "theta_hat": float(a / b), "numerator": float(a),
-                         "denominator": float(b), "method": method}
-                        for r, a, b in zip(range(r0, r1), num, den))
+            return num, den, method
+
+        return statistic
+
+    rows = []
+    for t, chunks in zip(cfg.t_list, mc.replicate(setup, cfg.theta, cfg.hurst, cfg.t_list,
+                                                  cfg.reps, cfg.seed, n=cfg.n, dt=cfg.dt)):
+        terms = [(a, b, method) for num, den, method in chunks for a, b in zip(num, den)]
+        rows.extend({"T": t, "rep": r, "theta_hat": float(a / b), "numerator": float(a),
+                     "denominator": float(b), "method": method}
+                    for r, (a, b, method) in enumerate(terms))
     return rows
 
 
@@ -228,8 +230,7 @@ def emit_report(rows, cfg: RunConfig) -> str:
             fh.write("\n".join(lines) + "\n")
     else:
         payload = {"command": cfg.command,
-                   "config": {k: (list(v) if isinstance(v, tuple) else v)
-                              for k, v in vars(cfg).items()},
+                   "config": vars(cfg),
                    "columns": columns,
                    "rows": [{c: row[c] for c in columns} for row in rows]}
         with open(cfg.out, "w") as fh:
@@ -243,9 +244,7 @@ def main(argv=None) -> int:
         cfg = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    print(f"[fou] resolved config: "
-          f"{json.dumps({k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(cfg).items()}, sort_keys=True)}",
-          file=sys.stderr)
+    print(f"[fou] resolved config: {json.dumps(vars(cfg), sort_keys=True)}", file=sys.stderr)
     try:
         rows = _ROW_BUILDERS[cfg.command](cfg)
         path = emit_report(rows, cfg)

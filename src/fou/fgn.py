@@ -110,11 +110,15 @@ def _unit_autocov(kmax: int, hurst: float) -> np.ndarray:
     return 0.5 * ((k + 1) ** two_h - 2 * k**two_h + np.abs(k - 1) ** two_h)
 
 
+def increment_autocov(grid: Grid, hurst: float) -> np.ndarray:
+    """gamma(0..n-1): covariance of two fGn increments of the grid k cells apart."""
+    _check_hurst(hurst)
+    return grid.step ** (2.0 * hurst) * _unit_autocov(grid.n - 1, hurst)
+
+
 def gram_weights(grid: Grid, hurst: float) -> GramWeights:
     """Exact covariance matrix of the n fGn increments on the grid."""
-    _check_hurst(hurst)
-    gamma = grid.step ** (2.0 * hurst) * _unit_autocov(grid.n - 1, hurst)
-    return GramWeights(grid=grid, hurst=hurst, w=toeplitz(gamma))
+    return GramWeights(grid=grid, hurst=hurst, w=toeplitz(increment_autocov(grid, hurst)))
 
 
 def _splitmix64(z: int) -> int:

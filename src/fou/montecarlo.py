@@ -19,8 +19,10 @@ The scale of f, the coefficients of g and the boundary vector come from
 `hilbert`, once per horizon, through `_chaos_traces`.
 At H = 3/4 the statistic carries the extra 1/sqrt(log T) normalization.
 
-Replications are drawn in chunks of at most CHUNK_CELLS cells (rows x n),
-here and in the batched `estimate` command.  One chunk's buffers (2n
+`replicate` is the one replication driver: `run` (for `kolmogorov` and
+`rate-fit`) and the `estimate` command both draw through it, so FOU_THREADS
+applies to `estimate` too.  It splits the replications into chunks of at
+most CHUNK_CELLS cells (rows x n).  One chunk's buffers (2n
 normals, n+1 complex coefficients and the 2n-point transform per row, then
 the scan) take about 4 MB per worker, so they stay in the processor's
 caches, and peak memory does not grow with the replication count; chunks
@@ -41,6 +43,7 @@ from scipy.signal import lfilter
 from scipy.special import ndtr
 
 from .constants import (
+    HURST_MAX,
     ModelParams,
     b_t_closed_form,
     check_log_horizons,
@@ -48,16 +51,11 @@ from .constants import (
     skorohod_correction,
 )
 from .errors import DegeneratePathError
-from .fgn import Grid, _unit_autocov, derive_seed, sample_fgn_batch
+from .fgn import Grid, derive_seed, increment_autocov, sample_fgn_batch
 from .hilbert import boundary_vector, kernel_f_scale, kernel_g_coefficients
-from .process import (
-    CHAOS_RATIO,
-    NEAR_ZERO_DENOM,
-    denominator_floor,
-    pathwise_terms,
-    simulate_fou_batch,
-)
+from .process import NEAR_ZERO_DENOM, denominator_floor, pathwise_terms, simulate_fou_batch
 
+CHAOS_RATIO = "chaos_ratio"
 PATHWISE = "pathwise"
 CHUNK_CELLS = 1 << 16  # cells per chunk; see the module docstring
 
@@ -108,12 +106,6 @@ class MCReport:
     config: MCConfig
     rows: list
     fitted: RateFit | None
-
-
-def row_chunks(reps: int, n: int) -> list[tuple[int, int]]:
-    """[r0, r1) bounds covering reps replications of n cells in CHUNK_CELLS chunks."""
-    rows = max(1, CHUNK_CELLS // n)
-    return [(r0, min(r0 + rows, reps)) for r0 in range(0, reps, rows)]
 
 
 def ks_distance(samples) -> float:
@@ -171,12 +163,11 @@ def _chaos_traces(params: ModelParams, grid: Grid) -> tuple:
     """Per-horizon inputs of `_chaos_batch`: the recentering traces
     tr(K_f W) and tr(K_h W) via the Toeplitz structure, then the boundary
     vector v, the scale of f and the coefficients c1, c2 of g."""
-    theta, h = params.theta, params.hurst
-    n, dt = grid.n, grid.step
-    gamma = dt ** (2 * h) * _unit_autocov(n - 1, h)
+    n = grid.n
+    gamma = increment_autocov(grid, params.hurst)
     k = np.arange(n, dtype=float)
     sf = kernel_f_scale(params)
-    rho_pow = np.exp(-theta * dt * k)
+    rho_pow = np.exp(-params.theta * grid.step * k)
     tr_f = sf * (n * gamma[0] + 2.0 * np.sum((n - k[1:]) * rho_pow[1:] * gamma[1:]))
     v = boundary_vector(params, grid)
     tr_h = float(v @ matmul_toeplitz(gamma, v))
@@ -194,58 +185,67 @@ def _pathwise_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
     return scale * (num / den - params.theta), degenerate
 
 
-def run(config: MCConfig) -> MCReport:
-    """Replicate the statistic over every horizon and summarize.
+def replicate(setup, theta: float, hurst: float, t_list, reps: int, seed: int,
+              n: int | None, dt: float | None) -> list[list]:
+    """Draw reps replications at every horizon and apply a statistic to
+    each chunk of them; returns, per horizon, the chunk results in
+    replication order.
 
-    Deterministic given the config: each replication's draws come from its
-    own derived stream and no value depends on chunk boundaries or thread
-    scheduling.  Aborts if more than 0.1% of replications at any horizon
-    produce degenerate denominators.
+    Per horizon, `setup(params, grid)` runs once, serially, and returns the
+    statistic, a function of one chunk of fGn rows (rows x n).  Replication
+    r at horizon index i is the row drawn from derive_seed(seed, i, r), and
+    the chunks of at most CHUNK_CELLS cells run on a pool of FOU_THREADS
+    workers, so no row depends on chunk boundaries or scheduling.
     """
     workers = os.environ.get("FOU_THREADS")
     workers = int(workers) if workers else (os.cpu_count() or 1)
-    reps = config.replications
-    rows: list[MCRow | None] = [None] * len(config.t_list)
-
-    tasks = []
-    for i, t in enumerate(config.t_list):
-        grid = Grid.for_horizon(t, n=config.n_per_t, dt=config.dt)
-        params = ModelParams(theta=config.theta, hurst=config.hurst, horizon=t)
-        if config.statistic_method == CHAOS_RATIO:
-            aux = (b_t_closed_form(params), _chaos_traces(params, grid))
-        else:
-            aux = skorohod_correction(params)
-        tasks.extend((i, t, grid, params, aux, r0, r1)
-                     for r0, r1 in row_chunks(reps, grid.n))
-
-    samples = [np.empty(reps) for _ in config.t_list]
-    degenerates = [0] * len(config.t_list)
+    tasks, counts = [], []
+    for i, t in enumerate(t_list):
+        grid = Grid.for_horizon(t, n=n, dt=dt)
+        statistic = setup(ModelParams(theta=theta, hurst=hurst, horizon=t), grid)
+        rows = max(1, CHUNK_CELLS // grid.n)
+        chunks = [(i, grid, statistic, r0, min(r0 + rows, reps))
+                  for r0 in range(0, reps, rows)]
+        tasks.extend(chunks)
+        counts.append(len(chunks))
 
     def work(task):
-        i, t, grid, params, aux, r0, r1 = task
-        seeds = [derive_seed(config.master_seed, i, r) for r in range(r0, r1)]
-        xi = sample_fgn_batch(grid, config.hurst, seeds)
-        if config.statistic_method == CHAOS_RATIO:
-            b_t, traces = aux
-            vals, bad = _chaos_batch(params, grid, xi, b_t, traces)
-        else:
-            vals, bad = _pathwise_batch(params, grid, xi, aux)
-        if config.hurst == 0.75:
-            vals = vals / math.sqrt(math.log(t))
-        return i, r0, r1, vals, bad
+        i, grid, statistic, r0, r1 = task
+        seeds = [derive_seed(seed, i, r) for r in range(r0, r1)]
+        return statistic(sample_fgn_batch(grid, hurst, seeds))
 
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for i, r0, r1, vals, bad in pool.map(work, tasks):
-            samples[i][r0:r1] = vals
-            degenerates[i] += bad
+        results = pool.map(work, tasks)
+        return [[next(results) for _ in range(count)] for count in counts]
 
-    for i, t in enumerate(config.t_list):
-        if degenerates[i] > 0.001 * reps:
+
+def run(config: MCConfig) -> MCReport:
+    """Replicate the statistic over every horizon and summarize.
+
+    Deterministic given the config (see `replicate`).  Aborts if more than
+    0.1% of replications at any horizon produce degenerate denominators.
+    """
+    def setup(params, grid):
+        if config.statistic_method == CHAOS_RATIO:
+            b_t, traces = b_t_closed_form(params), _chaos_traces(params, grid)
+            return lambda xi: _chaos_batch(params, grid, xi, b_t, traces)
+        c_t = skorohod_correction(params)
+        return lambda xi: _pathwise_batch(params, grid, xi, c_t)
+
+    reps = config.replications
+    per_horizon = replicate(setup, config.theta, config.hurst, config.t_list, reps,
+                            config.master_seed, n=config.n_per_t, dt=config.dt)
+    rows = []
+    for t, chunks in zip(config.t_list, per_horizon):
+        degenerate = sum(bad for _, bad in chunks)
+        if degenerate > 0.001 * reps:
             raise DegeneratePathError(
-                f"{degenerates[i]} of {reps} replications degenerate at T={t}")
-        s = samples[i]
-        rows[i] = MCRow(t=t, samples=s, ks_distance=ks_distance(s),
-                        sample_mean=float(s.mean()), sample_var=float(s.var()))
+                f"{degenerate} of {reps} replications degenerate at T={t}")
+        s = np.concatenate([vals for vals, _ in chunks])
+        if config.hurst == HURST_MAX:
+            s /= math.sqrt(math.log(t))
+        rows.append(MCRow(t=t, samples=s, ks_distance=ks_distance(s),
+                          sample_mean=float(s.mean()), sample_var=float(s.var())))
 
     fitted = None
     if len(rows) >= 3 and all(r.ks_distance > 0 for r in rows):

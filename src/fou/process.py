@@ -32,7 +32,6 @@ from .fgn import Grid, NoisePath
 
 PATHWISE_ITO = "pathwise_ito"
 SKOROHOD_ORACLE = "skorohod_oracle"
-CHAOS_RATIO = "chaos_ratio"
 
 DEGENERATE_DENOM_FACTOR = 1e-12
 NEAR_ZERO_DENOM = 1e-9

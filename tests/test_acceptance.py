@@ -12,7 +12,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from fou.bounds import _ingredients, psi_terms
 from fou.constants import (
@@ -30,7 +29,6 @@ from fou.montecarlo import (
     _chaos_batch,
     _chaos_traces,
     _pathwise_batch,
-    ks_distance,
     run,
 )
 from oracles import b_t_gram_quadrature, norm2_h2

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from fou.bounds import (
@@ -10,7 +9,7 @@ from fou.bounds import (
     psi_terms,
     theoretical_rate_curve,
 )
-from fou.constants import ModelParams, delta_h, sigma2_h, stationary_variance
+from fou.constants import ModelParams, delta_h, stationary_variance
 from fou.fgn import Grid, gram_weights
 from fou.hilbert import kernel_f, kernel_g
 from oracles import contract1, inner_h2, norm2_h2

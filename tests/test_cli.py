@@ -177,9 +177,14 @@ def run_cli(args, env_extra=None, cwd=None):
                           capture_output=True, text=True, env=env, cwd=cwd)
 
 
-def test_cli_byte_identical_across_thread_counts(tmp_path):
-    args = ["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10,20",
-            "--reps", "200", "--dt", "0.1", "--seed", "3"]
+@pytest.mark.parametrize("args", [
+    ["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10,20",
+     "--reps", "200", "--dt", "0.1", "--seed", "3"],
+    # 2 and 4 chunks per horizon
+    ["estimate", "--theta", "1", "--hurst", "0.7", "--t", "10,20",
+     "--dt", "0.01", "--reps", "100", "--seed", "3"],
+], ids=lambda args: args[0])
+def test_cli_byte_identical_across_thread_counts(args, tmp_path):
     outputs = {}
     for threads in ("1", "8"):
         out = str(tmp_path / f"k{threads}.csv")

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fou.constants import ModelParams, b_t_closed_form, sigma2_h
+from fou.constants import ModelParams, b_t_closed_form
 from fou.errors import DegeneratePathError, NumericsError
 from fou.fgn import Grid, NoisePath, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
 from fou.hilbert import KernelMatrix, kernel_f, kernel_g
-from fou.process import FouPath, estimate_pathwise, simulate_fou
+from fou.process import estimate_pathwise, simulate_fou
 from oracles import i2, norm2_h2, normalized_pathwise_statistic, normalized_statistic
 
 
