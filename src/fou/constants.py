@@ -4,22 +4,20 @@ Everything here is a deterministic function of (theta, H, T).  The Hurst
 range covered is H in [1/2, 3/4]; H = 1/2 always takes the elementary
 Brownian branch and H = 3/4 takes its own dedicated branch where the
 generic-H formulas degenerate.
+
+b_T and c_T are closed forms, not numerical integrals: incomplete gamma
+functions and Kummer's transform 1F1(1; a+1; -theta T) of a 1F1 that would
+carry exp(theta T) and overflow at theta T > 709.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
-from .errors import QuadratureError
+from scipy.special import gammainc, hyp1f1
 
 HURST_MIN = 0.5
 HURST_MAX = 0.75
-
-# Absolute tolerance for the 1-D time integrals behind b_T and the
-# Skorohod correction.
-QUAD_ABS_TOL = 1e-10
 
 
 def _check_hurst(hurst: float) -> None:
@@ -133,18 +131,11 @@ def rate_exponent(hurst: float, epsilon: float = 0.01) -> RateExponent:
     return RateExponent(beta=3.0 - 4.0 * hurst, log_corrected=False)
 
 
-def _integral_pow(f, hurst: float, upper: float) -> float:
-    """int_0^upper f(t) t^(2H-2) dt for H in (1/2, 3/4].
-
-    The substitution u = t^(2H-1) removes the endpoint singularity exactly:
-    the integral equals (1/(2H-1)) int_0^(upper^(2H-1)) f(u^(1/(2H-1))) du.
-    """
-    p = 2.0 * hurst - 1.0
-    val, err = quad(lambda u: f(u ** (1.0 / p)), 0.0, upper**p,
-                    epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=200)
-    if err > max(QUAD_ABS_TOL * 10, 1e-8 * abs(val)):
-        raise QuadratureError(f"time integral did not converge: estimate {val}, error {err}")
-    return val / p
+def _gamma_integrals(params: ModelParams) -> tuple[float, float, float]:
+    """(I_a, J, a = 2H-1): the incomplete gamma integrals of `b_t_closed_form`."""
+    theta, x, a = params.theta, params.theta * params.horizon, 2.0 * params.hurst - 1.0
+    return (theta**-a * math.gamma(a) * float(gammainc(a, x)),
+            theta ** -(a + 1) * math.gamma(a + 1) * float(gammainc(a + 1, x)), a)
 
 
 def b_t_closed_form(params: ModelParams) -> float:
@@ -156,22 +147,23 @@ def b_t_closed_form(params: ModelParams) -> float:
         b_T = 1/(2 theta) - (1 - exp(-2 theta T)) / (4 theta^2 T).
 
     For H > 1/2 it reduces by integration by parts to three 1-D integrals
-    with an integrable t^(2H-2) endpoint:
+    with an integrable t^(2H-2) endpoint, each in closed form (a = 2H-1):
 
         b_T = (alpha_H/theta) { I_a + (I_b - I_c) / (2 theta T) },
-        I_a = int_0^T exp(-theta t) t^(2H-2) dt,
-        I_b = int_0^T exp(theta(t - 2T)) t^(2H-2) dt,
-        I_c = int_0^T exp(-theta t) (1 + 2 theta t) t^(2H-2) dt.
+        I_a = int_0^T exp(-theta t) t^(2H-2) dt = theta^-a Gamma(a) P(a, theta T),
+        I_b = int_0^T exp(theta(t - 2T)) t^(2H-2) dt = exp(-theta T) T^a/a 1F1(1; a+1; -theta T),
+        I_c = int_0^T exp(-theta t) (1 + 2 theta t) t^(2H-2) dt = I_a + 2 theta J,
+        J   = int_0^T exp(-theta t) t^(2H-1) dt = theta^-(a+1) Gamma(a+1) P(a+1, theta T).
 
     Converges to stationary_variance at rate 1/T.
     """
     theta, h, horizon = params.theta, params.hurst, params.horizon
     if h == HURST_MIN:
         return 0.5 / theta - (1.0 - math.exp(-2 * theta * horizon)) / (4 * theta**2 * horizon)
-    i_a = _integral_pow(lambda t: math.exp(-theta * t), h, horizon)
-    i_b = _integral_pow(lambda t: math.exp(theta * (t - 2 * horizon)), h, horizon)
-    i_c = _integral_pow(lambda t: math.exp(-theta * t) * (1 + 2 * theta * t), h, horizon)
-    return (alpha_h(h) / theta) * (i_a + (i_b - i_c) / (2 * theta * horizon))
+    i_a, j, a = _gamma_integrals(params)
+    x = theta * horizon
+    i_b = math.exp(-x) * horizon**a / a * float(hyp1f1(1.0, a + 1.0, -x))
+    return (alpha_h(h) / theta) * (i_a + (i_b - (i_a + 2 * theta * j)) / (2 * theta * horizon))
 
 
 def skorohod_correction(params: ModelParams) -> float:
@@ -179,13 +171,13 @@ def skorohod_correction(params: ModelParams) -> float:
     divergence integral:
 
         c_T = alpha_H int_0^T int_0^t exp(-theta(t-s)) (t-s)^(2H-2) ds dt
-            = alpha_H int_0^T (T-u) exp(-theta u) u^(2H-2) du.
+            = alpha_H int_0^T (T-u) exp(-theta u) u^(2H-2) du
+            = alpha_H (T I_a - J),  with I_a and J as in `b_t_closed_form`.
 
     Depends on the true theta, so the corrected estimator is a simulation
     instrument, not a feasible statistic.  Zero at H = 1/2.
     """
-    theta, h, horizon = params.theta, params.hurst, params.horizon
-    if h == HURST_MIN:
+    if params.hurst == HURST_MIN:
         return 0.0
-    return alpha_h(h) * _integral_pow(
-        lambda t: (horizon - t) * math.exp(-theta * t), h, horizon)
+    i_a, j, _ = _gamma_integrals(params)
+    return alpha_h(params.hurst) * (params.horizon * i_a - j)

@@ -5,9 +5,5 @@ class NumericsError(RuntimeError):
     """A numerical routine failed or produced an inconsistent result."""
 
 
-class QuadratureError(NumericsError):
-    """A 1-D integral did not converge to the requested tolerance."""
-
-
 class DegeneratePathError(NumericsError):
     """A simulated path produced a denominator too small to be genuine."""

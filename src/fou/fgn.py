@@ -14,6 +14,8 @@ vector is Hermitian, so only its n+1 non-redundant coefficients are built
 and one real-output inverse transform (`hfft`) replaces a length-2n complex
 FFT.  Streams are derived from 64-bit seeds with a splitmix64 mix so
 replications are reproducible independent of scheduling and batching.
+One Philox bit generator serves a whole batch; per row it is reset to the
+initial state of the stream keyed by that row's seed.
 """
 from __future__ import annotations
 
@@ -176,8 +178,11 @@ def sample_fgn_batch(grid: Grid, hurst: float, seeds) -> np.ndarray:
     m = 2 * n
     f0, fn, fmid = _embedding_sqrt_eigs(n, hurst)
     draws = np.empty((len(seeds), m))
+    bits = np.random.Philox(key=0)
+    rng, fresh = np.random.Generator(bits), bits.state  # zero counter, empty buffer
     for r, s in enumerate(seeds):
-        rng = np.random.Generator(np.random.Philox(key=s & _MASK64))
+        fresh["state"]["key"][0] = s & _MASK64  # now the state of Philox(key=s)
+        bits.state = fresh
         rng.standard_normal(out=draws[r])
     # zc holds conj(z): hfft(z) is the unscaled irfft of conj(z), and
     # filling the conjugate directly spares hfft its complex copy.
@@ -187,7 +192,9 @@ def sample_fgn_batch(grid: Grid, hurst: float, seeds) -> np.ndarray:
     np.multiply(fn, draws[:, 1], out=re[:, n])
     np.multiply(fmid, draws[:, 2 : n + 1], out=re[:, 1:n])
     np.multiply(-fmid, draws[:, n + 1 :], out=im[:, 1:n])
-    return grid.step**hurst * np.fft.irfft(zc, n=m, axis=1, norm="forward")[:, :n]
+    # The spent draws' buffer takes the transform; the rows are its first n columns.
+    xi = np.fft.irfft(zc, n=m, axis=1, norm="forward", out=draws)[:, :n]
+    return np.multiply(xi, grid.step**hurst, out=xi)
 
 
 def sample_fgn(grid: Grid, hurst: float, seed: int) -> NoisePath:

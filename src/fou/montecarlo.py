@@ -8,7 +8,7 @@ count; FOU_THREADS caps the worker pool (default: hardware concurrency).
 Per-replication statistics avoid dense n x n kernels entirely.  The
 exponential kernel is E = L + L' - I, with L the causal AR(1) filter
 (L[i, j] = rho^(i-j) for i >= j, rho = exp(-theta dt)), so its quadratic
-form needs one forward scan:
+form needs one forward scan, the banded solve `process.ar1_scan`:
 
     u_i = rho u_{i-1} + xi_i,   xi' E xi = 2 xi' L xi - xi' xi = sum_i xi_i (2 u_i - xi_i).
 
@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import matmul_toeplitz
-from scipy.signal import lfilter
 from scipy.special import ndtr
 
 from .constants import (
@@ -53,7 +52,7 @@ from .constants import (
 from .errors import DegeneratePathError
 from .fgn import Grid, derive_seed, increment_autocov, sample_fgn_batch
 from .hilbert import boundary_vector, kernel_f_scale, kernel_g_coefficients
-from .process import NEAR_ZERO_DENOM, denominator_floor, pathwise_terms, simulate_fou_batch
+from .process import NEAR_ZERO_DENOM, ar1_scan, denominator_floor, pathwise_terms, simulate_fou_batch
 
 CHAOS_RATIO = "chaos_ratio"
 PATHWISE = "pathwise"
@@ -142,9 +141,8 @@ def _chaos_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
                  b_t: float, traces: tuple) -> tuple[np.ndarray, int]:
     """Chaos-ratio statistic for each row of xi; returns (values, degenerate count).
     `traces` is what `_chaos_traces` returns for the same params and grid."""
-    rho = math.exp(-params.theta * grid.step)
     tr_f, tr_h, v, sf, c1, c2 = traces
-    u = lfilter([1.0], [1.0, -rho], xi, axis=1)
+    u = ar1_scan(xi, math.exp(-params.theta * grid.step))
     u *= 2.0
     u -= xi
     u *= xi

@@ -15,8 +15,9 @@ The estimator -int X dX / int X^2 dt comes in two computable forms:
 
 Path simulation and the pathwise estimator are batched, one row per path
 (`simulate_fou_batch`, `pathwise_terms`); the single-path functions are a
-batch of one.  The second-chaos form of the same error is evaluated per
-replication by `montecarlo._chaos_batch`.
+batch of one.  The recursion is a banded triangular solve (`ar1_scan`),
+the same scan that `montecarlo._chaos_batch` uses for the second-chaos
+form of the same error.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dtbtrs
 
 from .constants import ModelParams, skorohod_correction, stationary_variance
 from .errors import DegeneratePathError
@@ -59,14 +60,20 @@ class EstimatorResult:
             raise ValueError(f"denominator must be positive, got {self.denominator}")
 
 
+def ar1_scan(xi: np.ndarray, rho: float) -> np.ndarray:
+    """u[:, k] = rho u[:, k-1] + xi[:, k] along each row of xi (rows x n): the
+    system (I - rho S) u = xi, which LAPACK solves one row (right-hand side)
+    at a time, so a row's result does not depend on how many rows share it."""
+    ab = np.zeros((2, xi.shape[1]))
+    ab[1, :-1] = -rho
+    u, _ = dtbtrs(ab, xi.T, uplo="L", diag="U")
+    return u.T
+
+
 def simulate_fou_batch(grid: Grid, params: ModelParams, xi: np.ndarray) -> np.ndarray:
     """Node values of one path per row of noise xi (rows x n): the
     exact-factor recursion x[k+1] = exp(-theta dt) x[k] + xi[k], x[0] = 0."""
-    rho = math.exp(-params.theta * grid.step)
-    x = np.empty((xi.shape[0], grid.n + 1))
-    x[:, 0] = 0.0
-    x[:, 1:] = lfilter([1.0], [1.0, -rho], xi, axis=1)
-    return x
+    return np.pad(ar1_scan(xi, math.exp(-params.theta * grid.step)), ((0, 0), (1, 0)))
 
 
 def simulate_fou(grid: Grid, params: ModelParams, noise: NoisePath) -> FouPath:

@@ -2,6 +2,8 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fou.constants import (
     ModelParams,
@@ -158,3 +160,39 @@ def test_model_params_validation():
         ModelParams(theta=1.0, hurst=0.8, horizon=1.0)
     with pytest.raises(ValueError):
         ModelParams(theta=1.0, hurst=0.6, horizon=0.0)
+
+
+def mp_b_t_and_c_t(theta, h, horizon):
+    """b_T and c_T from their defining time integrals, by mpmath quadrature.
+
+    After u = t^a (a = 2H-1), int_0^T f(t) t^(a-1) dt = (1/a) int_0^(T^a)
+    f(u^(1/a)) du has no endpoint singularity; the u-range is split at the
+    images of multiples of the decay length 1/theta (and, for I_b, at the
+    same distances below T), where the integrands turn.
+    """
+    theta, h, horizon = mp.mpf(theta), mp.mpf(h), mp.mpf(horizon)
+    a = 2 * h - 1
+    ts = {mp.mpf(0), horizon}
+    ts |= {s / theta for s in (0.25, 1, 4, 16, 64) if s / theta < horizon}
+    ts |= {horizon - s / theta for s in (1, 4, 16) if s / theta < horizon}
+    us = [t**a for t in sorted(ts)]
+
+    def integral(f):
+        return mp.quad(lambda u: f(u ** (1 / a)), us) / a
+
+    i_a = integral(lambda t: mp.exp(-theta * t))
+    i_b = integral(lambda t: mp.exp(theta * (t - 2 * horizon)))
+    i_c = integral(lambda t: mp.exp(-theta * t) * (1 + 2 * theta * t))
+    j = integral(lambda t: t * mp.exp(-theta * t))
+    alpha = h * a
+    b_t = alpha / theta * (i_a + (i_b - i_c) / (2 * theta * horizon))
+    return float(b_t), float(alpha * (horizon * i_a - j))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(theta=st.floats(0.1, 5.0), h=st.floats(0.5001, 0.75), horizon=st.floats(0.5, 2000.0))
+def test_closed_forms_match_mpmath_time_integrals(theta, h, horizon):
+    p = ModelParams(theta, h, horizon)
+    b_t, c_t = mp_b_t_and_c_t(theta, h, horizon)
+    assert b_t_closed_form(p) == pytest.approx(b_t, rel=1e-11)
+    assert skorohod_correction(p) == pytest.approx(c_t, rel=1e-11)

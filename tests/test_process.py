@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fou.constants import ModelParams, b_t_closed_form
 from fou.errors import DegeneratePathError, NumericsError
 from fou.fgn import Grid, NoisePath, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
 from fou.hilbert import KernelMatrix, kernel_f, kernel_g
-from fou.process import estimate_pathwise, simulate_fou
+from fou.process import ar1_scan, estimate_pathwise, simulate_fou
 from oracles import i2, norm2_h2, normalized_pathwise_statistic, normalized_statistic
 
 
@@ -220,3 +222,20 @@ def test_statistic_mean_zero():
     # centered up to the O(T^{-1/2}) skew of the finite-horizon law
     assert abs(vals.mean()) < 0.3
     assert vals.var() == pytest.approx(1.0, abs=0.15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rho=st.floats(0.9, 0.9999), n=st.integers(1, 8192), rows=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_ar1_scan_matches_lfilter(rho, n, rows, seed):
+    from scipy.signal import lfilter
+
+    xi = np.random.default_rng(seed).standard_normal((rows, n))
+    kept = xi.copy()
+    u = ar1_scan(xi, rho)
+    assert np.array_equal(xi, kept)  # `_chaos_batch` reads xi again after the scan
+    # relative to the scale of the running sum, which bounds its rounding
+    scale = lfilter([1.0], [1.0, -rho], np.abs(xi), axis=1)
+    assert np.all(np.abs(u - lfilter([1.0], [1.0, -rho], xi, axis=1)) <= 1e-14 * scale)
+    for r in range(rows):
+        assert np.array_equal(ar1_scan(xi[r:r + 1], rho)[0], u[r])
