@@ -171,7 +171,8 @@ def sample_fgn_batch(grid: Grid, hurst: float, seeds) -> np.ndarray:
     length-2n FFT is real; a half-spectrum transform (`hfft`) computes it
     from those coefficients.  The embedding is built on a unit step and
     scaled by step^H (self-similarity), so the nonnegativity check is
-    scale-free.
+    scale-free.  The transform overwrites the spent draws, so the result
+    is a non-contiguous view: the first n columns of a rows x 2n buffer.
     """
     _check_hurst(hurst)
     n = grid.n
@@ -192,12 +193,11 @@ def sample_fgn_batch(grid: Grid, hurst: float, seeds) -> np.ndarray:
     np.multiply(fn, draws[:, 1], out=re[:, n])
     np.multiply(fmid, draws[:, 2 : n + 1], out=re[:, 1:n])
     np.multiply(-fmid, draws[:, n + 1 :], out=im[:, 1:n])
-    # The spent draws' buffer takes the transform; the rows are its first n columns.
-    xi = np.fft.irfft(zc, n=m, axis=1, norm="forward", out=draws)[:, :n]
+    xi = np.fft.irfft(zc, n=m, axis=1, norm="forward", out=draws)[:, :n]  # out=: numpy 2
     return np.multiply(xi, grid.step**hurst, out=xi)
 
 
 def sample_fgn(grid: Grid, hurst: float, seed: int) -> NoisePath:
     """One exact fGn path; deterministic function of (grid, hurst, seed)."""
-    xi = sample_fgn_batch(grid, hurst, [seed])[0]
+    xi = sample_fgn_batch(grid, hurst, [seed])[0].copy()  # not a view of the 2n buffer
     return NoisePath(grid=grid, hurst=hurst, xi=xi, seed=seed)

@@ -111,6 +111,12 @@ def test_sample_fgn_deterministic():
     assert not np.array_equal(a.xi, c.xi)
 
 
+def test_sample_fgn_owns_its_path():
+    # A single path holds its n values, not a view that pins the sampler's 2n buffer.
+    xi = sample_fgn(Grid(horizon=1.0, n=32), 0.7, seed=99).xi
+    assert xi.flags.owndata and xi.flags.c_contiguous and xi.shape == (32,)
+
+
 def test_sample_batch_matches_single():
     g = Grid(horizon=1.0, n=16)
     seeds = [derive_seed(5, 0, r) for r in range(3)]
