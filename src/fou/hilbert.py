@@ -4,11 +4,10 @@ f is the numerator kernel (1 / (2 sqrt(theta sigma2_H T))) exp(-theta|t-s|)
 and g = c1 f - c2 v v' the denominator-fluctuation kernel, with v the
 boundary vector v_i = exp(-theta (T - t*_i)).  Both are sampled at the grid
 midpoints.  Every consumer takes the scale of f, the coefficients c1, c2 and
-v from here: the dense bound ingredients in `bounds`, which reduce the
-weighted tensor norms of f and g to traces of products with the Gram matrix
-W of exact cell covariances, and the O(n) per-replication statistic in
-`montecarlo`.  The dense tensor algebra itself (inner products, norms and
-1-contractions against W) is kept as a test oracle only.
+v from here: the bound ingredients in `bounds`, which take the weighted
+tensor norms of f and g from the AR(1) factor of f, and the O(n)
+per-replication statistic in `montecarlo`.  The dense kernels and the tensor
+algebra on them (norms and 1-contractions against W) are test oracles only.
 
 The singular kernel is never evaluated pointwise: W's entries are its
 exact integrals over cell pairs, which also makes H = 1/2 (W = dt * I)
@@ -25,7 +24,7 @@ from scipy.linalg import toeplitz
 from .constants import ModelParams, sigma2_h
 from .fgn import Grid
 
-# Dense chains are O(n^3) in time and hold a few n x n arrays; this is the
+# The bound ingredients hold two n x n arrays and take n^3 flops; this is the
 # supported ceiling, enforced on every horizon by `bounds.horizon_grids`.
 MAX_DENSE_N = 4096
 
@@ -51,8 +50,9 @@ def kernel_f_scale(params: ModelParams) -> float:
 
 
 def kernel_f(params: ModelParams, grid: Grid) -> KernelMatrix:
-    """Numerator kernel kernel_f_scale(params) exp(-theta|t-s|); Toeplitz,
-    since midpoints i and j are |i - j| steps apart."""
+    """Numerator kernel kernel_f_scale(params) exp(-theta|t-s|), Toeplitz as
+    midpoints i and j are |i - j| steps apart.  Like `kernel_g`, called by no
+    command: kept for the test oracles and BENCHMARK.json's per-layer names."""
     k = kernel_f_scale(params) * np.exp(-params.theta * grid.step * np.arange(grid.n))
     return KernelMatrix(grid=grid, k=toeplitz(k), symmetric=True)
 

@@ -3,8 +3,9 @@ routes against.  No `fou` command calls any of them.
 
 * `inner_h`, `norm2_h2`, `inner_h2`, `contract1` and `kernel_h` are the
   generic weighted tensor algebra on midpoint-sampled kernels.  They check
-  the two-product ingredients of `fou.bounds._ingredients` (every
-  g-quantity there is a low-rank trace update of A = W f and A A).
+  `fou.bounds._ingredients`, which never forms f or g (every quantity
+  there is a trace of the AR(1) factor S of W f, of S S, or of a low-rank
+  update of S S).
 * `b_t_gram_quadrature` evaluates b_T from its defining time average.  It
   cross-checks `fou.constants.b_t_closed_form`.
 * `i2` and `normalized_statistic` form the second-chaos statistic
@@ -13,6 +14,8 @@ routes against.  No `fou` command calls any of them.
   traces of `fou.montecarlo._chaos_traces`.
   `normalized_pathwise_statistic` is the single-path pathwise value that
   `fou.montecarlo._pathwise_batch` batches.
+* `theoretical_rate_curve` is the paper's decay curve C / T^beta (C / log T
+  at H = 3/4) on the exponents of `fou.constants.rate_exponent`.
 * `fbm_cov` and `fgn_autocov` are the covariances in closed form.  They
   check `fou.fgn.gram_weights` and the sampled moments.
   `sample_fgn_cholesky` draws exact fGn through a dense Cholesky factor:
@@ -34,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from fou.constants import ModelParams, _check_hurst, sigma2_h
+from fou.constants import ModelParams, _check_hurst, rate_exponent, sigma2_h
 from fou.errors import NumericsError
 from fou.fgn import _MASK64, GramWeights, Grid, NoisePath, _unit_autocov, gram_weights
 from fou.hilbert import KernelMatrix, boundary_vector
@@ -163,6 +166,24 @@ def normalized_pathwise_statistic(path: FouPath) -> float:
     p = path.params
     est = estimate_pathwise(path)
     return math.sqrt(p.horizon / (p.theta * sigma2_h(p.hurst))) * (est.theta_hat - p.theta)
+
+
+def theoretical_rate_curve(params: ModelParams, t_list, c: float,
+                           epsilon: float = 0.01) -> list[tuple[float, float]]:
+    """Reference decay curve: C / T^beta, or C / log T at H = 3/4.
+
+    C is descriptive (the true constants are existential); the curve is for
+    overlaying on measured distances.
+    """
+    if c <= 0:
+        raise ValueError(f"C must be positive, got {c}")
+    r = rate_exponent(params.hurst, epsilon)
+    out = []
+    for t in t_list:
+        t = float(t)
+        bound = c / math.log(t) if r.log_corrected else c / t**r.beta
+        out.append((t, bound))
+    return out
 
 
 def fbm_cov(t: float, s: float, hurst: float) -> float:

@@ -1,18 +1,20 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from fou.bounds import (
     Ingredients,
+    _ingredients,
     asymptotics_report,
     psi_from_ingredients,
     psi_terms,
-    theoretical_rate_curve,
 )
 from fou.constants import ModelParams, delta_h, stationary_variance
 from fou.fgn import Grid, gram_weights
-from fou.hilbert import kernel_f, kernel_g
-from oracles import contract1, inner_h2, norm2_h2
+from fou.hilbert import boundary_vector, kernel_f, kernel_g
+from oracles import contract1, inner_h2, norm2_h2, theoretical_rate_curve
 
 
 def ing(**kw):
@@ -58,6 +60,50 @@ def test_psi_terms_ingredients_match_one_op_route():
     assert terms.psi1 == p1 and terms.psi2 == p2 and terms.psi3 == p3
     assert terms.max_psi == max(p1, p2, p3)
     assert min(terms.psi1, terms.psi2, terms.psi3) >= 0.0
+
+
+@pytest.mark.parametrize("n, theta_t, hurst", [(1024, 1.0, 0.75), (2048, 4.0, 0.6)])
+def test_ingredients_near_unit_ar1_coefficient(n, theta_t, hurst):
+    # theta * step <= 2e-3 puts rho = exp(-theta step) near 1, where the
+    # factor's sqrt(1 - rho^2) is small
+    p = ModelParams(theta=0.5, hurst=hurst, horizon=theta_t / 0.5)
+    g = Grid(horizon=p.horizon, n=n)
+    assert p.theta * g.step <= 2e-3
+    ing, norm_h2 = _ingredients(p, g, with_norm_h2=True)
+    w = gram_weights(g, hurst)
+    f, gg = kernel_f(p, g), kernel_g(p, g)
+    # inner_h2 = tr(W K1 W K2), with each product W K formed once
+    wk = {name: w.w @ k.k for name, k in (("f", f), ("g", gg), ("ff", contract1(f, f, w)),
+                                          ("gg", contract1(gg, gg, w)))}
+
+    def inner(a, b):
+        return float(np.einsum("ij,ji->", wk[a], wk[b]))
+
+    dense = {
+        "norm_f2": inner("f", "f"),
+        "norm_f1f": math.sqrt(inner("ff", "ff")),
+        "norm_f1g": math.sqrt(inner("ff", "gg")),  # tr(W f W g W g W f)
+        "inner_fg": inner("f", "g"),
+        "norm_g2": inner("g", "g"),
+        "norm_g1g": math.sqrt(inner("gg", "gg")),
+    }
+    for name, want in dense.items():
+        assert getattr(ing, name) == pytest.approx(want, rel=1e-11), name
+    v = boundary_vector(p, g)
+    assert norm_h2 == pytest.approx(float(v @ w.w @ v) ** 2, rel=1e-11)
+
+
+def test_ingredients_hold_two_dense_arrays_at_peak():
+    # W is overwritten by the factor S, and S S is the only other n x n array
+    n = 1024
+    p = ModelParams(theta=1.0, hurst=0.6, horizon=50.0)
+    tracemalloc.start()
+    try:
+        _ingredients(p, Grid(horizon=50.0, n=n), with_norm_h2=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * n * n
 
 
 def test_psi_decreasing_trend_light():
