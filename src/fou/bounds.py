@@ -38,8 +38,8 @@ The scans use rho rounded: error ~ eps / (theta step).  g = c2 (K - v v')
 `horizon_grids` resolves every horizon's grid and enforces the dense
 ceiling `hilbert.MAX_DENSE_N` before any n x n array exists.  The
 asymptotics report re-measures each ingredient across a T grid against
-its known limit and decay rate; the bound constants themselves are
-existential and never claimed, so rate checks are ratio-based.
+its known limit; the bound constants themselves are existential and
+never claimed, so rate checks are ratio-based.
 """
 from __future__ import annotations
 
@@ -57,7 +57,6 @@ from .constants import (
     b_t_closed_form,
     check_log_horizons,
     delta_h,
-    rate_exponent,
     sigma2_h,
     stationary_variance,
 )
@@ -93,13 +92,11 @@ class AsymptoticsRow:
 
     `quantities` maps a scaled-quantity name to (measured, limit, ratio);
     ratio is measured/limit where the limit is finite and nonzero, else
-    None.  `rates` records the known decay exponent of the gap to the
-    limit where one is stated, else None.
+    None.
     """
 
     t: float
     quantities: dict
-    rates: dict
 
 
 def psi_from_ingredients(ing: Ingredients) -> tuple[float, float, float]:
@@ -133,8 +130,7 @@ def _trace_update(x: np.ndarray, tr_x2: float, a: float, p: np.ndarray, q: np.nd
                  + np.einsum("ij,ji->", q.T @ r, s.T @ p))
 
 
-def _ingredients(params: ModelParams, grid: Grid, *,
-                 with_norm_h2: bool = False) -> Ingredients | tuple[Ingredients, float]:
+def _ingredients(params: ModelParams, grid: Grid) -> tuple[Ingredients, float]:
     """All seven ingredients from the factor S = s_f C' W C of A = W f.
 
     C = L' D, with L = (I - rho shift)^-1 the forward AR(1) scan and
@@ -149,7 +145,7 @@ def _ingredients(params: ModelParams, grid: Grid, *,
         ||g||^2 = c1^2 tr(S S) - 2 c1 c2 v~'p~ + c2^2 s^2
         ||f x1 g||^2 = tr((c1 S S - c2 p~ v~')(c1 S S - c2 u~ q~'))
         ||g x1 g||^2 = tr(Y Y), Y = c1^2 S S + c2 (c2 s u~ - c1 p~) v~' - c1 c2 u~ q~'
-    Returns the Ingredients, or (Ingredients, ||h||^2) when `with_norm_h2` is set.
+    Returns (Ingredients, ||h||^2).
     """
     if params.horizon != grid.horizon:
         raise ValueError(f"params horizon {params.horizon} != grid horizon {grid.horizon}")
@@ -158,7 +154,7 @@ def _ingredients(params: ModelParams, grid: Grid, *,
     d = np.sqrt(s_f * np.r_[np.full(n - 1, (1.0 - rho) * (1.0 + rho)), 1.0])
     band = np.zeros((2, n))
     band[1, :-1] = -rho
-    w = gram_weights(grid, params.hurst).w
+    w = gram_weights(grid, params.hurst)
     sm = dtbtrs(band, w.T, uplo="L", diag="U", overwrite_b=1)[0].T  # W L', in place
     for i in range(1, n):
         sm[i] += rho * sm[i - 1]  # L W L'
@@ -187,12 +183,12 @@ def _ingredients(params: ModelParams, grid: Grid, *,
         norm_g2=c1 * c1 * tr_s2 - 2.0 * c1 * c2 * vp + c2 * c2 * s * s,
         norm_g1g=math.sqrt(max(g1g2, 0.0)),
     )
-    return (ing, s * s) if with_norm_h2 else ing
+    return ing, s * s
 
 
 def psi_terms(params: ModelParams, grid: Grid) -> BoundTerms:
     """Evaluate the three bound terms at (theta, H, T) on the given grid."""
-    ing = _ingredients(params, grid)
+    ing, _ = _ingredients(params, grid)
     if ing.b_t <= 0:
         raise ValueError(f"b_T must be positive, got {ing.b_t}")
     psi1, psi2, psi3 = psi_from_ingredients(ing)
@@ -217,14 +213,13 @@ def asymptotics_report(theta: float, hurst: float, t_list, n: int | None = None,
     a = stationary_variance(ModelParams(theta=theta, hurst=h, horizon=1.0))
     lim_g2 = delta_h(h) / (2.0 * theta ** (1 + 4 * h))
     lim_fg = math.sqrt(theta / sigma2_h(h)) * lim_g2
-    exp_f1f = rate_exponent(h)
     log_case = h == HURST_MAX
     label = "T/log(T)" if log_case else "T"
     rows = []
     for grid in horizon_grids(t_list, n=n, dt=dt):
         t = grid.horizon
         p = ModelParams(theta=theta, hurst=h, horizon=t)
-        ing, norm_h2 = _ingredients(p, grid, with_norm_h2=True)
+        ing, norm_h2 = _ingredients(p, grid)
         lt = math.log(t)
         scale = t / lt if log_case else t
         q = {
@@ -242,11 +237,6 @@ def asymptotics_report(theta: float, hurst: float, t_list, n: int | None = None,
             name: (meas, lim, meas / lim if lim not in (0.0, None) else None)
             for name, (meas, lim) in q.items()
         }
-        rates = {
-            "b_T": 1.0,
-            "2*norm_f2": None if log_case else 3.0 - 4.0 * h,
-            "norm_f1f": None if exp_f1f.log_corrected else exp_f1f.beta,
-        }
-        rows.append(AsymptoticsRow(t=t, quantities=quantities, rates=rates))
+        rows.append(AsymptoticsRow(t=t, quantities=quantities))
     return rows
 

@@ -108,7 +108,7 @@ def parse_args(argv) -> RunConfig:
             raise ValueError(f"rate-fit needs at least 3 horizons, got {len(t_list)}")
         if not t_list:
             raise ValueError(f"{ns.command} requires at least one --t horizon")
-        if dt is not None and dt <= 0:
+        if dt is not None and not dt > 0:  # NaN fails too
             raise ValueError(f"dt must be positive, got {dt}")
         if ns.n is not None and ns.n < 2:
             raise ValueError(f"n must be at least 2, got {ns.n}")

@@ -1,9 +1,10 @@
 """Exact sampling of fractional Gaussian noise and its covariance structure.
 
-The increment covariances double as quadrature weights: the matrix of exact
-cell-pair covariances is the Gram matrix of indicator functions under the
-fBm inner product, so every weighted inner product downstream carries no
-quadrature error from the singular kernel.
+The increment covariances double as quadrature weights: `gram_weights`
+returns the plain n x n array W of exact cell-pair covariances, which is
+the Gram matrix of indicator functions under the fBm inner product, so
+every weighted inner product downstream carries no quadrature error from
+the singular kernel.
 
 Sampling uses circulant embedding of the fGn autocovariance (Davies & Harte
 1987; Wood & Chan 1994).  The length-2n embedding is nonnegative definite
@@ -19,6 +20,7 @@ initial state of the stream keyed by that row's seed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -44,8 +46,8 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.n < 2:
             raise ValueError(f"need at least 2 cells, got {self.n}")
 
@@ -83,19 +85,6 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class GramWeights:
-    """Symmetric PSD Toeplitz matrix of exact fGn increment covariances.
-
-    w[i, j] = E[dB_i dB_j]; equivalently the fBm inner product of the
-    indicator functions of cells i and j.
-    """
-
-    grid: Grid
-    hurst: float
-    w: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class NoisePath:
     """One fGn realization: xi[k] = B^H(t_{k+1}) - B^H(t_k)."""
 
@@ -118,9 +107,11 @@ def increment_autocov(grid: Grid, hurst: float) -> np.ndarray:
     return grid.step ** (2.0 * hurst) * _unit_autocov(grid.n - 1, hurst)
 
 
-def gram_weights(grid: Grid, hurst: float) -> GramWeights:
-    """Exact covariance matrix of the n fGn increments on the grid."""
-    return GramWeights(grid=grid, hurst=hurst, w=toeplitz(increment_autocov(grid, hurst)))
+def gram_weights(grid: Grid, hurst: float) -> np.ndarray:
+    """Exact covariance matrix of the n fGn increments on the grid: the
+    symmetric PSD Toeplitz w[i, j] = E[dB_i dB_j], equivalently the fBm inner
+    product of the indicator functions of cells i and j."""
+    return toeplitz(increment_autocov(grid, hurst))
 
 
 def _splitmix64(z: int) -> int:

@@ -102,7 +102,6 @@ class RateFit:
 
 @dataclass(frozen=True)
 class MCReport:
-    config: MCConfig
     rows: list
     fitted: RateFit | None
 
@@ -248,4 +247,4 @@ def run(config: MCConfig) -> MCReport:
     fitted = None
     if len(rows) >= 3 and all(r.ks_distance > 0 for r in rows):
         fitted = rate_fit([(r.t, r.ks_distance) for r in rows])
-    return MCReport(config=config, rows=rows, fitted=fitted)
+    return MCReport(rows=rows, fitted=fitted)

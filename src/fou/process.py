@@ -55,10 +55,6 @@ class EstimatorResult:
     denominator: float
     method: str
 
-    def __post_init__(self) -> None:
-        if self.denominator <= 0:
-            raise ValueError(f"denominator must be positive, got {self.denominator}")
-
 
 def ar1_scan(xi: np.ndarray, rho: float) -> np.ndarray:
     """u[:, k] = rho u[:, k-1] + xi[:, k] along each row of xi (rows x n): the

@@ -14,8 +14,10 @@ routes against.  No `fou` command calls any of them.
   traces of `fou.montecarlo._chaos_traces`.
   `normalized_pathwise_statistic` is the single-path pathwise value that
   `fou.montecarlo._pathwise_batch` batches.
-* `theoretical_rate_curve` is the paper's decay curve C / T^beta (C / log T
-  at H = 3/4) on the exponents of `fou.constants.rate_exponent`.
+* `rate_exponent` is the paper's decay exponent of the Kolmogorov distance
+  over the admissible H range, and `theoretical_rate_curve` the decay curve
+  C / T^beta (C / log T at H = 3/4) on it.  No command reports either, so
+  both live here.
 * `fbm_cov` and `fgn_autocov` are the covariances in closed form.  They
   check `fou.fgn.gram_weights` and the sampled moments.
   `sample_fgn_cholesky` draws exact fGn through a dense Cholesky factor:
@@ -23,40 +25,36 @@ routes against.  No `fou` command calls any of them.
   `fou.fgn.sample_fgn_batch`.
 
 The weighted-matrix reduction behind the tensor algebra, with W the Gram
-matrix of exact cell covariances:
+matrix of exact cell covariances (`fou.fgn.gram_weights`) and K a plain
+n x n array of midpoint samples:
 
     <phi, psi>        = phi' W psi
     <K1, K2>          = tr(W K1 W K2)
-    ||K||^2           = tr(W K W K')           (K' = K when symmetric)
+    ||K||^2           = tr(W K W K')           (K' = K when K equals its transpose)
     K1 (x)_1 K2       = K1 W K2
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from fou.constants import ModelParams, _check_hurst, rate_exponent, sigma2_h
+from fou.constants import HURST_MAX, ModelParams, _check_hurst, sigma2_h
 from fou.errors import NumericsError
-from fou.fgn import _MASK64, GramWeights, Grid, NoisePath, _unit_autocov, gram_weights
-from fou.hilbert import KernelMatrix, boundary_vector
+from fou.fgn import _MASK64, Grid, NoisePath, _unit_autocov, gram_weights
+from fou.hilbert import boundary_vector
 from fou.process import NEAR_ZERO_DENOM, FouPath, estimate_pathwise
 
 
-def _check_grid(grid: Grid, *objs) -> None:
-    for o in objs:
-        if o.grid != grid:
-            raise ValueError("operands must share one grid")
-
-
-def kernel_h(params: ModelParams, grid: Grid) -> KernelMatrix:
+def kernel_h(params: ModelParams, grid: Grid) -> np.ndarray:
     """Boundary kernel exp(-theta(T-t) - theta(T-s)); rank one by construction."""
     v = boundary_vector(params, grid)
-    return KernelMatrix(grid=grid, k=np.outer(v, v), symmetric=True)
+    return np.outer(v, v)
 
 
-def inner_h(phi: np.ndarray, psi: np.ndarray, weights: GramWeights) -> float:
+def inner_h(phi: np.ndarray, psi: np.ndarray, w: np.ndarray) -> float:
     """Weighted inner product phi' W psi of two midpoint-sampled functions.
 
     On 0/1 indicator vectors this reproduces the fBm covariance exactly,
@@ -64,46 +62,38 @@ def inner_h(phi: np.ndarray, psi: np.ndarray, weights: GramWeights) -> float:
     """
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    n = weights.grid.n
+    n = w.shape[0]
     if phi.shape != (n,) or psi.shape != (n,):
         raise ValueError(f"vectors must have length {n}, got {phi.shape} and {psi.shape}")
-    return float(phi @ weights.w @ psi)
+    return float(phi @ w @ psi)
 
 
-def norm2_h2(kernel: KernelMatrix, weights: GramWeights) -> float:
+def norm2_h2(k: np.ndarray, w: np.ndarray) -> float:
     """Squared weighted tensor norm tr(W K W K') of a two-variable kernel.
 
     Nonnegative for PSD W; a result below -1e-12 * scale signals a broken
     weight matrix and raises.
     """
-    _check_grid(weights.grid, kernel)
-    a = weights.w @ kernel.k
-    if kernel.symmetric:
-        val = float(np.einsum("ij,ji->", a, a))
-    else:
-        b = weights.w @ kernel.k.T
-        val = float(np.einsum("ij,ji->", a, b))
+    a = w @ k
+    b = a if np.array_equal(k, k.T) else w @ k.T
+    val = float(np.einsum("ij,ji->", a, b))
     scale = float(np.einsum("ij,ij->", a, a))  # tr(A A') >= |tr(A A)|
     if val < -1e-12 * max(scale, 1.0):
         raise NumericsError(f"weighted norm came out negative ({val}); weights not PSD")
     return max(val, 0.0)
 
 
-def inner_h2(k1: KernelMatrix, k2: KernelMatrix, weights: GramWeights) -> float:
+def inner_h2(k1: np.ndarray, k2: np.ndarray, w: np.ndarray) -> float:
     """Weighted tensor inner product tr(W K1 W K2); symmetric in (K1, K2)."""
-    _check_grid(weights.grid, k1, k2)
-    return float(np.einsum("ij,ji->", weights.w @ k1.k, weights.w @ k2.k))
+    return float(np.einsum("ij,ji->", w @ k1, w @ k2))
 
 
-def contract1(k1: KernelMatrix, k2: KernelMatrix, weights: GramWeights) -> KernelMatrix:
+def contract1(k1: np.ndarray, k2: np.ndarray, w: np.ndarray) -> np.ndarray:
     """1-contraction K1 W K2: one argument pair integrated against the weight.
 
     Not symmetric in general, even for symmetric inputs.
     """
-    _check_grid(weights.grid, k1, k2)
-    k = k1.k @ weights.w @ k2.k
-    sym = k1.symmetric and k2.symmetric and k1.k is k2.k
-    return KernelMatrix(grid=weights.grid, k=k, symmetric=sym)
+    return k1 @ w @ k2
 
 
 def b_t_gram_quadrature(params: ModelParams, grid: Grid) -> float:
@@ -114,7 +104,7 @@ def b_t_gram_quadrature(params: ModelParams, grid: Grid) -> float:
     with the inner squared norms taken against the Gram weights and the
     outer integral by the trapezoid rule on the grid nodes.
     """
-    w = gram_weights(grid, params.hurst).w
+    w = gram_weights(grid, params.hurst)
     nodes = grid.nodes
     tm = grid.midpoints
     # e[i, j] = exp(-theta (t_i - t*_j)) for t*_j < t_i, else 0
@@ -124,7 +114,7 @@ def b_t_gram_quadrature(params: ModelParams, grid: Grid) -> float:
     return float(np.trapezoid(d, nodes) / params.horizon)
 
 
-def i2(kernel, noise: NoisePath, weights: GramWeights) -> float:
+def i2(k: np.ndarray, noise: NoisePath, w: np.ndarray) -> float:
     """Discrete double Wiener-Ito integral of a midpoint-sampled kernel:
 
         sum_ij K[i,j] (xi_i xi_j - W[i,j]),
@@ -132,17 +122,14 @@ def i2(kernel, noise: NoisePath, weights: GramWeights) -> float:
     a quadratic form recentred with the exact increment covariances, so
     its expectation is zero by construction.
     """
-    k = kernel.k
-    if noise.grid != weights.grid or kernel.grid != weights.grid:
+    if k.shape != w.shape or noise.xi.shape != w.shape[:1]:
         raise ValueError("kernel, noise and weights must share one grid")
-    if noise.hurst != weights.hurst:
-        raise ValueError(f"noise hurst {noise.hurst} != weights hurst {weights.hurst}")
     xi = noise.xi
-    return float(xi @ k @ xi - np.einsum("ij,ij->", k, weights.w))
+    return float(xi @ k @ xi - np.einsum("ij,ij->", k, w))
 
 
 def normalized_statistic(path: FouPath, kernel_f, kernel_g, b_t: float,
-                         weights: GramWeights | None = None) -> float:
+                         weights: np.ndarray | None = None) -> float:
     """sqrt(T / (theta sigma2_H)) (theta_hat - theta) in second-chaos form.
 
     Equals -I2(f) / (I2(g) + b_T) on the path's own noise: the numerator
@@ -166,6 +153,45 @@ def normalized_pathwise_statistic(path: FouPath) -> float:
     p = path.params
     est = estimate_pathwise(path)
     return math.sqrt(p.horizon / (p.theta * sigma2_h(p.hurst))) * (est.theta_hat - p.theta)
+
+
+@dataclass(frozen=True)
+class RateExponent:
+    """Kolmogorov-distance decay: C/T^beta, or C/log T when log_corrected.
+
+    beta is meaningful only when log_corrected is False; epsilon records the
+    user-supplied loss at the H = 5/8 boundary, where only the open rate
+    "3/8 minus something" is known.
+    """
+
+    beta: float
+    log_corrected: bool
+    epsilon: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.log_corrected and not (0.0 < self.beta <= 0.5):
+            raise ValueError(f"beta must be in (0, 1/2], got {self.beta}")
+        if self.epsilon < 0:
+            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+
+
+def rate_exponent(hurst: float, epsilon: float = 0.01) -> RateExponent:
+    """Decay exponent of the Kolmogorov distance over the admissible H range.
+
+    beta = 1/2 on [1/2, 5/8), 3/8 - epsilon at H = 5/8 (the exact loss is
+    open; epsilon is reported, not guessed), 3 - 4H on (5/8, 3/4).  At
+    H = 3/4 the bound is C/log T and beta is unused.
+    """
+    _check_hurst(hurst)
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if hurst == HURST_MAX:
+        return RateExponent(beta=0.0, log_corrected=True)
+    if hurst < 0.625:
+        return RateExponent(beta=0.5, log_corrected=False)
+    if hurst == 0.625:
+        return RateExponent(beta=0.375 - epsilon, log_corrected=False, epsilon=epsilon)
+    return RateExponent(beta=3.0 - 4.0 * hurst, log_corrected=False)
 
 
 def theoretical_rate_curve(params: ModelParams, t_list, c: float,

@@ -93,7 +93,7 @@ def test_criterion_04_g_kernel_limits():
     for h in (0.5, 0.6):
         lim_g = delta_h(h) / (2.0 * THETA ** (1 + 4 * h))
         lim_fg = math.sqrt(THETA / sigma2_h(h)) * lim_g
-        ing = {t: _ingredients(ModelParams(THETA, h, t), Grid(horizon=t, n=2048))
+        ing = {t: _ingredients(ModelParams(THETA, h, t), Grid(horizon=t, n=2048))[0]
                for t in (50.0, 100.0, 200.0)}
         rel_g = abs(200.0 * ing[200.0].norm_g2 - lim_g) / lim_g
         rel_fg = abs(math.sqrt(200.0) * ing[200.0].inner_fg - lim_fg) / lim_fg
@@ -116,7 +116,7 @@ def test_criterion_05_boundary_kernel_vanishes():
         for t in (25.0, 50.0, 100.0):
             grid = Grid(horizon=t, n=2048)
             v = np.exp(-THETA * (t - grid.midpoints))
-            w = gram_weights(grid, h).w
+            w = gram_weights(grid, h)
             vals.append(float(v @ w @ v) ** 2 / t)
         ok &= vals[0] > vals[1] > vals[2]
         details.append(f"H={h}: |h|^2/T={['%.3g' % x for x in vals]}")
@@ -129,7 +129,7 @@ def test_criterion_06_self_contraction_bounded():
     for h, exponent in ((0.55, 0.5), (0.7, 3.0 - 4.0 * 0.7)):
         scaled = []
         for t in (25.0, 50.0, 100.0, 200.0):
-            ing = _ingredients(ModelParams(THETA, h, t), Grid(horizon=t, n=2048))
+            ing, _ = _ingredients(ModelParams(THETA, h, t), Grid(horizon=t, n=2048))
             scaled.append(ing.norm_f1f * t**exponent)
         spread = max(scaled) / min(scaled)
         ok &= spread < 3.0
@@ -162,12 +162,12 @@ def test_criterion_08_i2_isometry():
         w = gram_weights(grid, h)
         f = kernel_f(p, grid)
         theory = 2.0 * norm2_h2(f, w)
-        recenter = float(np.einsum("ij,ij->", f.k, w.w))
+        recenter = float(np.einsum("ij,ij->", f, w))
         chunks = []
         for c0 in range(0, reps, 20_000):
             seeds = [derive_seed(12, 0, r) for r in range(c0, c0 + 20_000)]
             xi = sample_fgn_batch(grid, h, seeds)
-            chunks.append(np.einsum("ri,ij,rj->r", xi, f.k, xi) - recenter)
+            chunks.append(np.einsum("ri,ri->r", xi @ f, xi) - recenter)
         vals = np.concatenate(chunks)
         rel = abs(vals.var() - theory) / theory
         ok &= rel <= 0.05

@@ -69,11 +69,11 @@ def test_ingredients_near_unit_ar1_coefficient(n, theta_t, hurst):
     p = ModelParams(theta=0.5, hurst=hurst, horizon=theta_t / 0.5)
     g = Grid(horizon=p.horizon, n=n)
     assert p.theta * g.step <= 2e-3
-    ing, norm_h2 = _ingredients(p, g, with_norm_h2=True)
+    ing, norm_h2 = _ingredients(p, g)
     w = gram_weights(g, hurst)
     f, gg = kernel_f(p, g), kernel_g(p, g)
     # inner_h2 = tr(W K1 W K2), with each product W K formed once
-    wk = {name: w.w @ k.k for name, k in (("f", f), ("g", gg), ("ff", contract1(f, f, w)),
+    wk = {name: w @ k for name, k in (("f", f), ("g", gg), ("ff", contract1(f, f, w)),
                                           ("gg", contract1(gg, gg, w)))}
 
     def inner(a, b):
@@ -90,7 +90,7 @@ def test_ingredients_near_unit_ar1_coefficient(n, theta_t, hurst):
     for name, want in dense.items():
         assert getattr(ing, name) == pytest.approx(want, rel=1e-11), name
     v = boundary_vector(p, g)
-    assert norm_h2 == pytest.approx(float(v @ w.w @ v) ** 2, rel=1e-11)
+    assert norm_h2 == pytest.approx(float(v @ w @ v) ** 2, rel=1e-11)
 
 
 def test_ingredients_hold_two_dense_arrays_at_peak():
@@ -99,7 +99,7 @@ def test_ingredients_hold_two_dense_arrays_at_peak():
     p = ModelParams(theta=1.0, hurst=0.6, horizon=50.0)
     tracemalloc.start()
     try:
-        _ingredients(p, Grid(horizon=50.0, n=n), with_norm_h2=True)
+        _ingredients(p, Grid(horizon=50.0, n=n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -152,8 +152,6 @@ def test_asymptotics_report_brownian_limits():
     meas, lim, _ = q["b_T"]
     assert lim == pytest.approx(0.5, rel=1e-12)
     assert meas == pytest.approx(0.4975, rel=1e-10)
-    assert rows[0].rates["b_T"] == 1.0
-    assert rows[0].rates["2*norm_f2"] == pytest.approx(1.0)
 
 
 def test_asymptotics_report_zhou_trend():
@@ -161,7 +159,6 @@ def test_asymptotics_report_zhou_trend():
     rows = asymptotics_report(p.theta, p.hurst, [25.0, 50.0, 100.0], dt=0.05)
     scaled = [math.sqrt(r.t) * r.quantities["norm_f1f"][0] for r in rows]
     assert max(scaled) / min(scaled) < 2.0
-    assert rows[0].rates["norm_f1f"] == pytest.approx(0.5)
 
 
 def test_asymptotics_report_log_branch_names():

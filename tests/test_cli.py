@@ -67,12 +67,26 @@ def test_eps_is_not_a_flag(command):
     assert exc.value.code == 2
 
 
-def test_step_wider_than_horizon_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("args, message", [
+    (["asymptotics", "--theta", "1", "--hurst", "0.6", "--t", "10", "--dt", "20"],
+     "dt=20.0 leaves fewer than 2 cells on horizon T=10.0"),
+    (["bounds", "--theta", "nan", "--hurst", "0.6", "--t", "10", "--n", "16"],
+     "theta must be finite and positive, got nan"),
+    (["kolmogorov", "--theta", "nan", "--hurst", "0.6", "--t", "10,20", "--n", "64",
+      "--reps", "100"], "theta must be finite and positive, got nan"),
+    (["estimate", "--theta", "1", "--hurst", "0.6", "--t", "nan", "--n", "16", "--reps", "10"],
+     "horizon must be finite and positive, got nan"),
+    (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "inf", "--n", "4"],
+     "horizon must be finite and positive, got inf"),
+    (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--dt", "nan"],
+     "dt must be positive, got nan"),
+], ids=["step_wider_than_horizon", "bounds_theta_nan", "kolmogorov_theta_nan",
+        "estimate_t_nan", "simulate_t_inf", "dt_nan"])
+def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    code = main(["asymptotics", "--theta", "1", "--hurst", "0.6", "--t", "10", "--dt", "20",
-                 "--out", str(out)])
+    code = main([*args, "--out", str(out)])
     assert code == 2
-    assert "dt=20.0 leaves fewer than 2 cells on horizon T=10.0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,7 +2,7 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fou.constants import (
@@ -10,11 +10,11 @@ from fou.constants import (
     alpha_h,
     b_t_closed_form,
     delta_h,
-    rate_exponent,
     sigma2_h,
     skorohod_correction,
     stationary_variance,
 )
+from oracles import rate_exponent
 
 mp.mp.dps = 30
 
@@ -168,8 +168,16 @@ def mp_b_t_and_c_t(theta, h, horizon):
     After u = t^a (a = 2H-1), int_0^T f(t) t^(a-1) dt = (1/a) int_0^(T^a)
     f(u^(1/a)) du has no endpoint singularity; the u-range is split at the
     images of multiples of the decay length 1/theta (and, for I_b, at the
-    same distances below T), where the integrands turn.
+    same distances below T), where the integrands turn.  b_T's bracket
+    cancels twice at theta T << 1, losing 2 log10(1 / (theta T)) digits, so
+    the working precision is raised by as many.
     """
+    extra = max(0, math.ceil(-2 * math.log10(theta * horizon)))
+    with mp.workdps(mp.mp.dps + extra):
+        return _mp_b_t_and_c_t(theta, h, horizon)
+
+
+def _mp_b_t_and_c_t(theta, h, horizon):
     theta, h, horizon = mp.mpf(theta), mp.mpf(h), mp.mpf(horizon)
     a = 2 * h - 1
     ts = {mp.mpf(0), horizon}
@@ -190,7 +198,12 @@ def mp_b_t_and_c_t(theta, h, horizon):
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(theta=st.floats(0.1, 5.0), h=st.floats(0.5001, 0.75), horizon=st.floats(0.5, 2000.0))
+@given(theta=st.floats(0.1, 5.0), h=st.floats(0.5001, 0.75), horizon=st.floats(1e-7, 2000.0))
+@example(theta=1.0, h=0.7, horizon=1e-8)
+@example(theta=1.0, h=0.7, horizon=1e-6)
+@example(theta=0.1, h=0.5001, horizon=1e-6)
+@example(theta=5.0, h=0.75, horizon=2e-5)
+@example(theta=1.0, h=0.6, horizon=0.999)
 def test_closed_forms_match_mpmath_time_integrals(theta, h, horizon):
     p = ModelParams(theta, h, horizon)
     b_t, c_t = mp_b_t_and_c_t(theta, h, horizon)

@@ -46,20 +46,20 @@ def test_fgn_autocov_values():
 
 def test_gram_weights_brownian_is_diagonal():
     g = Grid(horizon=0.4, n=4)
-    w = gram_weights(g, 0.5).w
+    w = gram_weights(g, 0.5)
     assert np.allclose(w, 0.1 * np.eye(4), atol=1e-15)
 
 
 @pytest.mark.parametrize("h", [0.5, 0.6, 0.75])
 def test_gram_weights_total_variance(h):
     g = Grid(horizon=2.0, n=37)
-    w = gram_weights(g, h).w
+    w = gram_weights(g, h)
     assert w.sum() == pytest.approx(2.0 ** (2 * h), rel=1e-12)
 
 
 def test_gram_weights_structure():
     g = Grid(horizon=3.0, n=3)
-    w = gram_weights(g, 0.75).w
+    w = gram_weights(g, 0.75)
     assert np.allclose(w, w.T, atol=0)
     assert w[0, 0] == pytest.approx(1.0, rel=1e-13)
     assert w[0, 1] == pytest.approx(0.41421356237309505, rel=1e-13)
@@ -71,7 +71,7 @@ def test_gram_weights_structure():
 @pytest.mark.parametrize("h", [0.5, 0.6, 0.75])
 def test_gram_weights_psd(h):
     g = Grid(horizon=5.0, n=64)
-    w = gram_weights(g, h).w
+    w = gram_weights(g, h)
     eig = np.linalg.eigvalsh(w)
     assert eig.min() >= -1e-10 * np.trace(w)
 
@@ -79,7 +79,7 @@ def test_gram_weights_psd(h):
 def test_gram_weights_row_sums_match_fbm_cov():
     g = Grid(horizon=2.0, n=8)
     h = 0.7
-    w = gram_weights(g, h).w
+    w = gram_weights(g, h)
     t = g.nodes
     for i in range(g.n):
         expect = fbm_cov(t[i + 1], g.horizon, h) - fbm_cov(t[i], g.horizon, h)
@@ -88,8 +88,8 @@ def test_gram_weights_row_sums_match_fbm_cov():
 
 def test_gram_weights_self_similar_scaling():
     n, h, c = 16, 0.65, 3.7
-    w1 = gram_weights(Grid(horizon=1.0, n=n), h).w
-    w2 = gram_weights(Grid(horizon=c, n=n), h).w
+    w1 = gram_weights(Grid(horizon=1.0, n=n), h)
+    w2 = gram_weights(Grid(horizon=c, n=n), h)
     assert np.allclose(w2, c ** (2 * h) * w1, rtol=1e-12)
 
 
@@ -153,7 +153,7 @@ def test_circulant_and_cholesky_sampler_agree_in_distribution(h):
     # entrywise comparison of sample covariance matrices, 4 standard errors
     n, reps = 24, 60000
     g = Grid(horizon=1.0, n=n)
-    w = gram_weights(g, h).w
+    w = gram_weights(g, h)
     seeds = [derive_seed(17, 0, r) for r in range(reps)]
     xi_c = sample_fgn_batch(g, h, seeds)
     xi_k = np.stack([sample_fgn_cholesky(g, h, s).xi for s in seeds[:reps]])

@@ -5,7 +5,7 @@ import pytest
 
 from fou.constants import ModelParams, b_t_closed_form, delta_h, sigma2_h
 from fou.fgn import Grid, gram_weights
-from fou.hilbert import KernelMatrix, kernel_f, kernel_g
+from fou.hilbert import kernel_f, kernel_g
 from oracles import (
     b_t_gram_quadrature,
     contract1,
@@ -24,28 +24,28 @@ def params_grid(theta, h, t, n):
 def test_kernel_f_diagonal_and_decay():
     p, g = params_grid(1.0, 0.5, 1.0, 64)
     f = kernel_f(p, g)
-    assert np.allclose(np.diag(f.k), 1.0 / (2 * math.sqrt(2)), rtol=1e-13)
-    assert f.k.max() == pytest.approx(1.0 / (2 * math.sqrt(2)), rel=1e-13)
+    assert np.allclose(np.diag(f), 1.0 / (2 * math.sqrt(2)), rtol=1e-13)
+    assert f.max() == pytest.approx(1.0 / (2 * math.sqrt(2)), rel=1e-13)
     # corner decays by exp(-theta (T - dt)) relative to the diagonal
-    assert f.k[0, -1] == pytest.approx(math.exp(-(1.0 - g.step)) * f.k[0, 0], rel=1e-12)
-    assert np.allclose(f.k, f.k.T, atol=0)
+    assert f[0, -1] == pytest.approx(math.exp(-(1.0 - g.step)) * f[0, 0], rel=1e-12)
+    assert np.allclose(f, f.T, atol=0)
 
 
 def test_kernel_h_rank_one():
     p, g = params_grid(1.0, 0.6, 10.0, 128)
     h = kernel_h(p, g)
     # corner midpoint (T - dt/2, T - dt/2) -> exp(-theta dt)
-    assert h.k[-1, -1] == pytest.approx(math.exp(-g.step), rel=1e-12)
+    assert h[-1, -1] == pytest.approx(math.exp(-g.step), rel=1e-12)
     # interior value at t* = s* = 5 on this grid
     i = np.argmin(np.abs(g.midpoints - 5.0))
     if abs(g.midpoints[i] - 5.0) < 1e-12:
-        assert h.k[i, i] == pytest.approx(math.exp(-10.0), rel=1e-10)
+        assert h[i, i] == pytest.approx(math.exp(-10.0), rel=1e-10)
     # all 2x2 minors of a rank-one matrix vanish
     rng = np.random.default_rng(0)
     for _ in range(20):
         i, j, k, l = rng.integers(0, g.n, 4)
-        minor = h.k[i, k] * h.k[j, l] - h.k[i, l] * h.k[j, k]
-        assert abs(minor) <= 1e-12 * max(abs(h.k[i, k] * h.k[j, l]), 1e-300)
+        minor = h[i, k] * h[j, l] - h[i, l] * h[j, k]
+        assert abs(minor) <= 1e-12 * max(abs(h[i, k] * h[j, l]), 1e-300)
 
 
 def test_kernel_g_is_the_stated_combination():
@@ -53,7 +53,7 @@ def test_kernel_g_is_the_stated_combination():
     f, h, gg = kernel_f(p, g), kernel_h(p, g), kernel_g(p, g)
     c1 = math.sqrt(sigma2_h(0.7) / (1.3 * 5.0))
     c2 = 1.0 / (2 * 1.3 * 5.0)
-    assert np.allclose(gg.k, c1 * f.k - c2 * h.k, rtol=1e-13, atol=1e-16)
+    assert np.allclose(gg, c1 * f - c2 * h, rtol=1e-13, atol=1e-16)
 
 
 def test_kernel_g_diagonal_value():
@@ -61,7 +61,7 @@ def test_kernel_g_diagonal_value():
     gg = kernel_g(p, g)
     t0 = g.midpoints[0]
     expect = math.sqrt(2.0) * (1 / (2 * math.sqrt(2.0))) - math.exp(-2 * (1.0 - t0)) / 2.0
-    assert gg.k[0, 0] == pytest.approx(expect, rel=1e-12)
+    assert gg[0, 0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_inner_h_total_mass():
@@ -95,11 +95,11 @@ def test_inner_h_brownian_is_plain_l2():
 def test_norm2_h2_zero_and_rank_one():
     g = Grid(horizon=1.0, n=16)
     w = gram_weights(g, 0.6)
-    zero = KernelMatrix(grid=g, k=np.zeros((16, 16)), symmetric=True)
+    zero = np.zeros((16, 16))
     assert norm2_h2(zero, w) == 0.0
     v = np.exp(-0.7 * g.midpoints)
-    rank1 = KernelMatrix(grid=g, k=np.outer(v, v), symmetric=True)
-    assert norm2_h2(rank1, w) == pytest.approx(float(v @ w.w @ v) ** 2, rel=1e-12)
+    rank1 = np.outer(v, v)
+    assert norm2_h2(rank1, w) == pytest.approx(float(v @ w @ v) ** 2, rel=1e-12)
 
 
 def test_norm2_h2_closed_form_brownian():
@@ -115,7 +115,7 @@ def test_norm2_h2_rank_one_exactness():
     w = gram_weights(g, 0.75)
     h = kernel_h(p, g)
     v = np.exp(-(25.0 - g.midpoints))
-    assert norm2_h2(h, w) == pytest.approx(float(v @ w.w @ v) ** 2, rel=1e-10)
+    assert norm2_h2(h, w) == pytest.approx(float(v @ w @ v) ** 2, rel=1e-10)
 
 
 def test_inner_h2_reduces_to_norm():
@@ -133,9 +133,9 @@ def test_inner_h2_cauchy_schwarz_random():
     rng = np.random.default_rng(3)
     for _ in range(10):
         a = rng.normal(size=(24, 24))
-        a = KernelMatrix(grid=g, k=a + a.T, symmetric=True)
+        a = a + a.T
         b = rng.normal(size=(24, 24))
-        b = KernelMatrix(grid=g, k=b + b.T, symmetric=True)
+        b = b + b.T
         lhs = abs(inner_h2(a, b, w))
         rhs = math.sqrt(norm2_h2(a, w) * norm2_h2(b, w))
         assert lhs <= rhs * (1 + 1e-12)
@@ -157,13 +157,13 @@ def test_contract1_zero_and_brownian_composition():
     w = gram_weights(g, 0.5)
     rng = np.random.default_rng(4)
     k1 = rng.normal(size=(16, 16))
-    k1 = KernelMatrix(grid=g, k=k1 + k1.T, symmetric=True)
-    zero = KernelMatrix(grid=g, k=np.zeros((16, 16)), symmetric=True)
-    assert np.allclose(contract1(k1, zero, w).k, 0.0, atol=0)
+    k1 = k1 + k1.T
+    zero = np.zeros((16, 16))
+    assert np.allclose(contract1(k1, zero, w), 0.0, atol=0)
     k2 = rng.normal(size=(16, 16))
-    k2 = KernelMatrix(grid=g, k=k2 + k2.T, symmetric=True)
+    k2 = k2 + k2.T
     # H = 1/2: contraction is dt times the matrix product
-    assert np.allclose(contract1(k1, k2, w).k, g.step * k1.k @ k2.k, rtol=1e-12)
+    assert np.allclose(contract1(k1, k2, w), g.step * k1 @ k2, rtol=1e-12)
 
 
 def test_contract1_norm_against_brute_force_riemann():
@@ -176,7 +176,7 @@ def test_contract1_norm_against_brute_force_riemann():
     got = math.sqrt(norm2_h2(c, w))
     tm = g.midpoints
     dt = g.step
-    fk = f.k
+    fk = f
     contraction = np.einsum("iu,ju->ij", fk, fk) * dt   # int f(t1,u) f(t2,u) du
     brute = math.sqrt(np.sum(contraction**2) * dt * dt)  # L2 norm on [0,T]^2
     assert got == pytest.approx(brute, rel=0.02)
@@ -199,9 +199,9 @@ def test_contract1_cauchy_schwarz_random_psd():
     rng = np.random.default_rng(5)
     for _ in range(5):
         m = rng.normal(size=(20, 20))
-        a = KernelMatrix(grid=g, k=m @ m.T, symmetric=True)
+        a = m @ m.T
         m = rng.normal(size=(20, 20))
-        b = KernelMatrix(grid=g, k=m @ m.T, symmetric=True)
+        b = m @ m.T
         lhs = math.sqrt(norm2_h2(contract1(a, b, w), w))
         rhs = math.sqrt(norm2_h2(a, w)) * math.sqrt(norm2_h2(b, w))
         assert lhs <= rhs * (1 + 1e-10)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fou.constants import ModelParams, b_t_closed_form
 from fou.errors import DegeneratePathError, NumericsError
 from fou.fgn import Grid, NoisePath, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
-from fou.hilbert import KernelMatrix, kernel_f, kernel_g
+from fou.hilbert import kernel_f, kernel_g
 from fou.process import ar1_scan, estimate_pathwise, simulate_fou
 from oracles import i2, norm2_h2, normalized_pathwise_statistic, normalized_statistic
 
@@ -136,7 +136,7 @@ def test_i2_zero_kernel():
     g = Grid(horizon=1.0, n=16)
     w = gram_weights(g, 0.6)
     noise = sample_fgn(g, 0.6, seed=2)
-    zero = KernelMatrix(grid=g, k=np.zeros((16, 16)), symmetric=True)
+    zero = np.zeros((16, 16))
     assert i2(zero, noise, w) == 0.0
 
 
@@ -150,8 +150,8 @@ def test_i2_mean_zero_and_isometry():
         f = kernel_f(p, g)
         seeds = [derive_seed(12, 0, r) for r in range(reps)]
         xi = sample_fgn_batch(g, h, seeds)
-        quad = np.einsum("ri,ij,rj->r", xi, f.k, xi)
-        vals = quad - np.einsum("ij,ij->", f.k, w.w)
+        quad = np.einsum("ri,ri->r", xi @ f, xi)
+        vals = quad - np.einsum("ij,ij->", f, w)
         theory = 2.0 * norm2_h2(f, w)
         assert abs(vals.mean()) < 4 * vals.std() / math.sqrt(reps)
         assert vals.var() == pytest.approx(theory, rel=0.05)
@@ -175,13 +175,13 @@ def test_normalized_statistic_zero_kernel_and_guards():
     f = kernel_f(p, g)
     gg = kernel_g(p, g)
     b = b_t_closed_form(p)
-    zero = KernelMatrix(grid=g, k=np.zeros((n, n)), symmetric=True)
+    zero = np.zeros((n, n))
     assert normalized_statistic(path, zero, gg, b) == 0.0
     with pytest.raises(ValueError):
         normalized_statistic(path, f, gg, 0.0)
     with pytest.raises(NumericsError):
         # force the denominator against -b so it is numerically zero
-        bad = KernelMatrix(grid=g, k=np.zeros((n, n)), symmetric=True)
+        bad = np.zeros((n, n))
         path_zero = make_path_from_x(1.0, 0.5, g, np.zeros(n + 1))
         normalized_statistic(path_zero, f, bad, 1e-12)
 

@@ -141,8 +141,7 @@ def test_mc_samples_independent_of_chunk_budget(chunk_cells, method):
 def test_two_product_ingredients_match_dense_oracles(theta, hurst, horizon, n):
     grid = Grid(horizon, n)
     params = ModelParams(theta=theta, hurst=hurst, horizon=horizon)
-    ing, norm_h2 = _ingredients(params, grid, with_norm_h2=True)
-    assert _ingredients(params, grid) == ing
+    ing, norm_h2 = _ingredients(params, grid)
     w = gram_weights(grid, hurst)
     f, g = kernel_f(params, grid), kernel_g(params, grid)
     dense = {
@@ -157,7 +156,7 @@ def test_two_product_ingredients_match_dense_oracles(theta, hurst, horizon, n):
     for name, want in dense.items():
         assert getattr(ing, name) == pytest.approx(want, rel=1e-10), name
     v = np.exp(-theta * (horizon - grid.midpoints))
-    vwv2 = float(v @ w.w @ v) ** 2
+    vwv2 = float(v @ w @ v) ** 2
     assert norm_h2 == pytest.approx(vwv2, rel=1e-10)
     (row,) = asymptotics_report(theta, hurst, [horizon], n=n)
     assert row.quantities["norm_h2/T"][0] * horizon == pytest.approx(vwv2, rel=1e-10)
