@@ -55,7 +55,6 @@ from .constants import (
     HURST_MAX,
     ModelParams,
     b_t_closed_form,
-    check_log_horizons,
     delta_h,
     sigma2_h,
     stationary_variance,
@@ -203,13 +202,10 @@ def asymptotics_report(theta: float, hurst: float, t_list, n: int | None = None,
     Quantity names carry the scaling actually applied; at H = 3/4 the
     denominator-kernel quantities take their log-corrected scalings and
     the affected names change accordingly.  Discretization policy: fixed
-    n (step grows with T) or fixed dt (cell count grows with T).
+    n (step grows with T) or fixed dt (cell count grows with T).  The
+    caller validates the horizons (`cli.parse_args`).
     """
-    t_list = list(t_list)
-    if any(t2 <= t1 for t1, t2 in zip(t_list, t_list[1:])):
-        raise ValueError("t_list must be strictly increasing")
     h = hurst
-    check_log_horizons(h, t_list)
     a = stationary_variance(ModelParams(theta=theta, hurst=h, horizon=1.0))
     lim_g2 = delta_h(h) / (2.0 * theta ** (1 + 4 * h))
     lim_fg = math.sqrt(theta / sigma2_h(h)) * lim_g2

@@ -10,9 +10,11 @@ Commands:
     kolmogorov   Monte Carlo distance per horizon
     rate-fit     kolmogorov + fitted log-log rate (at least 3 horizons)
 
-Every command needs at least one --t horizon.  `bounds` and `asymptotics`
-reject any horizon whose grid exceeds the dense ceiling
-`hilbert.MAX_DENSE_N` before building an n x n array.
+Every argv check runs once, in `parse_args`.  Every command needs a --t
+horizon; `kolmogorov`, `rate-fit` and `asymptotics` need them strictly
+increasing, and T > 1 at H = 3/4.  A grid above `fgn.MAX_CELLS` cells, or
+in `bounds` and `asymptotics` above `hilbert.MAX_DENSE_N`, is rejected
+where it is built (exit 2), before any n-sized array exists.
 
 Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O.  The resolved
 configuration (defaults included) is echoed to stderr before any work, and
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import montecarlo as mc
-from .constants import ModelParams, skorohod_correction
+from .constants import ModelParams, check_log_horizons, skorohod_correction
 from .errors import NumericsError
 from .fgn import Grid, derive_seed, sample_fgn
 from .process import check_denominators, pathwise_terms, simulate_fou, simulate_fou_batch
@@ -108,6 +110,10 @@ def parse_args(argv) -> RunConfig:
             raise ValueError(f"rate-fit needs at least 3 horizons, got {len(t_list)}")
         if not t_list:
             raise ValueError(f"{ns.command} requires at least one --t horizon")
+        if ns.command in ("kolmogorov", "rate-fit", "asymptotics"):
+            if any(t2 <= t1 for t1, t2 in zip(t_list, t_list[1:])):
+                raise ValueError(f"{ns.command} needs strictly increasing horizons")
+            check_log_horizons(ns.hurst, t_list)
         if dt is not None and not dt > 0:  # NaN fails too
             raise ValueError(f"dt must be positive, got {dt}")
         if ns.n is not None and ns.n < 2:
@@ -186,28 +192,21 @@ def _rows_asymptotics(cfg: RunConfig):
     return rows
 
 
-def _mc_report(cfg: RunConfig):
-    config = mc.MCConfig(theta=cfg.theta, hurst=cfg.hurst, t_list=cfg.t_list,
-                         replications=cfg.reps, master_seed=cfg.seed, dt=cfg.dt,
-                         n_per_t=cfg.n, statistic_method=cfg.method)
-    return mc.run(config)
-
-
 def _rows_kolmogorov(cfg: RunConfig):
-    report = _mc_report(cfg)
+    rows = mc.run(cfg.theta, cfg.hurst, cfg.t_list, cfg.reps, cfg.seed, cfg.n, cfg.dt, cfg.method)
     return [{"T": r.t, "ks_distance": r.ks_distance, "sample_mean": r.sample_mean,
              "sample_var": r.sample_var, "reps": cfg.reps, "seed": cfg.seed}
-            for r in report.rows]
+            for r in rows]
 
 
 def _rows_rate_fit(cfg: RunConfig):
-    report = _mc_report(cfg)
-    if report.fitted is None:
-        raise NumericsError("rate fit needs at least 3 horizons with positive distances")
-    fit = report.fitted
+    rows = mc.run(cfg.theta, cfg.hurst, cfg.t_list, cfg.reps, cfg.seed, cfg.n, cfg.dt, cfg.method)
+    if not all(r.ks_distance > 0 for r in rows):  # NaN fails too
+        raise NumericsError("rate fit needs positive distances at every horizon")
+    fit = mc.rate_fit([(r.t, r.ks_distance) for r in rows])
     return [{"T": r.t, "ks_distance": r.ks_distance, "beta_hat": fit.beta_hat,
              "c_hat": fit.c_hat, "r_squared": fit.r_squared}
-            for r in report.rows]
+            for r in rows]
 
 
 _ROW_BUILDERS = {

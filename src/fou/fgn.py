@@ -32,6 +32,8 @@ from .errors import NumericsError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# Largest grid of any command; sampling peaks near 0.5 GB at n = 2^20.
+MAX_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -50,12 +52,16 @@ class Grid:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.n < 2:
             raise ValueError(f"need at least 2 cells, got {self.n}")
+        if self.n > MAX_CELLS:
+            raise ValueError(f"grid of n={self.n} cells exceeds the ceiling MAX_CELLS={MAX_CELLS}")
 
     @classmethod
     def from_step(cls, horizon: float, dt: float) -> "Grid":
         """Grid with cell width as close to dt as an integer cell count allows."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
+        if horizon / dt > MAX_CELLS:  # before int(), which fails when T/dt overflows
+            raise ValueError(f"step dt={dt} on T={horizon} exceeds MAX_CELLS={MAX_CELLS} cells")
         n = int(round(horizon / dt))
         if n < 2:
             raise ValueError(f"step dt={dt} leaves fewer than 2 cells on horizon T={horizon}")

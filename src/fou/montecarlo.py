@@ -1,5 +1,7 @@
 """Monte Carlo harness: replicate the normalized statistic, estimate the
-empirical Kolmogorov distance to N(0,1), and fit the decay rate.
+empirical Kolmogorov distance to N(0,1), and fit the decay rate.  `run`
+takes the plain, already validated arguments of `replicate` plus the
+method, and fits nothing; `rate_fit` is the `rate-fit` command's own step.
 
 Replication r at horizon index i draws from the stream derive_seed(master,
 i, r), so results are bit-identical regardless of chunking or worker
@@ -45,7 +47,6 @@ from .constants import (
     HURST_MAX,
     ModelParams,
     b_t_closed_form,
-    check_log_horizons,
     sigma2_h,
     skorohod_correction,
 )
@@ -57,31 +58,6 @@ from .process import NEAR_ZERO_DENOM, ar1_scan, denominator_floor, pathwise_term
 CHAOS_RATIO = "chaos_ratio"
 PATHWISE = "pathwise"
 CHUNK_CELLS = 1 << 16  # cells per chunk; see the module docstring
-
-
-@dataclass(frozen=True)
-class MCConfig:
-    theta: float
-    hurst: float
-    t_list: tuple
-    replications: int = 1000
-    master_seed: int = 42
-    dt: float | None = 0.05
-    n_per_t: int | None = None
-    statistic_method: str = CHAOS_RATIO
-
-    def __post_init__(self) -> None:
-        ModelParams(theta=self.theta, hurst=self.hurst, horizon=1.0)
-        object.__setattr__(self, "t_list", tuple(float(t) for t in self.t_list))
-        if any(t2 <= t1 for t1, t2 in zip(self.t_list, self.t_list[1:])):
-            raise ValueError("t_list must be strictly increasing")
-        if self.replications < 100:
-            raise ValueError(f"need at least 100 replications, got {self.replications}")
-        if (self.dt is None) == (self.n_per_t is None):
-            raise ValueError("exactly one of dt or n_per_t must be set")
-        if self.statistic_method not in (CHAOS_RATIO, PATHWISE):
-            raise ValueError(f"unknown statistic method {self.statistic_method!r}")
-        check_log_horizons(self.hurst, self.t_list)
 
 
 @dataclass(frozen=True)
@@ -98,12 +74,6 @@ class RateFit:
     beta_hat: float
     c_hat: float
     r_squared: float
-
-
-@dataclass(frozen=True)
-class MCReport:
-    rows: list
-    fitted: RateFit | None
 
 
 def ks_distance(samples) -> float:
@@ -216,35 +186,28 @@ def replicate(setup, theta: float, hurst: float, t_list, reps: int, seed: int,
         return [[next(results) for _ in range(count)] for count in counts]
 
 
-def run(config: MCConfig) -> MCReport:
-    """Replicate the statistic over every horizon and summarize.
-
-    Deterministic given the config (see `replicate`).  Aborts if more than
-    0.1% of replications at any horizon produce degenerate denominators.
-    """
+def run(theta: float, hurst: float, t_list, reps: int, seed: int, n: int | None,
+        dt: float | None, method: str) -> list[MCRow]:
+    """One MCRow per horizon of the CHAOS_RATIO or PATHWISE statistic, drawn
+    by `replicate`.  `cli.parse_args` validates the arguments.  Aborts if
+    more than 0.1% of replications at any horizon produce degenerate
+    denominators."""
     def setup(params, grid):
-        if config.statistic_method == CHAOS_RATIO:
+        if method == CHAOS_RATIO:
             b_t, traces = b_t_closed_form(params), _chaos_traces(params, grid)
             return lambda xi: _chaos_batch(params, grid, xi, b_t, traces)
         c_t = skorohod_correction(params)
         return lambda xi: _pathwise_batch(params, grid, xi, c_t)
 
-    reps = config.replications
-    per_horizon = replicate(setup, config.theta, config.hurst, config.t_list, reps,
-                            config.master_seed, n=config.n_per_t, dt=config.dt)
     rows = []
-    for t, chunks in zip(config.t_list, per_horizon):
+    for t, chunks in zip(t_list, replicate(setup, theta, hurst, t_list, reps, seed, n, dt)):
         degenerate = sum(bad for _, bad in chunks)
         if degenerate > 0.001 * reps:
             raise DegeneratePathError(
                 f"{degenerate} of {reps} replications degenerate at T={t}")
         s = np.concatenate([vals for vals, _ in chunks])
-        if config.hurst == HURST_MAX:
+        if hurst == HURST_MAX:
             s /= math.sqrt(math.log(t))
         rows.append(MCRow(t=t, samples=s, ks_distance=ks_distance(s),
                           sample_mean=float(s.mean()), sample_var=float(s.var())))
-
-    fitted = None
-    if len(rows) >= 3 and all(r.ks_distance > 0 for r in rows):
-        fitted = rate_fit([(r.t, r.ks_distance) for r in rows])
-    return MCReport(rows=rows, fitted=fitted)
+    return rows

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .constants import ModelParams, skorohod_correction, stationary_variance
+from .constants import HURST_MIN, ModelParams, skorohod_correction, stationary_variance
 from .errors import DegeneratePathError
 from .fgn import Grid, NoisePath
 
@@ -115,7 +115,7 @@ def pathwise_terms(grid: Grid, params: ModelParams, x: np.ndarray,
     """
     x2 = x * x
     denominator = grid.step * (0.5 * x2[:, 0] + x2[:, 1:-1].sum(axis=1) + 0.5 * x2[:, -1])
-    if params.hurst == 0.5:
+    if params.hurst == HURST_MIN:
         return 0.5 * (params.horizon - x2[:, -1]), denominator, PATHWISE_ITO
     return -(0.5 * x2[:, -1] - c_t), denominator, SKOROHOD_ORACLE
 

@@ -25,10 +25,11 @@ from fou.constants import (
 from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn_batch
 from fou.hilbert import kernel_f
 from fou.montecarlo import (
-    MCConfig,
+    CHAOS_RATIO,
     _chaos_batch,
     _chaos_traces,
     _pathwise_batch,
+    rate_fit,
     run,
 )
 from oracles import b_t_gram_quadrature, norm2_h2
@@ -181,26 +182,26 @@ def test_criterion_09_kolmogorov_distance_brownian():
     ok = True
     details = []
     # (a) single-horizon distance at T = 200
-    rep = run(MCConfig(theta=THETA, hurst=0.5, t_list=(200.0,), replications=5000,
-                       master_seed=42, dt=0.05))
-    d200 = rep.rows[0].ks_distance
+    rows = run(theta=THETA, hurst=0.5, t_list=(200.0,), reps=5000,
+               seed=42, n=None, dt=0.05, method=CHAOS_RATIO)
+    d200 = rows[0].ks_distance
     ok &= d200 <= 0.05
     details.append(f"ks(T=200)={d200:.4f}")
     # (b) median over 5 master seeds, nonincreasing across T
-    per_seed = [run(MCConfig(theta=THETA, hurst=0.5, t_list=(50.0, 100.0, 200.0),
-                             replications=5000, master_seed=ms, dt=0.05))
+    per_seed = [run(theta=THETA, hurst=0.5, t_list=(50.0, 100.0, 200.0),
+                    reps=5000, seed=ms, n=None, dt=0.05, method=CHAOS_RATIO)
                 for ms in (1, 2, 3, 4, 5)]
-    medians = [float(np.median([r.rows[i].ks_distance for r in per_seed]))
+    medians = [float(np.median([rows[i].ks_distance for rows in per_seed]))
                for i in range(3)]
     trend = all(a >= b for a, b in zip(medians, medians[1:]))
     ok &= trend
     details.append(f"seed-median ks={['%.4f' % m for m in medians]} nonincreasing={trend}")
     # (c) fitted decay exponent across four horizons
-    rep = run(MCConfig(theta=THETA, hurst=0.5, t_list=(50.0, 100.0, 200.0, 400.0),
-                       replications=10_000, master_seed=42, dt=0.05))
-    beta = rep.fitted.beta_hat
+    rows = run(theta=THETA, hurst=0.5, t_list=(50.0, 100.0, 200.0, 400.0),
+               reps=10_000, seed=42, n=None, dt=0.05, method=CHAOS_RATIO)
+    beta = rate_fit([(r.t, r.ks_distance) for r in rows]).beta_hat
     ok &= 0.3 <= beta <= 0.7
-    details.append(f"beta_hat={beta:.3f} (distances={['%.4f' % r.ks_distance for r in rep.rows]})")
+    details.append(f"beta_hat={beta:.3f} (distances={['%.4f' % r.ks_distance for r in rows]})")
     report(9, ok, "; ".join(details))
 
 

@@ -173,11 +173,9 @@ def test_asymptotics_report_log_branch_names():
 
 def test_asymptotics_report_validation():
     p = ModelParams(theta=1.0, hurst=0.6, horizon=10.0)
-    with pytest.raises(ValueError):
-        asymptotics_report(p.theta, p.hurst, [10.0, 5.0], n=64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly one of n"):
         asymptotics_report(p.theta, p.hurst, [5.0, 10.0])           # no policy
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly one of n"):
         asymptotics_report(p.theta, p.hurst, [5.0, 10.0], n=64, dt=0.1)  # both policies
 
 

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 import fou.bounds as bounds
+import fou.cli as cli
+import fou.fgn as fgn
 import fou.hilbert as hilbert
 import fou.montecarlo as mc
 import fou.process as process
@@ -80,8 +82,24 @@ def test_eps_is_not_a_flag(command):
      "horizon must be finite and positive, got inf"),
     (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--dt", "nan"],
      "dt must be positive, got nan"),
+    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10", "--reps", "50"],
+     "needs at least 100 replications, got 50"),
+    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "20,10", "--reps", "100"],
+     "kolmogorov needs strictly increasing horizons"),
+    (["rate-fit", "--theta", "1", "--hurst", "0.6", "--t", "10,10,20", "--reps", "100"],
+     "rate-fit needs strictly increasing horizons"),
+    (["asymptotics", "--theta", "1", "--hurst", "0.6", "--t", "20,10", "--n", "64"],
+     "asymptotics needs strictly increasing horizons"),
+    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10", "--reps", "100",
+      "--method", "mle"], "invalid choice: 'mle'"),
+    (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--dt", "1e-8"],
+     "step dt=1e-08 on T=10.0 exceeds MAX_CELLS=4194304 cells"),
+    (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--dt", "1e-310"],
+     "exceeds MAX_CELLS=4194304 cells"),   # T/dt overflows to inf
 ], ids=["step_wider_than_horizon", "bounds_theta_nan", "kolmogorov_theta_nan",
-        "estimate_t_nan", "simulate_t_inf", "dt_nan"])
+        "estimate_t_nan", "simulate_t_inf", "dt_nan", "kolmogorov_reps_50",
+        "kolmogorov_decreasing_t", "rate_fit_repeated_t", "asymptotics_decreasing_t",
+        "kolmogorov_method_mle", "step_above_cell_ceiling", "step_overflows"])
 def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])
@@ -275,6 +293,33 @@ def test_dense_ceiling_rejects_before_any_dense_work(args, tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert code == 2
     assert "dense ceiling of 64 cells" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--t", "10", "--n", "128"],
+    ["estimate", "--t", "10", "--n", "128", "--reps", "2"],
+    ["kolmogorov", "--t", "10", "--n", "128", "--reps", "100"],
+])
+def test_cell_ceiling_rejects_before_any_sampling(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fgn, "MAX_CELLS", 64)
+    monkeypatch.setattr(cli, "sample_fgn", lambda *a: pytest.fail("sampled before the check"))
+    monkeypatch.setattr(mc, "sample_fgn_batch", lambda *a: pytest.fail("sampled before the check"))
+    out = tmp_path / "out.csv"
+    code = main([args[0], "--theta", "1", "--hurst", "0.6", *args[1:], "--out", str(out)])
+    assert code == 2
+    assert "grid of n=128 cells exceeds the ceiling MAX_CELLS=64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("distance", [0.0, float("nan")])
+def test_rate_fit_non_positive_distance_exits_3(distance, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(mc, "ks_distance", lambda samples: distance)
+    out = tmp_path / "out.csv"
+    code = main(["rate-fit", "--theta", "1", "--hurst", "0.6", "--t", "10,20,40",
+                 "--dt", "0.5", "--reps", "100", "--out", str(out)])
+    assert code == 3
+    assert "numerical failure: rate fit needs positive distances" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ from fou.constants import ModelParams, b_t_closed_form
 from fou.fgn import Grid, NoisePath, derive_seed, gram_weights, sample_fgn_batch
 from fou.hilbert import kernel_f, kernel_g
 from fou.montecarlo import (
-    MCConfig,
+    CHAOS_RATIO,
     _chaos_batch,
     _chaos_traces,
     _pathwise_batch,
@@ -71,17 +71,12 @@ def test_rate_fit_validation():
         rate_fit([(10.0, 0.1), (10.0, 0.05), (10.0, 0.02)])
 
 
-def test_mcconfig_validation():
-    with pytest.raises(ValueError):
-        MCConfig(theta=1.0, hurst=0.5, t_list=(10.0, 5.0))
-    with pytest.raises(ValueError):
-        MCConfig(theta=1.0, hurst=0.5, t_list=(10.0,), replications=50)
-    with pytest.raises(ValueError):
-        MCConfig(theta=1.0, hurst=0.5, t_list=(10.0,), dt=None)
-    with pytest.raises(ValueError):
-        MCConfig(theta=1.0, hurst=0.5, t_list=(10.0,), dt=0.1, n_per_t=100)
-    with pytest.raises(ValueError):
-        MCConfig(theta=1.0, hurst=0.5, t_list=(10.0,), statistic_method="mle")
+def test_run_needs_exactly_one_grid_policy():
+    args = dict(theta=1.0, hurst=0.5, t_list=(10.0,), reps=1000, seed=42, method=CHAOS_RATIO)
+    with pytest.raises(ValueError, match="exactly one of n"):
+        run(**args, n=None, dt=None)   # no policy
+    with pytest.raises(ValueError, match="exactly one of n"):
+        run(**args, n=100, dt=0.1)     # both policies
 
 
 def test_fast_chaos_matches_dense_ops():
@@ -120,35 +115,32 @@ def test_fast_pathwise_matches_module_op():
 
 
 def test_run_small_config_sanity():
-    cfg = MCConfig(theta=1.0, hurst=0.5, t_list=(25.0, 50.0), replications=400,
-                   master_seed=7, dt=0.1)
-    report = run(cfg)
-    assert len(report.rows) == 2
-    for row in report.rows:
+    rows = run(theta=1.0, hurst=0.5, t_list=(25.0, 50.0), reps=400,
+               seed=7, n=None, dt=0.1, method=CHAOS_RATIO)
+    assert len(rows) == 2
+    for row in rows:
         assert row.samples.shape == (400,)
         assert 0.0 <= row.ks_distance <= 1.0
         assert row.sample_var == pytest.approx(1.0, abs=0.35)
-    assert report.fitted is None  # fewer than 3 horizons
 
 
 def test_run_deterministic_and_thread_invariant(monkeypatch):
-    cfg = MCConfig(theta=1.0, hurst=0.6, t_list=(10.0, 20.0), replications=200,
-                   master_seed=11, dt=0.1)
+    args = dict(theta=1.0, hurst=0.6, t_list=(10.0, 20.0), reps=200,
+                seed=11, n=None, dt=0.1, method=CHAOS_RATIO)
     monkeypatch.setenv("FOU_THREADS", "1")
-    r1 = run(cfg)
+    r1 = run(**args)
     monkeypatch.setenv("FOU_THREADS", "8")
-    r2 = run(cfg)
-    for a, b in zip(r1.rows, r2.rows):
+    r2 = run(**args)
+    for a, b in zip(r1, r2):
         assert np.array_equal(a.samples, b.samples)
         assert a.ks_distance == b.ks_distance
 
 
 def test_run_fits_rate_with_three_horizons():
-    cfg = MCConfig(theta=1.0, hurst=0.5, t_list=(10.0, 20.0, 40.0),
-                   replications=300, master_seed=5, dt=0.1)
-    report = run(cfg)
-    assert report.fitted is not None
-    assert report.fitted.beta_hat == report.fitted.beta_hat  # finite
+    rows = run(theta=1.0, hurst=0.5, t_list=(10.0, 20.0, 40.0),
+               reps=300, seed=5, n=None, dt=0.1, method=CHAOS_RATIO)
+    fitted = rate_fit([(r.t, r.ks_distance) for r in rows])
+    assert fitted.beta_hat == fitted.beta_hat  # finite
 
 
 def test_run_seed_median_trend():
@@ -156,8 +148,8 @@ def test_run_seed_median_trend():
     for h in (0.5, 0.7):
         medians = []
         for i, t in enumerate((25.0, 100.0)):
-            ds = [run(MCConfig(theta=1.0, hurst=h, t_list=(t,), replications=400,
-                               master_seed=ms, dt=0.1)).rows[0].ks_distance
+            ds = [run(theta=1.0, hurst=h, t_list=(t,), reps=400,
+                      seed=ms, n=None, dt=0.1, method=CHAOS_RATIO)[0].ks_distance
                   for ms in (1, 2, 3, 4, 5)]
             medians.append(np.median(ds))
         assert medians[1] <= medians[0], h
@@ -169,7 +161,6 @@ def test_statistic_methods_agree_in_distribution():
     t, reps, dt = 200.0, 5000, 0.0125
     out = {}
     for method in ("chaos_ratio", "pathwise"):
-        cfg = MCConfig(theta=1.0, hurst=0.5, t_list=(t,), replications=reps,
-                       master_seed=42, dt=dt, statistic_method=method)
-        out[method] = run(cfg).rows[0].ks_distance
+        out[method] = run(theta=1.0, hurst=0.5, t_list=(t,), reps=reps,
+                          seed=42, n=None, dt=dt, method=method)[0].ks_distance
     assert abs(out["chaos_ratio"] - out["pathwise"]) <= 0.02

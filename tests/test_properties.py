@@ -18,7 +18,7 @@ from fou.cli import RunConfig, _rows_estimate
 from fou.constants import ModelParams, b_t_closed_form
 from fou.fgn import Grid, NoisePath, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
 from fou.hilbert import kernel_f, kernel_g
-from fou.montecarlo import MCConfig, _chaos_batch, _chaos_traces, run
+from fou.montecarlo import _chaos_batch, _chaos_traces, run
 from fou.process import estimate_pathwise, simulate_fou
 from oracles import contract1, fgn_autocov, i2, inner_h2, norm2_h2
 
@@ -126,13 +126,13 @@ def test_batched_estimate_rows_equal_single_path(theta, hurst, dt, reps, chunk_c
 @settings(max_examples=8, deadline=None)
 @given(chunk_cells=st.integers(1, 1500), method=st.sampled_from(["chaos_ratio", "pathwise"]))
 def test_mc_samples_independent_of_chunk_budget(chunk_cells, method):
-    cfg = MCConfig(theta=1.0, hurst=0.7, t_list=(5.0, 10.0), replications=100,
-                   master_seed=13, dt=0.1, statistic_method=method)
-    reference = run(cfg)
+    args = dict(theta=1.0, hurst=0.7, t_list=(5.0, 10.0), reps=100,
+                seed=13, n=None, dt=0.1, method=method)
+    reference = run(**args)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mc, "CHUNK_CELLS", chunk_cells)
-        chunked = run(cfg)
-    for a, b in zip(reference.rows, chunked.rows):
+        chunked = run(**args)
+    for a, b in zip(reference, chunked):
         assert np.array_equal(a.samples, b.samples)
 
 
