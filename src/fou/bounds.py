@@ -146,8 +146,6 @@ def _ingredients(params: ModelParams, grid: Grid) -> tuple[Ingredients, float]:
         ||g x1 g||^2 = tr(Y Y), Y = c1^2 S S + c2 (c2 s u~ - c1 p~) v~' - c1 c2 u~ q~'
     Returns (Ingredients, ||h||^2).
     """
-    if params.horizon != grid.horizon:
-        raise ValueError(f"params horizon {params.horizon} != grid horizon {grid.horizon}")
     c1, c2 = kernel_g_coefficients(params)
     s_f, n, rho = kernel_f_scale(params), grid.n, math.exp(-params.theta * grid.step)
     d = np.sqrt(s_f * np.r_[np.full(n - 1, (1.0 - rho) * (1.0 + rho)), 1.0])

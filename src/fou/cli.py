@@ -1,7 +1,8 @@
 """Command-line front end: parse flags, orchestrate, emit CSV/JSON reports.
 
 Commands:
-    simulate     one path per horizon            (columns T,t,x)
+    simulate     one path per horizon            (columns T,t,x), a batch of
+                 one of the `process` functions
     estimate     per-replication drift estimates (columns T,rep,theta_hat,...),
                  drawn like kolmogorov by `montecarlo.replicate`, on the
                  FOU_THREADS pool, with one Skorohod correction per horizon
@@ -10,11 +11,13 @@ Commands:
     kolmogorov   Monte Carlo distance per horizon
     rate-fit     kolmogorov + fitted log-log rate (at least 3 horizons)
 
-Every argv check runs once, in `parse_args`.  Every command needs a --t
-horizon; `kolmogorov`, `rate-fit` and `asymptotics` need them strictly
-increasing, and T > 1 at H = 3/4.  A grid above `fgn.MAX_CELLS` cells, or
-in `bounds` and `asymptotics` above `hilbert.MAX_DENSE_N`, is rejected
-where it is built (exit 2), before any n-sized array exists.
+Only `kolmogorov` and `rate-fit` take --method; the other commands reject
+it, and their RunConfig.method is None.  Every argv check runs once, in
+`parse_args`.  Every command needs a --t horizon; `kolmogorov`, `rate-fit`
+and `asymptotics` need them strictly increasing, and T > 1 at H = 3/4.  A
+grid above `fgn.MAX_CELLS` cells, or in `bounds` and `asymptotics` above
+`hilbert.MAX_DENSE_N`, is rejected where it is built (exit 2), before any
+n-sized array exists.
 
 Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O.  The resolved
 configuration (defaults included) is echoed to stderr before any work, and
@@ -32,9 +35,10 @@ from . import montecarlo as mc
 from .constants import ModelParams, check_log_horizons, skorohod_correction
 from .errors import NumericsError
 from .fgn import Grid, derive_seed, sample_fgn
-from .process import check_denominators, pathwise_terms, simulate_fou, simulate_fou_batch
+from .process import check_denominators, estimate_pathwise, simulate_fou
 
 COMMANDS = ("simulate", "estimate", "bounds", "asymptotics", "kolmogorov", "rate-fit")
+MC_COMMANDS = ("kolmogorov", "rate-fit")
 
 CSV_COLUMNS = {
     "simulate": ["T", "t", "x"],
@@ -59,7 +63,7 @@ class RunConfig:
     seed: int
     out: str
     format: str
-    method: str
+    method: str | None
 
 
 def _parse_horizons(values) -> tuple:
@@ -91,8 +95,9 @@ def parse_args(argv) -> RunConfig:
         p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
         p.add_argument("--out", default=None, help="output path (default <command>.<format>)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--method", choices=(mc.CHAOS_RATIO, mc.PATHWISE),
-                       default=mc.CHAOS_RATIO, help="statistic method for MC commands")
+        if name in MC_COMMANDS:
+            p.add_argument("--method", choices=(mc.CHAOS_RATIO, mc.PATHWISE),
+                           default=mc.CHAOS_RATIO, help="Monte Carlo statistic")
     ns = parser.parse_args(argv)
 
     t_list = _parse_horizons(ns.t or [])
@@ -104,7 +109,7 @@ def parse_args(argv) -> RunConfig:
             ModelParams(theta=ns.theta, hurst=ns.hurst, horizon=t)
         if ns.reps <= 0:
             raise ValueError(f"reps must be positive, got {ns.reps}")
-        if ns.command in ("kolmogorov", "rate-fit") and ns.reps < 100:
+        if ns.command in MC_COMMANDS and ns.reps < 100:
             raise ValueError(f"distance estimation needs at least 100 replications, got {ns.reps}")
         if ns.command == "rate-fit" and len(t_list) < 3:
             raise ValueError(f"rate-fit needs at least 3 horizons, got {len(t_list)}")
@@ -123,7 +128,7 @@ def parse_args(argv) -> RunConfig:
     out = ns.out if ns.out is not None else f"{ns.command}.{ns.format}"
     return RunConfig(command=ns.command, theta=ns.theta, hurst=ns.hurst,
                      t_list=t_list, dt=dt, n=ns.n, reps=ns.reps, seed=ns.seed,
-                     out=out, format=ns.format, method=ns.method)
+                     out=out, format=ns.format, method=getattr(ns, "method", None))
 
 
 def _fmt(value) -> str:
@@ -137,10 +142,9 @@ def _rows_simulate(cfg: RunConfig):
     for i, t in enumerate(cfg.t_list):
         grid = Grid.for_horizon(t, n=cfg.n, dt=cfg.dt)
         params = ModelParams(theta=cfg.theta, hurst=cfg.hurst, horizon=t)
-        noise = sample_fgn(grid, cfg.hurst, derive_seed(cfg.seed, i, 0))
-        path = simulate_fou(grid, params, noise)
-        rows.extend({"T": t, "t": float(tk), "x": float(xk)}
-                    for tk, xk in zip(grid.nodes, path.x))
+        xi = sample_fgn(grid, cfg.hurst, derive_seed(cfg.seed, i, 0))
+        x = simulate_fou(grid, params, xi[None, :])[0]
+        rows.extend({"T": t, "t": float(tk), "x": float(xk)} for tk, xk in zip(grid.nodes, x))
     return rows
 
 
@@ -149,9 +153,9 @@ def _rows_estimate(cfg: RunConfig):
         c_t = skorohod_correction(params)
 
         def statistic(xi):
-            num, den, method = pathwise_terms(grid, params, simulate_fou_batch(grid, params, xi), c_t)
-            check_denominators(params, den)
-            return num, den, method
+            terms = estimate_pathwise(grid, params, xi, c_t)
+            check_denominators(params, terms[1])
+            return terms
 
         return statistic
 

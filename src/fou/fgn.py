@@ -16,12 +16,13 @@ and one real-output inverse transform (`hfft`) replaces a length-2n complex
 FFT.  Streams are derived from 64-bit seeds with a splitmix64 mix so
 replications are reproducible independent of scheduling and batching.
 One Philox bit generator serves a whole batch; per row it is reset to the
-initial state of the stream keyed by that row's seed.
+initial state of the stream keyed by that row's seed.  `sample_fgn` is a
+batch of one and returns the plain n-vector of increments.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -88,16 +89,6 @@ class Grid:
     @property
     def midpoints(self) -> np.ndarray:
         return (np.arange(self.n) + 0.5) * self.step
-
-
-@dataclass(frozen=True)
-class NoisePath:
-    """One fGn realization: xi[k] = B^H(t_{k+1}) - B^H(t_k)."""
-
-    grid: Grid
-    hurst: float
-    xi: np.ndarray = field(repr=False)
-    seed: int = 0
 
 
 def _unit_autocov(kmax: int, hurst: float) -> np.ndarray:
@@ -194,7 +185,7 @@ def sample_fgn_batch(grid: Grid, hurst: float, seeds) -> np.ndarray:
     return np.multiply(xi, grid.step**hurst, out=xi)
 
 
-def sample_fgn(grid: Grid, hurst: float, seed: int) -> NoisePath:
-    """One exact fGn path; deterministic function of (grid, hurst, seed)."""
-    xi = sample_fgn_batch(grid, hurst, [seed])[0].copy()  # not a view of the 2n buffer
-    return NoisePath(grid=grid, hurst=hurst, xi=xi, seed=seed)
+def sample_fgn(grid: Grid, hurst: float, seed: int) -> np.ndarray:
+    """One exact fGn path, xi[k] = B^H(t_{k+1}) - B^H(t_k): row 0 of a batch
+    of one, copied so that it does not pin the 2n buffer."""
+    return sample_fgn_batch(grid, hurst, [seed])[0].copy()

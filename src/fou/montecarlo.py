@@ -53,7 +53,7 @@ from .constants import (
 from .errors import DegeneratePathError
 from .fgn import Grid, derive_seed, increment_autocov, sample_fgn_batch
 from .hilbert import boundary_vector, kernel_f_scale, kernel_g_coefficients
-from .process import NEAR_ZERO_DENOM, ar1_scan, denominator_floor, pathwise_terms, simulate_fou_batch
+from .process import NEAR_ZERO_DENOM, ar1_scan, denominator_floor, estimate_pathwise
 
 CHAOS_RATIO = "chaos_ratio"
 PATHWISE = "pathwise"
@@ -78,25 +78,18 @@ class RateFit:
 
 def ks_distance(samples) -> float:
     """One-sample Kolmogorov statistic against the standard normal CDF."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("need at least one sample")
-    z = np.sort(samples)
+    z = np.sort(np.asarray(samples, dtype=float))
     cdf = ndtr(z)
     i = np.arange(1, z.size + 1, dtype=float)
     return float(max(np.max(i / z.size - cdf), np.max(cdf - (i - 1) / z.size)))
 
 
 def rate_fit(rows) -> RateFit:
-    """OLS of log distance on log T: distance ~ c_hat * T^(-beta_hat)."""
+    """OLS of log distance on log T: distance ~ c_hat * T^(-beta_hat).  The
+    caller passes at least 3 strictly increasing horizons (`cli.parse_args`)
+    and positive distances (`cli._rows_rate_fit`)."""
     ts = np.array([t for t, _ in rows], dtype=float)
     ds = np.array([d for _, d in rows], dtype=float)
-    if ts.size < 3:
-        raise ValueError(f"need at least 3 rows to fit a rate, got {ts.size}")
-    if np.any(ds <= 0):
-        raise ValueError("all distances must be positive for a log-log fit")
-    if np.all(ts == ts[0]):
-        raise ValueError("all horizons equal; the fit is singular")
     lx, ly = np.log(ts), np.log(ds)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
@@ -145,8 +138,7 @@ def _pathwise_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
                     c_t: float) -> tuple[np.ndarray, int]:
     """Normalized pathwise estimator error for each row of xi; returns
     (values, degenerate count)."""
-    x = simulate_fou_batch(grid, params, xi)
-    num, den, _ = pathwise_terms(grid, params, x, c_t)
+    num, den, _ = estimate_pathwise(grid, params, xi, c_t)
     degenerate = int(np.sum(den < denominator_floor(params)))
     scale = math.sqrt(params.horizon / (params.theta * sigma2_h(params.hurst)))
     return scale * (num / den - params.theta), degenerate

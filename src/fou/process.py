@@ -13,47 +13,29 @@ The estimator -int X dX / int X^2 dt comes in two computable forms:
   divergence-trace correction.  c_T needs the true theta, so this form is
   a simulation instrument only.
 
-Path simulation and the pathwise estimator are batched, one row per path
-(`simulate_fou_batch`, `pathwise_terms`); the single-path functions are a
-batch of one.  The recursion is a banded triangular solve (`ar1_scan`),
-the same scan that `montecarlo._chaos_batch` uses for the second-chaos
-form of the same error.
+`simulate_fou` and `estimate_pathwise` take noise rows (rows x n), one
+path per row, and a single path is a batch of one.  A row's result does
+not depend on the other rows of its batch.  The recursion is a banded
+triangular solve (`ar1_scan`), the same scan that
+`montecarlo._chaos_batch` uses for the second-chaos form of the same
+error.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .constants import HURST_MIN, ModelParams, skorohod_correction, stationary_variance
+from .constants import HURST_MIN, ModelParams, stationary_variance
 from .errors import DegeneratePathError
-from .fgn import Grid, NoisePath
+from .fgn import Grid
 
 PATHWISE_ITO = "pathwise_ito"
 SKOROHOD_ORACLE = "skorohod_oracle"
 
 DEGENERATE_DENOM_FACTOR = 1e-12
 NEAR_ZERO_DENOM = 1e-9
-
-
-@dataclass(frozen=True)
-class FouPath:
-    """Node values of the simulated process; x[0] = 0, replayable from noise."""
-
-    grid: Grid
-    params: ModelParams
-    x: np.ndarray = field(repr=False)
-    noise: NoisePath = field(repr=False)
-
-
-@dataclass(frozen=True)
-class EstimatorResult:
-    theta_hat: float
-    numerator: float
-    denominator: float
-    method: str
 
 
 def ar1_scan(xi: np.ndarray, rho: float) -> np.ndarray:
@@ -66,22 +48,10 @@ def ar1_scan(xi: np.ndarray, rho: float) -> np.ndarray:
     return u.T
 
 
-def simulate_fou_batch(grid: Grid, params: ModelParams, xi: np.ndarray) -> np.ndarray:
-    """Node values of one path per row of noise xi (rows x n): the
-    exact-factor recursion x[k+1] = exp(-theta dt) x[k] + xi[k], x[0] = 0."""
+def simulate_fou(grid: Grid, params: ModelParams, xi: np.ndarray) -> np.ndarray:
+    """Node values of one path per row of noise xi (rows x n), rows x n+1:
+    the exact-factor recursion x[k+1] = exp(-theta dt) x[k] + xi[k], x[0] = 0."""
     return np.pad(ar1_scan(xi, math.exp(-params.theta * grid.step)), ((0, 0), (1, 0)))
-
-
-def simulate_fou(grid: Grid, params: ModelParams, noise: NoisePath) -> FouPath:
-    """One path of the exact-factor recursion; a batch of one."""
-    if noise.grid != grid:
-        raise ValueError("noise was generated on a different grid")
-    if noise.hurst != params.hurst:
-        raise ValueError(f"noise hurst {noise.hurst} != params hurst {params.hurst}")
-    if grid.horizon != params.horizon:
-        raise ValueError(f"grid horizon {grid.horizon} != params horizon {params.horizon}")
-    x = simulate_fou_batch(grid, params, noise.xi[None, :])[0]
-    return FouPath(grid=grid, params=params, x=x, noise=noise)
 
 
 def denominator_floor(params: ModelParams) -> float:
@@ -99,11 +69,13 @@ def check_denominators(params: ModelParams, denominator: np.ndarray) -> None:
             "wiring or RNG problem")
 
 
-def pathwise_terms(grid: Grid, params: ModelParams, x: np.ndarray,
-                   c_t: float) -> tuple[np.ndarray, np.ndarray, str]:
-    """Least-squares drift estimate theta_hat = numerator / denominator for
-    each row of node values x (rows x n+1); returns (numerator, denominator,
-    method).  c_t is skorohod_correction(params), unused at H = 1/2.
+def estimate_pathwise(grid: Grid, params: ModelParams, xi: np.ndarray,
+                      c_t: float) -> tuple[np.ndarray, np.ndarray, str]:
+    """Least-squares drift estimate theta_hat = numerator / denominator of
+    the path that `simulate_fou` builds from each row of noise xi (rows x n);
+    returns (numerator, denominator, method).  c_t is
+    skorohod_correction(params), unused at H = 1/2.  The caller decides
+    what a denominator below `denominator_floor` means.
 
     The denominator is the trapezoid rule for int X^2 dt.  H = 1/2 uses the
     Ito identity directly.  H > 1/2 evaluates the Young integral of X dX by
@@ -113,18 +85,9 @@ def pathwise_terms(grid: Grid, params: ModelParams, x: np.ndarray,
     dt^(2H-1) and visibly biases the estimate; the trapezoid sum is the same
     Riemann-Stieltjes limit without that defect.)
     """
+    x = simulate_fou(grid, params, xi)
     x2 = x * x
     denominator = grid.step * (0.5 * x2[:, 0] + x2[:, 1:-1].sum(axis=1) + 0.5 * x2[:, -1])
     if params.hurst == HURST_MIN:
         return 0.5 * (params.horizon - x2[:, -1]), denominator, PATHWISE_ITO
     return -(0.5 * x2[:, -1] - c_t), denominator, SKOROHOD_ORACLE
-
-
-def estimate_pathwise(path: FouPath) -> EstimatorResult:
-    """Least-squares drift estimate from one trajectory; a batch of one of
-    `pathwise_terms`.  Raises DegeneratePathError below the denominator floor."""
-    p = path.params
-    num, den, method = pathwise_terms(path.grid, p, path.x[None, :], skorohod_correction(p))
-    check_denominators(p, den)
-    return EstimatorResult(theta_hat=float(num[0] / den[0]), numerator=float(num[0]),
-                           denominator=float(den[0]), method=method)

@@ -12,8 +12,9 @@ routes against.  No `fou` command calls any of them.
   -I2(f) / (I2(g) + b_T) as dense quadratic forms.  They check the
   one-scan `fou.montecarlo._chaos_batch` and the Toeplitz recentering
   traces of `fou.montecarlo._chaos_traces`.
-  `normalized_pathwise_statistic` is the single-path pathwise value that
-  `fou.montecarlo._pathwise_batch` batches.
+  `normalized_pathwise_statistic` is the pathwise value of one path, a
+  batch of one of `fou.process.estimate_pathwise`; it checks
+  `fou.montecarlo._pathwise_batch`.
 * `rate_exponent` is the paper's decay exponent of the Kolmogorov distance
   over the admissible H range, and `theoretical_rate_curve` the decay curve
   C / T^beta (C / log T at H = 3/4) on it.  No command reports either, so
@@ -41,11 +42,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from fou.constants import HURST_MAX, ModelParams, _check_hurst, sigma2_h
+from fou.constants import HURST_MAX, ModelParams, _check_hurst, sigma2_h, skorohod_correction
 from fou.errors import NumericsError
-from fou.fgn import _MASK64, Grid, NoisePath, _unit_autocov, gram_weights
+from fou.fgn import _MASK64, Grid, _unit_autocov, gram_weights
 from fou.hilbert import boundary_vector
-from fou.process import NEAR_ZERO_DENOM, FouPath, estimate_pathwise
+from fou.process import NEAR_ZERO_DENOM, estimate_pathwise
 
 
 def kernel_h(params: ModelParams, grid: Grid) -> np.ndarray:
@@ -114,7 +115,7 @@ def b_t_gram_quadrature(params: ModelParams, grid: Grid) -> float:
     return float(np.trapezoid(d, nodes) / params.horizon)
 
 
-def i2(k: np.ndarray, noise: NoisePath, w: np.ndarray) -> float:
+def i2(k: np.ndarray, xi: np.ndarray, w: np.ndarray) -> float:
     """Discrete double Wiener-Ito integral of a midpoint-sampled kernel:
 
         sum_ij K[i,j] (xi_i xi_j - W[i,j]),
@@ -122,17 +123,16 @@ def i2(k: np.ndarray, noise: NoisePath, w: np.ndarray) -> float:
     a quadratic form recentred with the exact increment covariances, so
     its expectation is zero by construction.
     """
-    if k.shape != w.shape or noise.xi.shape != w.shape[:1]:
+    if k.shape != w.shape or xi.shape != w.shape[:1]:
         raise ValueError("kernel, noise and weights must share one grid")
-    xi = noise.xi
     return float(xi @ k @ xi - np.einsum("ij,ij->", k, w))
 
 
-def normalized_statistic(path: FouPath, kernel_f, kernel_g, b_t: float,
-                         weights: np.ndarray | None = None) -> float:
+def normalized_statistic(grid: Grid, params: ModelParams, xi: np.ndarray, kernel_f,
+                         kernel_g, b_t: float, weights: np.ndarray | None = None) -> float:
     """sqrt(T / (theta sigma2_H)) (theta_hat - theta) in second-chaos form.
 
-    Equals -I2(f) / (I2(g) + b_T) on the path's own noise: the numerator
+    Equals -I2(f) / (I2(g) + b_T) on the path's noise xi: the numerator
     kernel enters with a minus sign because the estimator error is minus
     the divergence integral over the denominator.  b_t must come from the
     closed form (positive).
@@ -140,19 +140,21 @@ def normalized_statistic(path: FouPath, kernel_f, kernel_g, b_t: float,
     if b_t <= 0:
         raise ValueError(f"b_t must be positive, got {b_t}")
     if weights is None:
-        weights = gram_weights(path.grid, path.params.hurst)
-    numerator = -i2(kernel_f, path.noise, weights)
-    denominator = i2(kernel_g, path.noise, weights) + b_t
+        weights = gram_weights(grid, params.hurst)
+    numerator = -i2(kernel_f, xi, weights)
+    denominator = i2(kernel_g, xi, weights) + b_t
     if abs(denominator) < NEAR_ZERO_DENOM:
         raise NumericsError(f"chaos denominator {denominator} is numerically zero")
     return numerator / denominator
 
 
-def normalized_pathwise_statistic(path: FouPath) -> float:
-    """sqrt(T / (theta sigma2_H)) (theta_hat - theta) from estimate_pathwise."""
-    p = path.params
-    est = estimate_pathwise(path)
-    return math.sqrt(p.horizon / (p.theta * sigma2_h(p.hurst))) * (est.theta_hat - p.theta)
+def normalized_pathwise_statistic(grid: Grid, params: ModelParams, xi: np.ndarray) -> float:
+    """sqrt(T / (theta sigma2_H)) (theta_hat - theta) from estimate_pathwise
+    on the path of noise xi, a batch of one."""
+    p = params
+    num, den, _ = estimate_pathwise(grid, p, xi[None, :], skorohod_correction(p))
+    theta_hat = float(num[0] / den[0])
+    return math.sqrt(p.horizon / (p.theta * sigma2_h(p.hurst))) * (theta_hat - p.theta)
 
 
 @dataclass(frozen=True)
@@ -243,10 +245,9 @@ def _unit_cholesky(n: int, hurst: float) -> np.ndarray:
     return np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx[None, :])])
 
 
-def sample_fgn_cholesky(grid: Grid, hurst: float, seed: int) -> NoisePath:
+def sample_fgn_cholesky(grid: Grid, hurst: float, seed: int) -> np.ndarray:
     """Dense-Cholesky sampler; the distributional oracle for the FFT route."""
     _check_hurst(hurst)
     rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
     chol = _unit_cholesky(grid.n, hurst)
-    xi = grid.step**hurst * (chol @ rng.standard_normal(grid.n))
-    return NoisePath(grid=grid, hurst=hurst, xi=xi, seed=seed)
+    return grid.step**hurst * (chol @ rng.standard_normal(grid.n))

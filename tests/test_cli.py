@@ -92,6 +92,8 @@ def test_eps_is_not_a_flag(command):
      "asymptotics needs strictly increasing horizons"),
     (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10", "--reps", "100",
       "--method", "mle"], "invalid choice: 'mle'"),
+    (["estimate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--reps", "10",
+      "--method", "chaos_ratio"], "unrecognized arguments: --method chaos_ratio"),
     (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--dt", "1e-8"],
      "step dt=1e-08 on T=10.0 exceeds MAX_CELLS=4194304 cells"),
     (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--dt", "1e-310"],
@@ -99,7 +101,8 @@ def test_eps_is_not_a_flag(command):
 ], ids=["step_wider_than_horizon", "bounds_theta_nan", "kolmogorov_theta_nan",
         "estimate_t_nan", "simulate_t_inf", "dt_nan", "kolmogorov_reps_50",
         "kolmogorov_decreasing_t", "rate_fit_repeated_t", "asymptotics_decreasing_t",
-        "kolmogorov_method_mle", "step_above_cell_ceiling", "step_overflows"])
+        "kolmogorov_method_mle", "estimate_method", "step_above_cell_ceiling",
+        "step_overflows"])
 def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])

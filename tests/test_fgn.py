@@ -106,14 +106,14 @@ def test_sample_fgn_deterministic():
     g = Grid(horizon=1.0, n=32)
     a = sample_fgn(g, 0.7, seed=99)
     b = sample_fgn(g, 0.7, seed=99)
-    assert np.array_equal(a.xi, b.xi)
+    assert np.array_equal(a, b)
     c = sample_fgn(g, 0.7, seed=100)
-    assert not np.array_equal(a.xi, c.xi)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_fgn_owns_its_path():
     # A single path holds its n values, not a view that pins the sampler's 2n buffer.
-    xi = sample_fgn(Grid(horizon=1.0, n=32), 0.7, seed=99).xi
+    xi = sample_fgn(Grid(horizon=1.0, n=32), 0.7, seed=99)
     assert xi.flags.owndata and xi.flags.c_contiguous and xi.shape == (32,)
 
 
@@ -122,7 +122,7 @@ def test_sample_batch_matches_single():
     seeds = [derive_seed(5, 0, r) for r in range(3)]
     batch = sample_fgn_batch(g, 0.6, seeds)
     for r, s in enumerate(seeds):
-        assert np.array_equal(batch[r], sample_fgn(g, 0.6, s).xi)
+        assert np.array_equal(batch[r], sample_fgn(g, 0.6, s))
 
 
 @pytest.mark.parametrize("h", [0.5, 0.75])
@@ -156,7 +156,7 @@ def test_circulant_and_cholesky_sampler_agree_in_distribution(h):
     w = gram_weights(g, h)
     seeds = [derive_seed(17, 0, r) for r in range(reps)]
     xi_c = sample_fgn_batch(g, h, seeds)
-    xi_k = np.stack([sample_fgn_cholesky(g, h, s).xi for s in seeds[:reps]])
+    xi_k = np.stack([sample_fgn_cholesky(g, h, s) for s in seeds[:reps]])
     for xi in (xi_c, xi_k):
         cov = xi.T @ xi / reps
         # se of a covariance entry: sqrt((w_ii w_jj + w_ij^2)/reps)

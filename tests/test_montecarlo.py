@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from fou.constants import ModelParams, b_t_closed_form
-from fou.fgn import Grid, NoisePath, derive_seed, gram_weights, sample_fgn_batch
+from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn_batch
 from fou.hilbert import kernel_f, kernel_g
 from fou.montecarlo import (
     CHAOS_RATIO,
@@ -16,7 +16,6 @@ from fou.montecarlo import (
     rate_fit,
     run,
 )
-from fou.process import simulate_fou
 from oracles import normalized_pathwise_statistic, normalized_statistic
 
 
@@ -62,15 +61,6 @@ def test_rate_fit_exact_power_laws():
     assert fit.c_hat == pytest.approx(2.0, rel=1e-10)
 
 
-def test_rate_fit_validation():
-    with pytest.raises(ValueError):
-        rate_fit([(10.0, 0.1), (20.0, 0.05)])
-    with pytest.raises(ValueError):
-        rate_fit([(10.0, 0.1), (20.0, 0.0), (30.0, 0.05)])
-    with pytest.raises(ValueError):
-        rate_fit([(10.0, 0.1), (10.0, 0.05), (10.0, 0.02)])
-
-
 def test_run_needs_exactly_one_grid_policy():
     args = dict(theta=1.0, hurst=0.5, t_list=(10.0,), reps=1000, seed=42, method=CHAOS_RATIO)
     with pytest.raises(ValueError, match="exactly one of n"):
@@ -91,9 +81,7 @@ def test_fast_chaos_matches_dense_ops():
     fast, bad = _chaos_batch(params, grid, xi, b, _chaos_traces(params, grid))
     assert bad == 0
     for r in range(8):
-        noise = NoisePath(grid=grid, hurst=h, xi=xi[r], seed=seeds[r])
-        path = simulate_fou(grid, params, noise)
-        dense = normalized_statistic(path, f, gg, b, weights=w)
+        dense = normalized_statistic(grid, params, xi[r], f, gg, b, weights=w)
         assert fast[r] == pytest.approx(dense, rel=1e-10)
 
 
@@ -109,9 +97,8 @@ def test_fast_pathwise_matches_module_op():
     fast, bad = _pathwise_batch(params, grid, xi, c_t)
     assert bad == 0
     for r in range(8):
-        noise = NoisePath(grid=grid, hurst=h, xi=xi[r], seed=seeds[r])
-        path = simulate_fou(grid, params, noise)
-        assert fast[r] == pytest.approx(normalized_pathwise_statistic(path), rel=1e-10)
+        assert fast[r] == pytest.approx(normalized_pathwise_statistic(grid, params, xi[r]),
+                                        rel=1e-10)
 
 
 def test_run_small_config_sanity():

@@ -5,65 +5,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fou.constants import ModelParams, b_t_closed_form
+from fou.constants import ModelParams, b_t_closed_form, skorohod_correction
 from fou.errors import DegeneratePathError, NumericsError
-from fou.fgn import Grid, NoisePath, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
+from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
 from fou.hilbert import kernel_f, kernel_g
-from fou.process import ar1_scan, estimate_pathwise, simulate_fou
+from fou.process import ar1_scan, check_denominators, estimate_pathwise, simulate_fou
 from oracles import i2, norm2_h2, normalized_pathwise_statistic, normalized_statistic
-
-
-def make_path_from_x(theta, h, grid, x):
-    """Invert the update recursion to get the noise that replays to x."""
-    rho = math.exp(-theta * grid.step)
-    x = np.asarray(x, dtype=float)
-    xi = x[1:] - rho * x[:-1]
-    noise = NoisePath(grid=grid, hurst=h, xi=xi, seed=0)
-    params = ModelParams(theta=theta, hurst=h, horizon=grid.horizon)
-    return simulate_fou(grid, params, noise)
 
 
 def test_simulate_zero_noise_is_zero():
     g = Grid(horizon=1.0, n=16)
     p = ModelParams(theta=1.0, hurst=0.6, horizon=1.0)
-    noise = NoisePath(grid=g, hurst=0.6, xi=np.zeros(16), seed=0)
-    path = simulate_fou(g, p, noise)
-    assert np.all(path.x == 0.0)
+    x = simulate_fou(g, p, np.zeros((1, 16)))[0]
+    assert np.all(x == 0.0)
 
 
 def test_simulate_degenerates_to_fbm_as_theta_vanishes():
     g = Grid(horizon=1.0, n=32)
     p = ModelParams(theta=1e-12, hurst=0.7, horizon=1.0)
-    noise = sample_fgn(g, 0.7, seed=5)
-    path = simulate_fou(g, p, noise)
-    assert np.allclose(path.x[1:], np.cumsum(noise.xi), rtol=1e-9)
+    xi = sample_fgn(g, 0.7, seed=5)
+    x = simulate_fou(g, p, xi[None, :])[0]
+    assert np.allclose(x[1:], np.cumsum(xi), rtol=1e-9)
 
 
 def test_simulate_replays_bitwise():
     g = Grid(horizon=5.0, n=100)
     p = ModelParams(theta=0.8, hurst=0.6, horizon=5.0)
-    noise = sample_fgn(g, 0.6, seed=21)
-    path = simulate_fou(g, p, noise)
+    xi = sample_fgn(g, 0.6, seed=21)
+    path = simulate_fou(g, p, xi[None, :])[0]
     rho = math.exp(-p.theta * g.step)
     x = np.zeros(g.n + 1)
     for k in range(g.n):
-        x[k + 1] = rho * x[k] + noise.xi[k]
-    assert np.allclose(path.x, x, rtol=1e-12, atol=1e-15)
-    assert path.x[0] == 0.0
-
-
-def test_simulate_rejects_mismatched_inputs():
-    g = Grid(horizon=1.0, n=16)
-    p = ModelParams(theta=1.0, hurst=0.6, horizon=1.0)
-    noise = sample_fgn(Grid(horizon=1.0, n=8), 0.6, seed=1)
-    with pytest.raises(ValueError):
-        simulate_fou(g, p, noise)
-    noise = sample_fgn(g, 0.7, seed=1)
-    with pytest.raises(ValueError):
-        simulate_fou(g, p, noise)
-    p_bad = ModelParams(theta=1.0, hurst=0.6, horizon=2.0)
-    with pytest.raises(ValueError):
-        simulate_fou(g, p_bad, sample_fgn(g, 0.6, seed=1))
+        x[k + 1] = rho * x[k] + xi[k]
+    assert np.allclose(path, x, rtol=1e-12, atol=1e-15)
+    assert path[0] == 0.0
 
 
 def test_simulate_stationary_variance():
@@ -84,15 +59,17 @@ def test_estimate_ito_algebra():
     # X_T = 0 and int X^2 = T/2 force theta_hat = 1 exactly
     t, n = 4.0, 4
     g = Grid(horizon=t, n=n)
+    p = ModelParams(theta=1.0, hurst=0.5, horizon=t)
     # choose symmetric node values with x0 = x4 = 0; trapezoid gives
     # dt (x1^2 + x2^2 + x3^2) = T/2 with x1 = x3
     x2 = 0.8
     x1 = math.sqrt((t / 2 / g.step - x2**2) / 2)
-    path = make_path_from_x(1.0, 0.5, g, [0.0, x1, x2, x1, 0.0])
-    est = estimate_pathwise(path)
-    assert est.method == "pathwise_ito"
-    assert est.theta_hat == pytest.approx(1.0, rel=1e-12)
-    assert est.denominator == pytest.approx(t / 2, rel=1e-12)
+    x = np.array([0.0, x1, x2, x1, 0.0])
+    xi = x[1:] - math.exp(-p.theta * g.step) * x[:-1]  # the noise that replays to x
+    num, den, method = estimate_pathwise(g, p, xi[None, :], skorohod_correction(p))
+    assert method == "pathwise_ito"
+    assert num[0] / den[0] == pytest.approx(1.0, rel=1e-12)
+    assert den[0] == pytest.approx(t / 2, rel=1e-12)
 
 
 def test_estimate_consistency_brownian():
@@ -104,9 +81,8 @@ def test_estimate_consistency_brownian():
     ests = []
     for c0 in range(0, reps, 250):
         seeds = [derive_seed(9, 0, r) for r in range(c0, c0 + 250)]
-        for row in sample_fgn_batch(g, 0.5, seeds):
-            noise = NoisePath(grid=g, hurst=0.5, xi=row, seed=0)
-            ests.append(estimate_pathwise(simulate_fou(g, p, noise)).theta_hat)
+        num, den, _ = estimate_pathwise(g, p, sample_fgn_batch(g, 0.5, seeds), 0.0)
+        ests.extend(num / den)
     assert np.mean(ests) == pytest.approx(1.0, abs=0.02)
 
 
@@ -114,30 +90,30 @@ def test_estimate_consistency_fractional():
     theta, h, t, dt, reps = 1.0, 0.7, 500.0, 0.0125, 1000
     g = Grid.from_step(t, dt)
     p = ModelParams(theta=theta, hurst=h, horizon=t)
+    c_t = skorohod_correction(p)
     ests = []
     for c0 in range(0, reps, 125):
         seeds = [derive_seed(10, 0, r) for r in range(c0, c0 + 125)]
-        for row in sample_fgn_batch(g, h, seeds):
-            noise = NoisePath(grid=g, hurst=h, xi=row, seed=0)
-            est = estimate_pathwise(simulate_fou(g, p, noise))
-            assert est.method == "skorohod_oracle"
-            ests.append(est.theta_hat)
+        num, den, method = estimate_pathwise(g, p, sample_fgn_batch(g, h, seeds), c_t)
+        assert method == "skorohod_oracle"
+        ests.extend(num / den)
     assert np.mean(ests) == pytest.approx(1.0, abs=0.03)
 
 
 def test_estimate_degenerate_path_raises():
     g = Grid(horizon=10.0, n=32)
-    path = make_path_from_x(1.0, 0.5, g, np.zeros(33))
+    p = ModelParams(theta=1.0, hurst=0.5, horizon=10.0)
+    _, den, _ = estimate_pathwise(g, p, np.zeros((1, 32)), 0.0)
     with pytest.raises(DegeneratePathError):
-        estimate_pathwise(path)
+        check_denominators(p, den)
 
 
 def test_i2_zero_kernel():
     g = Grid(horizon=1.0, n=16)
     w = gram_weights(g, 0.6)
-    noise = sample_fgn(g, 0.6, seed=2)
+    xi = sample_fgn(g, 0.6, seed=2)
     zero = np.zeros((16, 16))
-    assert i2(zero, noise, w) == 0.0
+    assert i2(zero, xi, w) == 0.0
 
 
 def test_i2_mean_zero_and_isometry():
@@ -160,30 +136,28 @@ def test_i2_mean_zero_and_isometry():
 def test_i2_dimension_mismatch():
     g = Grid(horizon=1.0, n=16)
     w = gram_weights(g, 0.6)
-    noise = sample_fgn(Grid(horizon=1.0, n=8), 0.6, seed=3)
+    xi = sample_fgn(Grid(horizon=1.0, n=8), 0.6, seed=3)
     p = ModelParams(theta=1.0, hurst=0.6, horizon=1.0)
     with pytest.raises(ValueError):
-        i2(kernel_f(p, Grid(horizon=1.0, n=16)), noise, w)
+        i2(kernel_f(p, Grid(horizon=1.0, n=16)), xi, w)
 
 
 def test_normalized_statistic_zero_kernel_and_guards():
     t, n = 5.0, 32
     g = Grid(horizon=t, n=n)
     p = ModelParams(theta=1.0, hurst=0.5, horizon=t)
-    noise = sample_fgn(g, 0.5, seed=4)
-    path = simulate_fou(g, p, noise)
+    xi = sample_fgn(g, 0.5, seed=4)
     f = kernel_f(p, g)
     gg = kernel_g(p, g)
     b = b_t_closed_form(p)
     zero = np.zeros((n, n))
-    assert normalized_statistic(path, zero, gg, b) == 0.0
+    assert normalized_statistic(g, p, xi, zero, gg, b) == 0.0
     with pytest.raises(ValueError):
-        normalized_statistic(path, f, gg, 0.0)
+        normalized_statistic(g, p, xi, f, gg, 0.0)
     with pytest.raises(NumericsError):
         # force the denominator against -b so it is numerically zero
         bad = np.zeros((n, n))
-        path_zero = make_path_from_x(1.0, 0.5, g, np.zeros(n + 1))
-        normalized_statistic(path_zero, f, bad, 1e-12)
+        normalized_statistic(g, p, np.zeros(n), f, bad, 1e-12)
 
 
 def test_normalized_statistic_matches_pathwise_per_path():
@@ -197,10 +171,9 @@ def test_normalized_statistic_matches_pathwise_per_path():
     b = b_t_closed_form(p)
     gaps = []
     for r in range(20):
-        noise = sample_fgn(g, h, derive_seed(14, 0, r))
-        path = simulate_fou(g, p, noise)
-        chaos = normalized_statistic(path, f, gg, b, weights=w)
-        pathwise = normalized_pathwise_statistic(path)
+        xi = sample_fgn(g, h, derive_seed(14, 0, r))
+        chaos = normalized_statistic(g, p, xi, f, gg, b, weights=w)
+        pathwise = normalized_pathwise_statistic(g, p, xi)
         gaps.append(abs(pathwise - chaos) / max(abs(chaos), 1e-12))
     assert np.median(gaps) <= 0.05
 
@@ -214,10 +187,8 @@ def test_statistic_mean_zero():
     b = b_t_closed_form(p)
     vals = []
     for r in range(reps):
-        noise = NoisePath(grid=g, hurst=h, seed=0,
-                          xi=sample_fgn_batch(g, h, [derive_seed(15, 0, r)])[0])
-        path = simulate_fou(g, p, noise)
-        vals.append(normalized_statistic(path, f, gg, b, weights=w))
+        xi = sample_fgn_batch(g, h, [derive_seed(15, 0, r)])[0]
+        vals.append(normalized_statistic(g, p, xi, f, gg, b, weights=w))
     vals = np.asarray(vals)
     # centered up to the O(T^{-1/2}) skew of the finite-horizon law
     assert abs(vals.mean()) < 0.3

@@ -1,9 +1,10 @@
 """Property tests of the batched engine against its oracles over random
 small (theta, H, T, n): the half-spectrum sampler against a full-length
-complex FFT, batch and chunk invariance of every row, the one-scan chaos
-statistic against the dense quadratic forms, the batched `estimate`
-rows against the single-path estimator, and the two-product bound
-ingredients against the dense tensor algebra of `oracles`.
+complex FFT, batch and chunk invariance of every row of the sampler, the
+path and the pathwise estimate, the one-scan chaos statistic against the
+dense quadratic forms, the chunked `estimate` rows against a batch of one,
+and the two-product bound ingredients against the dense tensor algebra of
+`oracles`.
 """
 import math
 
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 import fou.montecarlo as mc
 from fou.bounds import _ingredients, asymptotics_report
 from fou.cli import RunConfig, _rows_estimate
-from fou.constants import ModelParams, b_t_closed_form
-from fou.fgn import Grid, NoisePath, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
+from fou.constants import ModelParams, b_t_closed_form, skorohod_correction
+from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
 from fou.hilbert import kernel_f, kernel_g
 from fou.montecarlo import _chaos_batch, _chaos_traces, run
 from fou.process import estimate_pathwise, simulate_fou
@@ -69,17 +70,28 @@ def test_half_spectrum_sampler_matches_full_fft(hurst, horizon, n, master):
 
 
 @SETTINGS
-@given(hurst=hursts, n=cells, master=master_seeds, data=st.data())
-def test_sampler_rows_independent_of_batching(hurst, n, master, data):
+@given(theta=thetas, hurst=hursts, n=cells, master=master_seeds, data=st.data())
+def test_sampler_rows_independent_of_batching(theta, hurst, n, master, data):
+    # the noise, the path and the pathwise estimate of a row: cut parts of a
+    # batch concatenate to the whole, and a row equals its batch of one
     grid = Grid(10.0, n)
+    params = ModelParams(theta=theta, hurst=hurst, horizon=10.0)
+    c_t = skorohod_correction(params)
+
+    def stages(xi):
+        num, den, _ = estimate_pathwise(grid, params, xi, c_t)
+        return xi, simulate_fou(grid, params, xi), num, den
+
     seeds = seeds_for(master, 7)
-    whole = sample_fgn_batch(grid, hurst, seeds)
+    whole = stages(sample_fgn_batch(grid, hurst, seeds))
     cuts = sorted(data.draw(st.lists(st.integers(1, 6), max_size=3, unique=True)))
-    parts = [sample_fgn_batch(grid, hurst, seeds[a:b])
+    parts = [stages(sample_fgn_batch(grid, hurst, seeds[a:b]))
              for a, b in zip([0, *cuts], [*cuts, len(seeds)])]
-    assert np.array_equal(np.concatenate(parts), whole)
     r = data.draw(st.integers(0, len(seeds) - 1))
-    assert np.array_equal(sample_fgn(grid, hurst, seeds[r]).xi, whole[r])
+    one = stages(sample_fgn(grid, hurst, seeds[r])[None, :])
+    for k, full in enumerate(whole):
+        assert np.array_equal(np.concatenate([part[k] for part in parts]), full)
+        assert np.array_equal(one[k][0], full[r])
 
 
 @SETTINGS
@@ -94,9 +106,8 @@ def test_one_scan_chaos_matches_dense_i2(theta, hurst, horizon, n, master):
     fast, _ = _chaos_batch(params, grid, xi, b_t, _chaos_traces(params, grid))
     w = gram_weights(grid, hurst)
     f, g = kernel_f(params, grid), kernel_g(params, grid)
-    for r, seed in enumerate(seeds):
-        noise = NoisePath(grid=grid, hurst=hurst, xi=xi[r], seed=seed)
-        dense = -i2(f, noise, w) / (i2(g, noise, w) + b_t)
+    for r in range(len(seeds)):
+        dense = -i2(f, xi[r], w) / (i2(g, xi[r], w) + b_t)
         assert fast[r] == pytest.approx(dense, rel=1e-9, abs=1e-9)
 
 
@@ -107,7 +118,7 @@ def test_one_scan_chaos_matches_dense_i2(theta, hurst, horizon, n, master):
 def test_batched_estimate_rows_equal_single_path(theta, hurst, dt, reps, chunk_cells, seed):
     cfg = RunConfig(command="estimate", theta=theta, hurst=hurst, t_list=(3.0, 7.0),
                     dt=dt, n=None, reps=reps, seed=seed, out="-",
-                    format="csv", method="chaos_ratio")
+                    format="csv", method=None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mc, "CHUNK_CELLS", chunk_cells)
         rows = _rows_estimate(cfg)
@@ -117,10 +128,11 @@ def test_batched_estimate_rows_equal_single_path(theta, hurst, dt, reps, chunk_c
         i = cfg.t_list.index(row["T"])
         grid = Grid.from_step(row["T"], dt)
         params = ModelParams(theta=theta, hurst=hurst, horizon=row["T"])
-        noise = sample_fgn(grid, hurst, derive_seed(seed, i, row["rep"]))
-        est = estimate_pathwise(simulate_fou(grid, params, noise))
+        xi = sample_fgn(grid, hurst, derive_seed(seed, i, row["rep"]))
+        num, den, method = estimate_pathwise(grid, params, xi[None, :],
+                                             skorohod_correction(params))
         assert (row["theta_hat"], row["numerator"], row["denominator"], row["method"]) == \
-            (est.theta_hat, est.numerator, est.denominator, est.method)
+            (float(num[0] / den[0]), float(num[0]), float(den[0]), method)
 
 
 @settings(max_examples=8, deadline=None)

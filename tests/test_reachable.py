@@ -75,3 +75,10 @@ def test_check_flags_an_unreachable_definition():
 
 def test_every_definition_is_reachable():
     assert unreachable(SOURCES, ROOTS) == []
+
+
+def test_only_the_benchmark_keeps_the_kernels_alive():
+    # a definition that only a BENCHMARK.json name reaches is production code
+    # no command runs; the dense kernels are the two that stay for the tracer
+    cli_roots = {("cli", "entry"), ("cli", "main")}
+    assert unreachable(SOURCES, cli_roots) == ["hilbert.kernel_f", "hilbert.kernel_g"]
