@@ -35,8 +35,9 @@ dense reference, for this route and the W f, (W f)^2 products it replaced:
 The scans use rho rounded: error ~ eps / (theta step).  g = c2 (K - v v')
 (c1 s_f = c2) cancels at theta T << 1 in both routes (the last two rows).
 
-`horizon_grids` resolves every horizon's grid and enforces the dense
-ceiling `hilbert.MAX_DENSE_N` before any n x n array exists.  The
+s_f, c1, c2 and v come from the compact kernels of `hilbert`, once per
+horizon.  `horizon_grids` resolves every horizon's grid and enforces the
+dense ceiling `MAX_DENSE_N` before any n x n array exists.  The
 asymptotics report re-measures each ingredient across a T grid against
 its known limit; the bound constants themselves are existential and
 never claimed, so rate checks are ratio-based.
@@ -50,7 +51,6 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dtbtrs
 
-from . import hilbert
 from .constants import (
     HURST_MAX,
     ModelParams,
@@ -60,7 +60,11 @@ from .constants import (
     stationary_variance,
 )
 from .fgn import Grid, gram_weights
-from .hilbert import boundary_vector, kernel_f_scale, kernel_g_coefficients
+from .hilbert import kernel_f, kernel_g
+
+# The bound ingredients hold two n x n arrays and take n^3 flops; this is the
+# supported ceiling, enforced on every horizon by `horizon_grids`.
+MAX_DENSE_N = 4096
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,7 @@ class AsymptoticsRow:
     """Measured scaled quantities at one horizon, with their limits.
 
     `quantities` maps a scaled-quantity name to (measured, limit, ratio);
-    ratio is measured/limit where the limit is finite and nonzero, else
-    None.
+    ratio is measured/limit where the limit is nonzero, else None.
     """
 
     t: float
@@ -109,13 +112,13 @@ def psi_from_ingredients(ing: Ingredients) -> tuple[float, float, float]:
 
 def horizon_grids(t_list, n: int | None = None, dt: float | None = None) -> list[Grid]:
     """The grid of every horizon under the discretization policy (see
-    `Grid.for_horizon`), each checked against `hilbert.MAX_DENSE_N` before
+    `Grid.for_horizon`), each checked against `MAX_DENSE_N` before
     any n x n array is built; a violation is a ValueError."""
     grids = [Grid.for_horizon(float(t), n=n, dt=dt) for t in t_list]
     for g in grids:
-        if g.n > hilbert.MAX_DENSE_N:
+        if g.n > MAX_DENSE_N:
             raise ValueError(f"horizon T={g.horizon} needs n={g.n} cells, above the dense "
-                             f"ceiling of {hilbert.MAX_DENSE_N} cells for the bound terms")
+                             f"ceiling of {MAX_DENSE_N} cells for the bound terms")
     return grids
 
 
@@ -146,8 +149,8 @@ def _ingredients(params: ModelParams, grid: Grid) -> tuple[Ingredients, float]:
         ||g x1 g||^2 = tr(Y Y), Y = c1^2 S S + c2 (c2 s u~ - c1 p~) v~' - c1 c2 u~ q~'
     Returns (Ingredients, ||h||^2).
     """
-    c1, c2 = kernel_g_coefficients(params)
-    s_f, n, rho = kernel_f_scale(params), grid.n, math.exp(-params.theta * grid.step)
+    c1, c2, v = kernel_g(params, grid)
+    s_f, n, rho = kernel_f(params, grid)[0], grid.n, math.exp(-params.theta * grid.step)
     d = np.sqrt(s_f * np.r_[np.full(n - 1, (1.0 - rho) * (1.0 + rho)), 1.0])
     band = np.zeros((2, n))
     band[1, :-1] = -rho
@@ -161,7 +164,7 @@ def _ingredients(params: ModelParams, grid: Grid) -> tuple[Ingredients, float]:
     tr_s2 = float(sm.ravel() @ sm.ravel())
     tr_s4 = 2.0 * float(s2 @ s2) - float(s2[::n + 1] @ s2[::n + 1])
     vt = np.zeros(n)
-    vt[-1] = boundary_vector(params, grid)[-1]
+    vt[-1] = v[-1]
     qt = sm @ vt
     ut = qt / s_f
     pt = sm @ ut
@@ -228,7 +231,7 @@ def asymptotics_report(theta: float, hurst: float, t_list, n: int | None = None,
             f"sqrt({label})*norm_g1g": (math.sqrt(scale) * ing.norm_g1g, 0.0),
         }
         quantities = {
-            name: (meas, lim, meas / lim if lim not in (0.0, None) else None)
+            name: (meas, lim, meas / lim if lim != 0.0 else None)
             for name, (meas, lim) in q.items()
         }
         rows.append(AsymptoticsRow(t=t, quantities=quantities))

@@ -16,10 +16,11 @@ it, and their RunConfig.method is None.  Every argv check runs once, in
 `parse_args`.  Every command needs a --t horizon; `kolmogorov`, `rate-fit`
 and `asymptotics` need them strictly increasing, and T > 1 at H = 3/4.  A
 grid above `fgn.MAX_CELLS` cells, or in `bounds` and `asymptotics` above
-`hilbert.MAX_DENSE_N`, is rejected where it is built (exit 2), before any
+`bounds.MAX_DENSE_N`, is rejected where it is built (exit 2), before any
 n-sized array exists.
 
-Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O.  The resolved
+Exit codes: 0 success, 2 usage, 3 numerical failure (a `NumericsError`,
+or an `ArithmeticError` such as an overflow), 4 I/O.  The resolved
 configuration (defaults included) is echoed to stderr before any work, and
 numbers are printed with 12 significant digits.
 """
@@ -251,7 +252,7 @@ def main(argv=None) -> int:
     try:
         rows = _ROW_BUILDERS[cfg.command](cfg)
         path = emit_report(rows, cfg)
-    except (NumericsError, FloatingPointError) as exc:
+    except (NumericsError, ArithmeticError) as exc:
         print(f"[fou] numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

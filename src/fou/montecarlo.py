@@ -17,7 +17,7 @@ form needs one forward scan, the banded solve `process.ar1_scan`:
 The boundary kernel is rank one, and the recentering traces use the
 Toeplitz structure of the Gram weights; everything is O(n) or O(n log n)
 per replication and agrees with the dense operations to rounding error.
-The scale of f, the coefficients of g and the boundary vector come from
+The Toeplitz row of f and the compact form (c1, c2, v) of g come from
 `hilbert`, once per horizon, through `_chaos_traces`.
 At H = 3/4 the statistic carries the extra 1/sqrt(log T) normalization.
 
@@ -52,7 +52,7 @@ from .constants import (
 )
 from .errors import DegeneratePathError
 from .fgn import Grid, derive_seed, increment_autocov, sample_fgn_batch
-from .hilbert import boundary_vector, kernel_f_scale, kernel_g_coefficients
+from .hilbert import kernel_f, kernel_g
 from .process import NEAR_ZERO_DENOM, ar1_scan, denominator_floor, estimate_pathwise
 
 CHAOS_RATIO = "chaos_ratio"
@@ -121,17 +121,16 @@ def _chaos_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
 
 def _chaos_traces(params: ModelParams, grid: Grid) -> tuple:
     """Per-horizon inputs of `_chaos_batch`: the recentering traces
-    tr(K_f W) and tr(K_h W) via the Toeplitz structure, then the boundary
-    vector v, the scale of f and the coefficients c1, c2 of g."""
+    tr(f W) and tr(v v' W) via the Toeplitz structure, then the boundary
+    vector v, the scale row[0] of f and the coefficients c1, c2 of g."""
     n = grid.n
     gamma = increment_autocov(grid, params.hurst)
-    k = np.arange(n, dtype=float)
-    sf = kernel_f_scale(params)
-    rho_pow = np.exp(-params.theta * grid.step * k)
-    tr_f = sf * (n * gamma[0] + 2.0 * np.sum((n - k[1:]) * rho_pow[1:] * gamma[1:]))
-    v = boundary_vector(params, grid)
+    row = kernel_f(params, grid)
+    lags = np.arange(1, n, dtype=float)
+    tr_f = n * row[0] * gamma[0] + 2.0 * np.sum((n - lags) * row[1:] * gamma[1:])
+    c1, c2, v = kernel_g(params, grid)
     tr_h = float(v @ matmul_toeplitz(gamma, v))
-    return (tr_f, tr_h, v, sf, *kernel_g_coefficients(params))
+    return (tr_f, tr_h, v, row[0], c1, c2)
 
 
 def _pathwise_batch(params: ModelParams, grid: Grid, xi: np.ndarray,

@@ -1,17 +1,22 @@
 """Dense reference implementations that the tests check the production
 routes against.  No `fou` command calls any of them.
 
-* `inner_h`, `norm2_h2`, `inner_h2`, `contract1` and `kernel_h` are the
-  generic weighted tensor algebra on midpoint-sampled kernels.  They check
+* `kernel_f`, `kernel_g`, `boundary_vector` and `kernel_h` are the kernels
+  as dense midpoint samples, each from its own closed form.  They check the
+  compact kernels of `fou.hilbert` (the Toeplitz row of f, and g as
+  (c1, c2, v)).
+* `inner_h`, `norm2_h2`, `inner_h2` and `contract1` are the generic
+  weighted tensor algebra on midpoint-sampled kernels.  They check
   `fou.bounds._ingredients`, which never forms f or g (every quantity
   there is a trace of the AR(1) factor S of W f, of S S, or of a low-rank
   update of S S).
 * `b_t_gram_quadrature` evaluates b_T from its defining time average.  It
   cross-checks `fou.constants.b_t_closed_form`.
 * `i2` and `normalized_statistic` form the second-chaos statistic
-  -I2(f) / (I2(g) + b_T) as dense quadratic forms.  They check the
-  one-scan `fou.montecarlo._chaos_batch` and the Toeplitz recentering
-  traces of `fou.montecarlo._chaos_traces`.
+  -I2(f) / (I2(g) + b_T) as dense quadratic forms; `i2` also takes a batch
+  of paths, one per row.  They check the one-scan
+  `fou.montecarlo._chaos_batch` and the Toeplitz recentering traces of
+  `fou.montecarlo._chaos_traces`.
   `normalized_pathwise_statistic` is the pathwise value of one path, a
   batch of one of `fou.process.estimate_pathwise`; it checks
   `fou.montecarlo._pathwise_batch`.
@@ -45,8 +50,31 @@ import numpy as np
 from fou.constants import HURST_MAX, ModelParams, _check_hurst, sigma2_h, skorohod_correction
 from fou.errors import NumericsError
 from fou.fgn import _MASK64, Grid, _unit_autocov, gram_weights
-from fou.hilbert import boundary_vector
 from fou.process import NEAR_ZERO_DENOM, estimate_pathwise
+
+
+def kernel_f(params: ModelParams, grid: Grid) -> np.ndarray:
+    """Numerator kernel f[i, j] = exp(-theta step |i - j|) / (2 sqrt(theta sigma2_H T)),
+    as midpoints i and j are |i - j| steps apart."""
+    scale = 1.0 / (2.0 * math.sqrt(params.theta * sigma2_h(params.hurst) * params.horizon))
+    idx = np.arange(grid.n)
+    return scale * np.exp(-params.theta * grid.step * np.abs(idx[:, None] - idx[None, :]))
+
+
+def boundary_vector(params: ModelParams, grid: Grid) -> np.ndarray:
+    """Midpoint samples v_i = exp(-theta (T - t*_i)); the boundary kernel is h = v v'."""
+    return np.exp(-params.theta * (params.horizon - grid.midpoints))
+
+
+def kernel_g(params: ModelParams, grid: Grid) -> np.ndarray:
+    """Denominator-fluctuation kernel
+
+        g = sqrt(sigma2_H / (theta T)) f - (1 / (2 theta T)) h.
+    """
+    theta_t = params.theta * params.horizon
+    c1, c2 = math.sqrt(sigma2_h(params.hurst) / theta_t), 1.0 / (2.0 * theta_t)
+    v = boundary_vector(params, grid)
+    return c1 * kernel_f(params, grid) - c2 * np.outer(v, v)
 
 
 def kernel_h(params: ModelParams, grid: Grid) -> np.ndarray:
@@ -115,17 +143,19 @@ def b_t_gram_quadrature(params: ModelParams, grid: Grid) -> float:
     return float(np.trapezoid(d, nodes) / params.horizon)
 
 
-def i2(k: np.ndarray, xi: np.ndarray, w: np.ndarray) -> float:
+def i2(k: np.ndarray, xi: np.ndarray, w: np.ndarray):
     """Discrete double Wiener-Ito integral of a midpoint-sampled kernel:
 
         sum_ij K[i,j] (xi_i xi_j - W[i,j]),
 
     a quadratic form recentred with the exact increment covariances, so
-    its expectation is zero by construction.
+    its expectation is zero by construction.  xi is one path (n,), giving
+    a float, or a batch of paths (rows, n), giving one value per row; the
+    recentering trace is taken once.
     """
-    if k.shape != w.shape or xi.shape != w.shape[:1]:
+    if k.shape != w.shape or xi.shape[-1:] != w.shape[:1]:
         raise ValueError("kernel, noise and weights must share one grid")
-    return float(xi @ k @ xi - np.einsum("ij,ij->", k, w))
+    return np.einsum("...i,...i->...", xi @ k, xi) - float(np.einsum("ij,ij->", k, w))
 
 
 def normalized_statistic(grid: Grid, params: ModelParams, xi: np.ndarray, kernel_f,

@@ -23,7 +23,6 @@ from fou.constants import (
     stationary_variance,
 )
 from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn_batch
-from fou.hilbert import kernel_f
 from fou.montecarlo import (
     CHAOS_RATIO,
     _chaos_batch,
@@ -32,7 +31,7 @@ from fou.montecarlo import (
     rate_fit,
     run,
 )
-from oracles import b_t_gram_quadrature, norm2_h2
+from oracles import b_t_gram_quadrature, kernel_f, norm2_h2
 
 THETA = 1.0
 

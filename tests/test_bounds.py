@@ -13,8 +13,15 @@ from fou.bounds import (
 )
 from fou.constants import ModelParams, delta_h, stationary_variance
 from fou.fgn import Grid, gram_weights
-from fou.hilbert import boundary_vector, kernel_f, kernel_g
-from oracles import contract1, inner_h2, norm2_h2, theoretical_rate_curve
+from oracles import (
+    boundary_vector,
+    contract1,
+    inner_h2,
+    kernel_f,
+    kernel_g,
+    norm2_h2,
+    theoretical_rate_curve,
+)
 
 
 def ing(**kw):

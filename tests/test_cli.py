@@ -8,7 +8,6 @@ import pytest
 import fou.bounds as bounds
 import fou.cli as cli
 import fou.fgn as fgn
-import fou.hilbert as hilbert
 import fou.montecarlo as mc
 import fou.process as process
 from fou.cli import COMMANDS, CSV_COLUMNS, RunConfig, emit_report, main, parse_args
@@ -98,16 +97,36 @@ def test_eps_is_not_a_flag(command):
      "step dt=1e-08 on T=10.0 exceeds MAX_CELLS=4194304 cells"),
     (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--dt", "1e-310"],
      "exceeds MAX_CELLS=4194304 cells"),   # T/dt overflows to inf
+    (["bounds", "--theta", "1e300", "--hurst", "0.6", "--t", "10", "--n", "64"],
+     "b_T must be positive, got 0.0"),     # b_T underflows to 0
 ], ids=["step_wider_than_horizon", "bounds_theta_nan", "kolmogorov_theta_nan",
         "estimate_t_nan", "simulate_t_inf", "dt_nan", "kolmogorov_reps_50",
         "kolmogorov_decreasing_t", "rate_fit_repeated_t", "asymptotics_decreasing_t",
         "kolmogorov_method_mle", "estimate_method", "step_above_cell_ceiling",
-        "step_overflows"])
+        "step_overflows", "bounds_b_t_underflows"])
 def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["bounds", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64"],
+    ["asymptotics", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64"],
+    ["estimate", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64",
+     "--reps", "10"],
+    ["bounds", "--theta", "1", "--hurst", "0.6", "--t", "1e300", "--n", "64"],
+    ["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "1e300", "--n", "64",
+     "--reps", "100"],
+], ids=["bounds_tiny_theta", "asymptotics_tiny_theta", "estimate_tiny_theta",
+        "bounds_huge_t", "kolmogorov_huge_t"])
+def test_overflow_exits_3_without_output(args, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code = main([*args, "--out", str(out)])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -288,7 +307,7 @@ def test_estimate_one_row_below_floor_exits_3(tmp_path, monkeypatch, capsys):
     ["asymptotics", "--t", "5,20", "--dt", "0.25"],
 ])
 def test_dense_ceiling_rejects_before_any_dense_work(args, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(hilbert, "MAX_DENSE_N", 64)
+    monkeypatch.setattr(bounds, "MAX_DENSE_N", 64)
     monkeypatch.setattr(bounds, "gram_weights",
                         lambda *a: pytest.fail("n x n work before the ceiling check"))
     out = tmp_path / "out.csv"

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
+from fou import hilbert
 from fou.constants import ModelParams, b_t_closed_form, delta_h, sigma2_h
 from fou.fgn import Grid, gram_weights
-from fou.hilbert import kernel_f, kernel_g
 from oracles import (
     b_t_gram_quadrature,
     contract1,
     fbm_cov,
     inner_h,
     inner_h2,
+    kernel_f,
+    kernel_g,
     kernel_h,
     norm2_h2,
 )
@@ -19,6 +22,20 @@ from oracles import (
 
 def params_grid(theta, h, t, n):
     return ModelParams(theta=theta, hurst=h, horizon=t), Grid(horizon=t, n=n)
+
+
+@pytest.mark.parametrize("theta, h, t, n", [
+    (1.0, 0.5, 10.0, 64),
+    (0.7, 0.6, 25.0, 100),
+    (2.0, 0.75, 5.0, 33),
+    (1.3, 0.6, 3.0, 2),
+])
+def test_compact_kernels_expand_to_the_dense_oracles(theta, h, t, n):
+    p, g = params_grid(theta, h, t, n)
+    f = toeplitz(hilbert.kernel_f(p, g))
+    assert np.allclose(f, kernel_f(p, g), rtol=1e-13, atol=0)
+    c1, c2, v = hilbert.kernel_g(p, g)
+    assert np.allclose(c1 * f - c2 * np.outer(v, v), kernel_g(p, g), rtol=1e-13, atol=0)
 
 
 def test_kernel_f_diagonal_and_decay():

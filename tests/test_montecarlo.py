@@ -6,7 +6,6 @@ import scipy.stats
 
 from fou.constants import ModelParams, b_t_closed_form
 from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn_batch
-from fou.hilbert import kernel_f, kernel_g
 from fou.montecarlo import (
     CHAOS_RATIO,
     _chaos_batch,
@@ -16,7 +15,7 @@ from fou.montecarlo import (
     rate_fit,
     run,
 )
-from oracles import normalized_pathwise_statistic, normalized_statistic
+from oracles import kernel_f, kernel_g, normalized_pathwise_statistic, normalized_statistic
 
 
 def test_ks_distance_hand_computed():

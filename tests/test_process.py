@@ -8,9 +8,15 @@ from hypothesis import strategies as st
 from fou.constants import ModelParams, b_t_closed_form, skorohod_correction
 from fou.errors import DegeneratePathError, NumericsError
 from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
-from fou.hilbert import kernel_f, kernel_g
 from fou.process import ar1_scan, check_denominators, estimate_pathwise, simulate_fou
-from oracles import i2, norm2_h2, normalized_pathwise_statistic, normalized_statistic
+from oracles import (
+    i2,
+    kernel_f,
+    kernel_g,
+    norm2_h2,
+    normalized_pathwise_statistic,
+    normalized_statistic,
+)
 
 
 def test_simulate_zero_noise_is_zero():
@@ -185,11 +191,8 @@ def test_statistic_mean_zero():
     w = gram_weights(g, h)
     f, gg = kernel_f(p, g), kernel_g(p, g)
     b = b_t_closed_form(p)
-    vals = []
-    for r in range(reps):
-        xi = sample_fgn_batch(g, h, [derive_seed(15, 0, r)])[0]
-        vals.append(normalized_statistic(g, p, xi, f, gg, b, weights=w))
-    vals = np.asarray(vals)
+    xi = sample_fgn_batch(g, h, [derive_seed(15, 0, r) for r in range(reps)])
+    vals = -i2(f, xi, w) / (i2(gg, xi, w) + b)
     # centered up to the O(T^{-1/2}) skew of the finite-horizon law
     assert abs(vals.mean()) < 0.3
     assert vals.var() == pytest.approx(1.0, abs=0.15)

@@ -18,10 +18,9 @@ from fou.bounds import _ingredients, asymptotics_report
 from fou.cli import RunConfig, _rows_estimate
 from fou.constants import ModelParams, b_t_closed_form, skorohod_correction
 from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
-from fou.hilbert import kernel_f, kernel_g
 from fou.montecarlo import _chaos_batch, _chaos_traces, run
 from fou.process import estimate_pathwise, simulate_fou
-from oracles import contract1, fgn_autocov, i2, inner_h2, norm2_h2
+from oracles import contract1, fgn_autocov, i2, inner_h2, kernel_f, kernel_g, norm2_h2
 
 SETTINGS = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])

@@ -79,6 +79,6 @@ def test_every_definition_is_reachable():
 
 def test_only_the_benchmark_keeps_the_kernels_alive():
     # a definition that only a BENCHMARK.json name reaches is production code
-    # no command runs; the dense kernels are the two that stay for the tracer
+    # no command runs, and there is none
     cli_roots = {("cli", "entry"), ("cli", "main")}
-    assert unreachable(SOURCES, cli_roots) == ["hilbert.kernel_f", "hilbert.kernel_g"]
+    assert unreachable(SOURCES, cli_roots) == []
