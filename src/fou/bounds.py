@@ -12,35 +12,43 @@ b enters through the closed form, not the matrix quadrature, so that the
 bound terms do not compound discretization error.
 
 f is s_f times the Kac-Murdock-Szego matrix K[i, j] = rho^|i-j| (1953),
-rho = exp(-theta step), whose factor C (K = C C') is the AR(1) recursion of
-`process.ar1_scan`.  So A = W f, with W the Gram weights of the grid, is
-similar to the symmetric S = s_f C' W C, which two O(n^2) scans build in
-place of W; S S is one `dsyrk`, n^3 flops.  As g = c1 f - c2 v v' is f plus
-a rank-one term, every g-ingredient is a trace of a low-rank update of S S,
-through matrix-vector products by
-
-    tr((a X + P Q')(b X + R S'))
-        = a b tr(X X) + a tr(S' X R) + b tr(Q' X P) + tr((Q' R)(S' P)).
+rho = exp(-theta step), whose AR(1) factor makes W f and W g, with W the
+Toeplitz Gram matrix of the grid, similar to symmetric S_f and S_g.  Every
+ingredient is a trace, a Frobenius norm or a weighted entrywise product of
+X = S_f S_f and Y = S_g S_g (`_ingredients`).  Neither S nor its square is
+formed.  The displacement S S - Z S S Z' (Z the down shift) has 9
+generator columns, each one product by S: two AR(1) scans and a Toeplitz
+product through the length-2n circulant of the row of W (Kailath, Kung
+and Morf 1979).  X[k, k+d] is then a prefix sum along diagonal d, and one
+sweep over the rows, carrying the running sum of every diagonal, yields X
+and Y together: O(n^2) flops and O(n) memory.
 
 Largest relative error of the six matrix ingredients against a long-double
-dense reference, for this route and the W f, (W f)^2 products it replaced:
+dense reference (the same float64 s_f, c1 and c2; w, K, v and every product
+in long double), for the dense factor route this replaced (S formed, S S from
+one `dsyrk`, the g-terms as low-rank updates of its traces) and for the
+generator route:
 
-    theta  H     T     n    theta step  dense    factor
-    1      0.6   200   512  0.39        2.9e-16  4.7e-16
-    0.5    0.75  8     256  0.016       5.3e-16  4.1e-15
-    0.5    0.6   2     512  0.0020      5.7e-15  1.8e-14
-    0.1    0.7   0.25  128  0.00020     5.9e-9   2.2e-9
-    0.01   0.6   1     256  0.000039    2.4e-8   4.4e-8
+    theta  H     T     n    theta step  factor   generator
+    1      0.6   200   512  0.39        2.0e-16  1.1e-15
+    0.5    0.75  8     256  0.016       4.1e-15  3.0e-15
+    0.5    0.6   2     512  0.0020      1.9e-14  2.1e-14
+    0.1    0.7   0.25  128  0.00020     3.6e-10  1.8e-14
+    0.01   0.6   1     256  0.000039    2.7e-9   6.4e-13
 
-The scans use rho rounded: error ~ eps / (theta step).  g = c2 (K - v v')
-(c1 s_f = c2) cancels at theta T << 1 in both routes (the last two rows).
+At theta T << 1, g = c2 (K - v v') (c1 s_f = c2) is a small difference of
+matrices near all-ones.  The factor route took each g-term as a difference
+of traces and lost digits (the last two rows); here the difference sits in
+one scalar, lam = -expm1(-theta step), computed without cancelling.  What
+remains is the rounding of rho, ~eps / (theta step) in the g-terms.
 
 s_f, c1, c2 and v come from the compact kernels of `hilbert`, once per
 horizon.  `horizon_grids` resolves every horizon's grid and enforces the
-dense ceiling `MAX_DENSE_N` before any n x n array exists.  The
-asymptotics report re-measures each ingredient across a T grid against
-its known limit; the bound constants themselves are existential and
-never claimed, so rate checks are ratio-based.
+cell ceiling `MAX_BOUND_CELLS`, set from measured time (see there), before
+any n-sized array exists.  The asymptotics report re-measures each
+ingredient across a T grid against its known limit; the bound constants
+themselves are existential and never claimed, so rate checks are
+ratio-based.
 """
 from __future__ import annotations
 
@@ -48,7 +56,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dtbtrs
 
 from .constants import (
@@ -59,12 +66,15 @@ from .constants import (
     sigma2_h,
     stationary_variance,
 )
-from .fgn import Grid, gram_weights
+from .errors import NumericsError
+from .fgn import Grid, increment_autocov
 from .hilbert import kernel_f, kernel_g
 
-# The bound ingredients hold two n x n arrays and take n^3 flops; this is the
-# supported ceiling, enforced on every horizon by `horizon_grids`.
-MAX_DENSE_N = 4096
+# The largest power of two at which one horizon of `_ingredients` takes no
+# longer than the dense n^3 route it replaced took at n = 4096 (1.1-1.5 s):
+# 0.33-0.44 s at n = 8192 and 1.5-1.8 s at 16384 (theta = 1, H = 0.6, 2 vCPUs,
+# OpenBLAS on 2 threads).  Enforced on every horizon by `horizon_grids`.
+MAX_BOUND_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -112,78 +122,110 @@ def psi_from_ingredients(ing: Ingredients) -> tuple[float, float, float]:
 
 def horizon_grids(t_list, n: int | None = None, dt: float | None = None) -> list[Grid]:
     """The grid of every horizon under the discretization policy (see
-    `Grid.for_horizon`), each checked against `MAX_DENSE_N` before
-    any n x n array is built; a violation is a ValueError."""
+    `Grid.for_horizon`), each checked against `MAX_BOUND_CELLS` before
+    any n-sized array is built; a violation is a ValueError."""
     grids = [Grid.for_horizon(float(t), n=n, dt=dt) for t in t_list]
     for g in grids:
-        if g.n > MAX_DENSE_N:
-            raise ValueError(f"horizon T={g.horizon} needs n={g.n} cells, above the dense "
-                             f"ceiling of {MAX_DENSE_N} cells for the bound terms")
+        if g.n > MAX_BOUND_CELLS:
+            raise ValueError(f"horizon T={g.horizon} needs n={g.n} cells, above the "
+                             f"ceiling of {MAX_BOUND_CELLS} cells for the bound terms")
     return grids
 
 
-def _trace_update(x: np.ndarray, tr_x2: float, a: float, p: np.ndarray, q: np.ndarray,
-                  b: float, r: np.ndarray, s: np.ndarray) -> float:
-    """tr((a X + P Q')(b X + R S')) for X = x x, x symmetric, and n x k factors
-    P, Q, R, S, given tr(X X); the only n x n work is x (x P) and x (x R)."""
-    return float(a * b * tr_x2
-                 + a * np.einsum("ik,ik->", s, x @ (x @ r))
-                 + b * np.einsum("ik,ik->", q, x @ (x @ p))
-                 + np.einsum("ij,ji->", q.T @ r, s.T @ p))
+def _diagonal_sweep(left: np.ndarray, right: np.ndarray):
+    """Row by row, the upper triangles of the symmetric X and Y whose
+    displacements are X - Z X Z' = left[0] right[0]' and Y - Z Y Z' =
+    left[1] right[1]'.  Row k of X is its displacement row plus row k-1
+    shifted one place: X[k, k+d] is the prefix sum over i <= k of
+    left[i] . right[i+d] along diagonal d.  Returns, per row k, the Gram
+    matrix of (X[k, k:], Y[k, k:]) and their first and last entries."""
+    n, r = left.shape[1:]
+    # Entries below 1e-150 of their column's largest cannot move a float64
+    # sum; left in, they underflow to subnormals, which made the sweep
+    # three times slower at theta T > 708.
+    left, right = (np.where(np.abs(x) < 1e-150 * np.abs(x).max(axis=1, keepdims=True), 0.0, x)
+                   for x in (left, right))
+    rows = np.zeros((n, 2, 2 * r))
+    rows[:, 0, :r], rows[:, 1, r:] = left[0], left[1]
+    cols = np.ascontiguousarray(np.concatenate([right[0], right[1]], axis=1).T)
+    gram, first, last = np.empty((n, 2, 2)), np.empty((n, 2)), np.empty((n, 2))
+    prev = np.zeros((2, n + 1))
+    for k in range(n):
+        row = rows[k] @ cols[:, k:]
+        row += prev[:, :-1]
+        gram[k] = row @ row.T
+        first[k], last[k], prev = row[:, 0], row[:, -1], row
+    return gram, first, last
 
 
 def _ingredients(params: ModelParams, grid: Grid) -> tuple[Ingredients, float]:
-    """All seven ingredients from the factor S = s_f C' W C of A = W f.
+    """All seven ingredients from one sweep over X = S_f S_f and Y = S_g S_g.
 
-    C = L' D, with L = (I - rho shift)^-1 the forward AR(1) scan and
-    D = diag(sqrt(1 - rho^2), ..., sqrt(1 - rho^2), 1): the stationary
-    recursion run back from the last cell.  S = s_f D (L W L') D is built in
-    place of W: a banded solve applies L to the columns of W' = W, which read
-    by rows is W L', and a row scan applies L again.  v is v[n-1] times the
-    last column of K, so v~ = C^-1 v = v[n-1] e_{n-1};
-    with u~ = C' W v = S v~ / s_f, q~ = S v~, p~ = S u~ and s = v~'u~:
-        ||f||^2 = tr(S S),  ||f x1 f||^2 = tr((S S)^2),  ||h||^2 = s^2
-        <f, g>  = c1 tr(S S) - c2 v~'p~
-        ||g||^2 = c1^2 tr(S S) - 2 c1 c2 v~'p~ + c2^2 s^2
-        ||f x1 g||^2 = tr((c1 S S - c2 p~ v~')(c1 S S - c2 u~ q~'))
-        ||g x1 g||^2 = tr(Y Y), Y = c1^2 S S + c2 (c2 s u~ - c1 p~) v~' - c1 c2 u~ q~'
-    Returns (Ingredients, ||h||^2).
+    K = C C' with C = L' D^, L = (I - rho Z)^-1 and D^ = diag(sqrt(1 - rho^2),
+    ..., sqrt(1 - rho^2), 1), so W f is similar to S_f = s_f D^ M D^ with
+    M = L W L'.  As v = v[n-1] C e (e = e_{n-1}), g = c2 C E C' with
+    E = diag(1, ..., 1, lam), lam = 1 - v[n-1]^2 = -expm1(-theta step), and
+    W g is similar to S_g = c2 E^1/2 D^ M D^ E^1/2.  Then
+        ||f||^2 = tr X,  ||f x1 f||^2 = ||X||_F^2,  ||g||^2 = tr Y,
+        ||g x1 g||^2 = ||Y||_F^2,  <f, g> = (c2 / s_f) sum_i E_ii X_ii,
+        ||f x1 g||^2 = sum_ij sqrt(E_ii / E_jj) X_ij Y_ij,
+        ||h||^2 = s^2,  s = v' W v = v[n-1]^2 (S_f)_{n-1,n-1} / s_f.
+    For H >= 1/2 every entry of W, L, X and Y is nonnegative, so no g-term
+    is a difference.  Returns (Ingredients, ||h||^2).
     """
+    n, x = grid.n, params.theta * grid.step
+    rho, lam = math.exp(-x), -math.expm1(-x)
     c1, c2, v = kernel_g(params, grid)
-    s_f, n, rho = kernel_f(params, grid)[0], grid.n, math.exp(-params.theta * grid.step)
-    d = np.sqrt(s_f * np.r_[np.full(n - 1, (1.0 - rho) * (1.0 + rho)), 1.0])
+    s_f = kernel_f(params, grid)[0]
+    if not (rho < 1.0 and math.isfinite(s_f) and math.isfinite(c1) and math.isfinite(c2)):
+        raise NumericsError(f"theta*step = {x:.6g} leaves the AR(1) factor of the kernels "
+                            f"degenerate (rho = {rho}, s_f = {s_f}, c1 = {c1}, c2 = {c2})")
+    w = increment_autocov(grid, params.hurst)
     band = np.zeros((2, n))
     band[1, :-1] = -rho
-    w = gram_weights(grid, params.hurst)
-    sm = dtbtrs(band, w.T, uplo="L", diag="U", overwrite_b=1)[0].T  # W L', in place
-    for i in range(1, n):
-        sm[i] += rho * sm[i - 1]  # L W L'
-    sm *= d
-    sm *= d[:, None]
-    s2 = dsyrk(1.0, sm.T).ravel(order="K")  # S S, upper triangle only
-    tr_s2 = float(sm.ravel() @ sm.ravel())
-    tr_s4 = 2.0 * float(s2 @ s2) - float(s2[::n + 1] @ s2[::n + 1])
-    vt = np.zeros(n)
-    vt[-1] = v[-1]
-    qt = sm @ vt
-    ut = qt / s_f
-    pt = sm @ ut
-    s, vp = float(vt @ ut), float(vt @ pt)
-    f1g2 = _trace_update(sm, tr_s4, c1, -c2 * pt[:, None], vt[:, None],
-                         c1, -c2 * ut[:, None], qt[:, None])
-    yp = np.column_stack([c2 * (c2 * s * ut - c1 * pt), -c1 * c2 * ut])
-    yq = np.column_stack([vt, qt])
-    g1g2 = _trace_update(sm, tr_s4, c1 * c1, yp, yq, c1 * c1, yp, yq)
+    spectrum = np.fft.rfft(np.r_[w, 0.0, w[:0:-1]])  # the circulant embedding of W
+
+    def m_apply(y):  # M y: backward scan, Toeplitz product, forward scan
+        u = dtbtrs(band, y, uplo="L", trans="T", diag="U")[0]
+        u = np.fft.irfft(spectrum[:, None] * np.fft.rfft(u, 2 * n, axis=0), 2 * n, axis=0)
+        return dtbtrs(band, u[:n], uplo="L", diag="U")[0]
+
+    ends = np.zeros((n, 2))
+    ends[0, 0] = ends[-1, 1] = 1.0
+    a, m = m_apply(ends).T  # L w and M e, as L' e_0 = e_0
+    # M - Z M Z' = L (W - Z W Z') L' = a l' + l a' - w_0 l l' with l = L e_0, and
+    # S = D M D, D = diag(d, ..., d, d_last), adds the last row and column:
+    # S - Z S Z' = g0 j g0'.  With h0 = g0 j and z = Z S e,
+    # S S - Z S S Z' = (S g0) h0' + g0 (S h0 - h0 g0' h0)' - z z'.
+    g0 = np.column_stack([a, rho ** np.arange(n), ends[:, 1], m])
+    left, right = [], []
+    for scale, scale_last in ((s_f, s_f), (c2, c2 * lam)):  # S_f, then S_g
+        d, d_last = math.sqrt(scale * (1.0 - rho) * (1.0 + rho)), math.sqrt(scale_last)
+        cross = d * (d_last - d)
+        j = np.array([[0.0, d * d, 0.0, 0.0],
+                      [d * d, -w[0] * d * d, 0.0, 0.0],
+                      [0.0, 0.0, (d_last - d) ** 2 * m[-1], cross],
+                      [0.0, 0.0, cross, 0.0]])
+        dv = np.r_[np.full(n - 1, d), d_last][:, None]
+        sg0 = dv * m_apply(dv * g0)
+        z = np.r_[0.0, sg0[:-1, 2]]
+        left.append(np.column_stack([sg0, g0, z]))
+        right.append(np.column_stack([g0 @ j, (sg0 - g0 @ (j @ (g0.T @ g0))) @ j, -z]))
+    gram, first, last = _diagonal_sweep(np.stack(left), np.stack(right))
+    sq = 2.0 * gram.sum(axis=0) - first.T @ first  # off-diagonal pairs count twice
+    root = math.sqrt(lam)  # pair weight on the last column: root + 1/root = 2 + (1 - root)^2/root
+    f1g2 = sq[0, 1] + (1.0 - root) ** 2 / root * float(last[:-1, 0] @ last[:-1, 1])
+    s = v[-1] ** 2 * left[0][-1, 2] / s_f  # left[0][:, 2] = S_f e
     ing = Ingredients(
         b_t=b_t_closed_form(params),
-        norm_f2=tr_s2,
-        norm_f1f=math.sqrt(tr_s4),
-        norm_f1g=math.sqrt(max(f1g2, 0.0)),
-        inner_fg=c1 * tr_s2 - c2 * vp,
-        norm_g2=c1 * c1 * tr_s2 - 2.0 * c1 * c2 * vp + c2 * c2 * s * s,
-        norm_g1g=math.sqrt(max(g1g2, 0.0)),
+        norm_f2=float(first[:, 0].sum()),
+        norm_f1f=math.sqrt(sq[0, 0]),
+        norm_f1g=math.sqrt(f1g2),
+        inner_fg=c2 / s_f * float(first[:-1, 0].sum() + lam * first[-1, 0]),
+        norm_g2=float(first[:, 1].sum()),
+        norm_g1g=math.sqrt(sq[1, 1]),
     )
-    return ing, s * s
+    return ing, float(s * s)
 
 
 def psi_terms(params: ModelParams, grid: Grid) -> BoundTerms:

@@ -16,7 +16,7 @@ it, and their RunConfig.method is None.  Every argv check runs once, in
 `parse_args`.  Every command needs a --t horizon; `kolmogorov`, `rate-fit`
 and `asymptotics` need them strictly increasing, and T > 1 at H = 3/4.  A
 grid above `fgn.MAX_CELLS` cells, or in `bounds` and `asymptotics` above
-`bounds.MAX_DENSE_N`, is rejected where it is built (exit 2), before any
+`bounds.MAX_BOUND_CELLS`, is rejected where it is built (exit 2), before any
 n-sized array exists.
 
 Exit codes: 0 success, 2 usage, 3 numerical failure (a `NumericsError`,

@@ -1,10 +1,12 @@
 """Exact sampling of fractional Gaussian noise and its covariance structure.
 
-The increment covariances double as quadrature weights: `gram_weights`
-returns the plain n x n array W of exact cell-pair covariances, which is
-the Gram matrix of indicator functions under the fBm inner product, so
-every weighted inner product downstream carries no quadrature error from
-the singular kernel.
+The increment covariances double as quadrature weights: W, the n x n
+matrix of exact cell-pair covariances, is the Gram matrix of indicator
+functions under the fBm inner product, so every weighted inner product
+downstream carries no quadrature error from the singular kernel.  W is
+Toeplitz, and production reads only its first row, `increment_autocov`;
+the dense `gram_weights` is left for the benchmark's per-layer metric and
+the test oracles.
 
 Sampling uses circulant embedding of the fGn autocovariance (Davies & Harte
 1987; Wood & Chan 1994).  The length-2n embedding is nonnegative definite

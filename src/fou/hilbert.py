@@ -7,7 +7,8 @@ boundary vector v_i = exp(-theta (T - t*_i)), both sampled at the grid
 midpoints.  f is Toeplitz, as midpoints i and j are |i - j| steps apart, so
 `kernel_f` returns its first row; `kernel_g` returns (c1, c2, v).  No n x n
 kernel is formed: the bound ingredients in `bounds` take the weighted
-tensor norms of f and g from the AR(1) factor of f, and the O(n)
+tensor norms of f and g from the scale of f, c1, c2 and v[n-1], through
+the displacement generators of the AR(1) factor of f, and the O(n)
 per-replication statistic in `montecarlo` takes its recentering traces
 from the Toeplitz row.  The dense kernels and the tensor algebra on them
 are test oracles only (`tests/oracles.py`).

@@ -7,9 +7,11 @@ routes against.  No `fou` command calls any of them.
   (c1, c2, v)).
 * `inner_h`, `norm2_h2`, `inner_h2` and `contract1` are the generic
   weighted tensor algebra on midpoint-sampled kernels.  They check
-  `fou.bounds._ingredients`, which never forms f or g (every quantity
-  there is a trace of the AR(1) factor S of W f, of S S, or of a low-rank
-  update of S S).
+  `fou.bounds._ingredients`, which never forms f, g or any n x n array
+  (every quantity there comes from the displacement generators of the
+  squared AR(1) factors of W f and W g).  `ingredients_long_double` is the
+  same algebra in long double, the reference where float64 loses digits:
+  the g-terms at theta T << 1.
 * `b_t_gram_quadrature` evaluates b_T from its defining time average.  It
   cross-checks `fou.constants.b_t_closed_form`.
 * `i2` and `normalized_statistic` form the second-chaos statistic
@@ -123,6 +125,35 @@ def contract1(k1: np.ndarray, k2: np.ndarray, w: np.ndarray) -> np.ndarray:
     Not symmetric in general, even for symmetric inputs.
     """
     return k1 @ w @ k2
+
+
+def ingredients_long_double(params: ModelParams, grid: Grid) -> dict:
+    """The six matrix ingredients and ||h||^2 = (v' W v)^2 from dense
+    long-double products: w, K, v and every product in np.longdouble, with
+    the float64 scale of f and the float64 c1 and c2 of g = c1 f - c2 v v'.
+    O(n^3) without BLAS; meant for n <= 256."""
+    ld = np.longdouble
+    theta, hurst, t = params.theta, params.hurst, params.horizon
+    scale = 1.0 / (2.0 * math.sqrt(theta * sigma2_h(hurst) * t))
+    c1, c2 = math.sqrt(sigma2_h(hurst) / (theta * t)), 1.0 / (2.0 * theta * t)
+    k = np.arange(grid.n, dtype=ld)
+    two_h, step = 2 * ld(hurst), ld(t) / grid.n
+    w = step**two_h * (((k + 1) ** two_h - 2 * k**two_h + np.abs(k - 1) ** two_h) / 2)
+    lag = np.abs(k[:, None] - k[None, :])
+    weights = w[lag.astype(int)]
+    f = ld(scale) * np.exp(-ld(theta) * step * lag)
+    v = np.exp(-ld(theta) * (ld(t) - (k + ld(0.5)) * step))
+    a_f, a_g = weights @ f, weights @ (ld(c1) * f - ld(c2) * np.outer(v, v))
+    ff, gg, fg, gf = a_f @ a_f, a_g @ a_g, a_f @ a_g, a_g @ a_f
+    return {
+        "norm_f2": np.trace(ff),
+        "norm_f1f": np.sqrt(np.sum(ff * ff.T)),      # tr(W f W f W f W f)
+        "norm_f1g": np.sqrt(np.sum(fg * gf.T)),      # tr(W f W g W g W f)
+        "inner_fg": np.trace(fg),
+        "norm_g2": np.trace(gg),
+        "norm_g1g": np.sqrt(np.sum(gg * gg.T)),
+        "norm_h2": (v @ weights @ v) ** 2,
+    }
 
 
 def b_t_gram_quadrature(params: ModelParams, grid: Grid) -> float:

@@ -16,6 +16,7 @@ from fou.fgn import Grid, gram_weights
 from oracles import (
     boundary_vector,
     contract1,
+    ingredients_long_double,
     inner_h2,
     kernel_f,
     kernel_g,
@@ -100,8 +101,35 @@ def test_ingredients_near_unit_ar1_coefficient(n, theta_t, hurst):
     assert norm_h2 == pytest.approx(float(v @ w @ v) ** 2, rel=1e-11)
 
 
+@pytest.mark.parametrize("theta, hurst, horizon, n", [
+    (1.0, 0.6, 200.0, 256), (0.5, 0.75, 8.0, 256), (0.1, 0.7, 0.25, 128), (0.01, 0.6, 1.0, 256)])
+def test_ingredients_match_long_double_reference(theta, hurst, horizon, n):
+    # at theta T << 1 (the last two cases) g = c2 (K - v v') is a small
+    # difference of near-ones matrices, where float64 dense algebra loses digits
+    p = ModelParams(theta=theta, hurst=hurst, horizon=horizon)
+    ing, norm_h2 = _ingredients(p, Grid(horizon=horizon, n=n))
+    ref = ingredients_long_double(p, Grid(horizon=horizon, n=n))
+    got = {name: getattr(ing, name) for name in ref if name != "norm_h2"} | {"norm_h2": norm_h2}
+    for name, want in ref.items():
+        assert abs(float(got[name] / want - 1)) <= 5e-12, name
+
+
+def test_ingredients_peak_is_linear_in_n():
+    # no n x n array: at n = 4096 the peak stays within 1/8 of one (16 MiB)
+    p = ModelParams(theta=1.0, hurst=0.6, horizon=200.0)
+    for n in (1024, 4096):
+        tracemalloc.start()
+        try:
+            _ingredients(p, Grid(horizon=200.0, n=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096 * n, n
+
+
 def test_ingredients_hold_two_dense_arrays_at_peak():
-    # W is overwritten by the factor S, and S S is the only other n x n array
+    # the bound of the dense route this replaced; the generator route holds
+    # no n x n array (test_ingredients_peak_is_linear_in_n)
     n = 1024
     p = ModelParams(theta=1.0, hurst=0.6, horizon=50.0)
     tracemalloc.start()

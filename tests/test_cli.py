@@ -122,11 +122,16 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
      "--reps", "100"],
 ], ids=["bounds_tiny_theta", "asymptotics_tiny_theta", "estimate_tiny_theta",
         "bounds_huge_t", "kolmogorov_huge_t"])
-def test_overflow_exits_3_without_output(args, tmp_path, capsys):
+def test_overflow_exits_3_without_output(args, tmp_path, capsys, recwarn):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])
+    err = capsys.readouterr().err
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert "numerical failure" in err
+    if args[0] in ("bounds", "asymptotics"):
+        # pytest records warnings instead of printing them, so check both
+        assert "RuntimeWarning" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 
@@ -307,14 +312,14 @@ def test_estimate_one_row_below_floor_exits_3(tmp_path, monkeypatch, capsys):
     ["asymptotics", "--t", "5,20", "--dt", "0.25"],
 ])
 def test_dense_ceiling_rejects_before_any_dense_work(args, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(bounds, "MAX_DENSE_N", 64)
-    monkeypatch.setattr(bounds, "gram_weights",
-                        lambda *a: pytest.fail("n x n work before the ceiling check"))
+    monkeypatch.setattr(bounds, "MAX_BOUND_CELLS", 64)
+    monkeypatch.setattr(bounds, "increment_autocov",
+                        lambda *a: pytest.fail("n-sized work before the ceiling check"))
     out = tmp_path / "out.csv"
     code = main([args[0], "--theta", "1", "--hurst", "0.6", *args[1:], "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "dense ceiling of 64 cells" in err
+    assert "ceiling of 64 cells for the bound terms" in err
     assert not out.exists()
 
 

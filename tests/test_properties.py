@@ -3,8 +3,8 @@ small (theta, H, T, n): the half-spectrum sampler against a full-length
 complex FFT, batch and chunk invariance of every row of the sampler, the
 path and the pathwise estimate, the one-scan chaos statistic against the
 dense quadratic forms, the chunked `estimate` rows against a batch of one,
-and the two-product bound ingredients against the dense tensor algebra of
-`oracles`.
+and the generator-route bound ingredients against the dense tensor algebra
+of `oracles`.
 """
 import math
 
@@ -171,3 +171,31 @@ def test_two_product_ingredients_match_dense_oracles(theta, hurst, horizon, n):
     assert norm_h2 == pytest.approx(vwv2, rel=1e-10)
     (row,) = asymptotics_report(theta, hurst, [horizon], n=n)
     assert row.quantities["norm_h2/T"][0] * horizon == pytest.approx(vwv2, rel=1e-10)
+
+
+@SETTINGS
+@given(theta=st.floats(0.02, 5.0), hurst=hursts, horizon=st.floats(0.25, 200.0),
+       n=st.integers(2, 512))
+def test_generator_ingredients_match_dense_oracles(theta, hurst, horizon, n):
+    # the f-terms over the whole theta T range; the g-terms from theta T = 1,
+    # below which the float64 oracle itself cancels (the long-double test in
+    # test_bounds.py covers that range)
+    grid = Grid(horizon, n)
+    params = ModelParams(theta=theta, hurst=hurst, horizon=horizon)
+    ing, norm_h2 = _ingredients(params, grid)
+    w = gram_weights(grid, hurst)
+    f, g = kernel_f(params, grid), kernel_g(params, grid)
+    ff = contract1(f, f, w)
+    dense = {"norm_f2": norm2_h2(f, w), "norm_f1f": math.sqrt(norm2_h2(ff, w))}
+    if theta * horizon >= 1.0:
+        dense |= {
+            "norm_f1g": math.sqrt(norm2_h2(contract1(f, g, w), w)),
+            "inner_fg": inner_h2(f, g, w),
+            "norm_g2": norm2_h2(g, w),
+            "norm_g1g": math.sqrt(norm2_h2(contract1(g, g, w), w)),
+        }
+    for name, want in dense.items():
+        assert getattr(ing, name) == pytest.approx(want, rel=1e-11), name
+    v = np.exp(-theta * (horizon - grid.midpoints))
+    assert norm_h2 == pytest.approx(float(v @ w @ v) ** 2, rel=1e-11)
+    assert ing.b_t == b_t_closed_form(params)
