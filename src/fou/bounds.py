@@ -56,7 +56,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 from .constants import (
     HURST_MAX,
@@ -69,6 +68,7 @@ from .constants import (
 from .errors import NumericsError
 from .fgn import Grid, increment_autocov
 from .hilbert import kernel_f, kernel_g
+from .process import ar1_scan
 
 # The largest power of two at which one horizon of `_ingredients` takes no
 # longer than the dense n^3 route it replaced took at n = 4096 (1.1-1.5 s):
@@ -181,14 +181,12 @@ def _ingredients(params: ModelParams, grid: Grid) -> tuple[Ingredients, float]:
         raise NumericsError(f"theta*step = {x:.6g} leaves the AR(1) factor of the kernels "
                             f"degenerate (rho = {rho}, s_f = {s_f}, c1 = {c1}, c2 = {c2})")
     w = increment_autocov(grid, params.hurst)
-    band = np.zeros((2, n))
-    band[1, :-1] = -rho
     spectrum = np.fft.rfft(np.r_[w, 0.0, w[:0:-1]])  # the circulant embedding of W
 
-    def m_apply(y):  # M y: backward scan, Toeplitz product, forward scan
-        u = dtbtrs(band, y, uplo="L", trans="T", diag="U")[0]
-        u = np.fft.irfft(spectrum[:, None] * np.fft.rfft(u, 2 * n, axis=0), 2 * n, axis=0)
-        return dtbtrs(band, u[:n], uplo="L", diag="U")[0]
+    def m_apply(y):  # M y, column by column: backward scan, Toeplitz product, forward scan
+        u = ar1_scan(y.T[:, ::-1], rho)[:, ::-1]
+        u = np.fft.irfft(spectrum * np.fft.rfft(u, 2 * n), 2 * n)
+        return ar1_scan(u[:, :n], rho).T
 
     ends = np.zeros((n, 2))
     ends[0, 0] = ends[-1, 1] = 1.0

@@ -28,10 +28,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
-from . import bounds as bounds_mod
+# numpy's idle OpenBLAS worker busy-waits 2^28 clock ticks (0.13 s on a 2-vCPU
+# VM) from its start, on into a command's work, burning a core for nothing;
+# 2^20 ends it within numpy's import.  Set before numpy loads, if unset.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
+from . import bounds as bounds_mod  # noqa: E402  (after the variable above)
 from . import montecarlo as mc
 from .constants import ModelParams, check_log_horizons, skorohod_correction
 from .errors import NumericsError

@@ -5,20 +5,31 @@ range covered is H in [1/2, 3/4]; H = 1/2 always takes the elementary
 Brownian branch and H = 3/4 takes its own dedicated branch where the
 generic-H formulas degenerate.
 
-b_T and c_T are closed forms, not numerical integrals: incomplete gamma
-functions and Kummer's transform 1F1(1; a+1; -theta T) of a 1F1 that would
-carry exp(theta T) and overflow at theta T > 709.  Below theta T = 1, where
-the closed form of b_T cancels, b_T is a power series of positive terms.
+b_T and c_T are closed forms, not numerical integrals: the incomplete gamma
+function P (`gamma_p`) and Kummer's transform 1F1(1; a+1; -theta T)
+(`kummer_1f1`) of a 1F1 that would carry exp(theta T) and overflow at
+theta T > 709, both summed here from series of positive terms.  Largest
+relative error against mpmath at 40 digits, over 20,000 (a, x) pairs each
+(log-spaced and log-uniform in the ranges shown):
+
+    function          a             x            here     scipy.special
+    P(a, x)           [1e-6, 1.5]   [1e-8, 1e6]  2.0e-15  5.8e-15
+    1F1(1; a+1; -x)   [1e-4, 0.5]   [1, 1e6]     3.3e-15  1.9e-10
+    1F1(1; a+1; -x)   [1e-8, 0.5]   [1, 1e6]     3.6e-15  9.8e-7
+
+Below theta T = 1, where the closed form of b_T cancels, b_T is a power
+series of positive terms.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammainc, hyp1f1
+from .errors import NumericsError
 
 HURST_MIN = 0.5
 HURST_MAX = 0.75
+MAX_TERMS = 500  # iteration cap of the series in `gamma_p` and `kummer_1f1`
 
 
 def _check_hurst(hurst: float) -> None:
@@ -87,17 +98,64 @@ def delta_h(hurst: float) -> float:
     )
 
 
+def _theta_power(theta: float, p: float) -> float:
+    """theta^p, or a NumericsError naming theta where it overflows."""
+    try:
+        return theta**p
+    except OverflowError:
+        raise NumericsError(f"theta^{p:.6g} overflows at theta = {theta:.6g}") from None
+
+
 def stationary_variance(params: ModelParams) -> float:
     """a = H Gamma(2H) theta^(-2H), the T -> infinity limit of b_T."""
     h = params.hurst
-    return h * math.gamma(2 * h) * params.theta ** (-2 * h)
+    return h * math.gamma(2 * h) * _theta_power(params.theta, -2 * h)
+
+
+def gamma_p(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(a, x) for 0 < a <= 3/2, x >= 0: the
+    series x^a e^-x / Gamma(a+1) sum_k x^k / ((a+1)...(a+k)) of positive terms
+    (DLMF 8.7.1).  From x = 40 on, 1 - P < x^(a-1) e^-x (1 + 1/x) < 3e-17 and
+    P rounds to 1, which also covers x = inf."""
+    if x >= 40.0:
+        return 1.0
+    term = total = 1.0
+    for k in range(1, MAX_TERMS):
+        term *= x / (a + k)
+        total += term
+        if term <= 1e-17 * total:
+            return x**a * math.exp(-x) / math.gamma(a + 1.0) * total
+    raise NumericsError(f"P(a, x) series did not converge at a = {a}, x = {x}")
+
+
+def kummer_1f1(a: float, x: float) -> float:
+    """1F1(1; a+1; -x) for 0 < a <= 1/2, x >= 0.  Below x = 80 Kummer's
+    transform e^-x 1F1(a; a+1; x) = sum_k a/(a+k) e^-x x^k/k! of positive
+    terms; above it the asymptotic series a/x sum_k (1-a)_k/x^k (DLMF 13.7.2),
+    whose neglected part is below Gamma(a+1) e^-x x^(1-a)/a relative.  Its
+    limit at x = inf is 0."""
+    if x < 80.0:
+        weight = total = math.exp(-x)
+        for k in range(1, MAX_TERMS):
+            weight *= x / k
+            total += weight * a / (a + k)
+            if k > x and weight <= 1e-17 * total:
+                return total
+    else:
+        term = total = 1.0
+        for k in range(1, MAX_TERMS):
+            term *= (k - a) / x
+            total += term
+            if term <= 1e-17 * total:
+                return a / x * total
+    raise NumericsError(f"1F1(1; a+1; -x) did not converge at a = {a}, x = {x}")
 
 
 def _gamma_integrals(params: ModelParams) -> tuple[float, float]:
     """(I_a, J): the incomplete gamma integrals of `b_t_closed_form`, a = 2H-1."""
     theta, x, a = params.theta, params.theta * params.horizon, 2.0 * params.hurst - 1.0
-    return (theta**-a * math.gamma(a) * float(gammainc(a, x)),
-            theta ** -(a + 1) * math.gamma(a + 1) * float(gammainc(a + 1, x)))
+    return (_theta_power(theta, -a) * math.gamma(a) * gamma_p(a, x),
+            _theta_power(theta, -(a + 1)) * math.gamma(a + 1) * gamma_p(a + 1, x))
 
 
 def b_t_closed_form(params: ModelParams) -> float:
@@ -141,7 +199,7 @@ def b_t_closed_form(params: ModelParams) -> float:
     if h == HURST_MIN:
         return 0.5 / theta - (1.0 - math.exp(-2 * theta * horizon)) / (4 * theta**2 * horizon)
     i_a, j = _gamma_integrals(params)
-    i_b = math.exp(-x) * horizon**a / a * float(hyp1f1(1.0, a + 1.0, -x))
+    i_b = math.exp(-x) * horizon**a / a * kummer_1f1(a, x)
     return (alpha_h(h) / theta) * (i_a + (i_b - (i_a + 2 * theta * j)) / (2 * theta * horizon))
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .constants import _check_hurst
 from .errors import NumericsError
@@ -109,8 +108,9 @@ def increment_autocov(grid: Grid, hurst: float) -> np.ndarray:
 def gram_weights(grid: Grid, hurst: float) -> np.ndarray:
     """Exact covariance matrix of the n fGn increments on the grid: the
     symmetric PSD Toeplitz w[i, j] = E[dB_i dB_j], equivalently the fBm inner
-    product of the indicator functions of cells i and j."""
-    return toeplitz(increment_autocov(grid, hurst))
+    product of the indicator functions of cells i and j: w[|i - j|]."""
+    k = np.arange(grid.n)
+    return increment_autocov(grid, hurst)[np.abs(k[:, None] - k)]
 
 
 def _splitmix64(z: int) -> int:

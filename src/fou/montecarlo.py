@@ -10,7 +10,7 @@ count; FOU_THREADS caps the worker pool (default: hardware concurrency).
 Per-replication statistics avoid dense n x n kernels entirely.  The
 exponential kernel is E = L + L' - I, with L the causal AR(1) filter
 (L[i, j] = rho^(i-j) for i >= j, rho = exp(-theta dt)), so its quadratic
-form needs one forward scan, the banded solve `process.ar1_scan`:
+form needs one forward scan, the blocked scan `process.ar1_scan`:
 
     u_i = rho u_{i-1} + xi_i,   xi' E xi = 2 xi' L xi - xi' xi = sum_i xi_i (2 u_i - xi_i).
 
@@ -40,8 +40,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz
-from scipy.special import ndtr
 
 from .constants import (
     HURST_MAX,
@@ -50,7 +48,7 @@ from .constants import (
     sigma2_h,
     skorohod_correction,
 )
-from .errors import DegeneratePathError
+from .errors import DegeneratePathError, NumericsError
 from .fgn import Grid, derive_seed, increment_autocov, sample_fgn_batch
 from .hilbert import kernel_f, kernel_g
 from .process import NEAR_ZERO_DENOM, ar1_scan, denominator_floor, estimate_pathwise
@@ -76,10 +74,15 @@ class RateFit:
     r_squared: float
 
 
+def normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF erfc(-z / sqrt 2) / 2, accurate in the lower tail."""
+    return 0.5 * np.array([math.erfc(-x * math.sqrt(0.5)) for x in z.tolist()])
+
+
 def ks_distance(samples) -> float:
     """One-sample Kolmogorov statistic against the standard normal CDF."""
     z = np.sort(np.asarray(samples, dtype=float))
-    cdf = ndtr(z)
+    cdf = normal_cdf(z)
     i = np.arange(1, z.size + 1, dtype=float)
     return float(max(np.max(i / z.size - cdf), np.max(cdf - (i - 1) / z.size)))
 
@@ -121,15 +124,17 @@ def _chaos_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
 
 def _chaos_traces(params: ModelParams, grid: Grid) -> tuple:
     """Per-horizon inputs of `_chaos_batch`: the recentering traces
-    tr(f W) and tr(v v' W) via the Toeplitz structure, then the boundary
-    vector v, the scale row[0] of f and the coefficients c1, c2 of g."""
+    tr(f W) and tr(v v' W) via the Toeplitz structure (W v as a product by
+    the length-2n circulant embedding of W, through `numpy.fft`), then the
+    boundary vector v, the scale row[0] of f and the coefficients c1, c2 of g."""
     n = grid.n
     gamma = increment_autocov(grid, params.hurst)
     row = kernel_f(params, grid)
     lags = np.arange(1, n, dtype=float)
     tr_f = n * row[0] * gamma[0] + 2.0 * np.sum((n - lags) * row[1:] * gamma[1:])
     c1, c2, v = kernel_g(params, grid)
-    tr_h = float(v @ matmul_toeplitz(gamma, v))
+    spectrum = np.fft.rfft(np.r_[gamma, 0.0, gamma[:0:-1]])  # circulant embedding of W
+    tr_h = float(v @ np.fft.irfft(spectrum * np.fft.rfft(v, 2 * n), 2 * n)[:n])
     return (tr_f, tr_h, v, row[0], c1, c2)
 
 
@@ -153,12 +158,15 @@ def replicate(setup, theta: float, hurst: float, t_list, reps: int, seed: int,
     statistic, a function of one chunk of fGn rows (rows x n).  Replication
     r at horizon index i is the row drawn from derive_seed(seed, i, r), and
     the chunks of at most CHUNK_CELLS cells run on a pool of FOU_THREADS
-    workers, so no row depends on chunk boundaries or scheduling.
+    workers, so no row depends on chunk boundaries or scheduling.  A theta*T
+    that overflows raises NumericsError before any draw.
     """
     workers = os.environ.get("FOU_THREADS")
     workers = int(workers) if workers else (os.cpu_count() or 1)
     tasks, counts = [], []
     for i, t in enumerate(t_list):
+        if not math.isfinite(theta * t):
+            raise NumericsError(f"theta*T overflows at theta = {theta:.6g}, T = {t:.6g}")
         grid = Grid.for_horizon(t, n=n, dt=dt)
         statistic = setup(ModelParams(theta=theta, hurst=hurst, horizon=t), grid)
         rows = max(1, CHUNK_CELLS // grid.n)

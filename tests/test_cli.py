@@ -112,22 +112,31 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [
-    ["bounds", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64"],
-    ["asymptotics", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64"],
-    ["estimate", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64",
-     "--reps", "10"],
-    ["bounds", "--theta", "1", "--hurst", "0.6", "--t", "1e300", "--n", "64"],
-    ["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "1e300", "--n", "64",
-     "--reps", "100"],
+@pytest.mark.parametrize("args, named", [
+    (["bounds", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64"], "theta*step"),
+    (["asymptotics", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64"],
+     "theta"),
+    (["estimate", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64",
+      "--reps", "10"], "theta"),
+    (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "1e300", "--n", "64"], ""),
+    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "1e300", "--n", "64",
+      "--reps", "100"], ""),
+    (["kolmogorov", "--theta", "1e200", "--hurst", "0.6", "--t", "1e200", "--n", "64",
+      "--reps", "100"], "theta*T"),
+    (["estimate", "--theta", "1e200", "--hurst", "0.6", "--t", "1e200", "--n", "64",
+      "--reps", "100"], "theta*T"),
+    (["estimate", "--theta", "1e150", "--hurst", "0.6", "--t", "1e150", "--n", "64",
+      "--reps", "3"], "int X^2 dt"),  # theta*T is finite, the denominator is not
 ], ids=["bounds_tiny_theta", "asymptotics_tiny_theta", "estimate_tiny_theta",
-        "bounds_huge_t", "kolmogorov_huge_t"])
-def test_overflow_exits_3_without_output(args, tmp_path, capsys, recwarn):
+        "bounds_huge_t", "kolmogorov_huge_t", "kolmogorov_theta_t_overflows",
+        "estimate_theta_t_overflows", "estimate_denominator_overflows"])
+def test_overflow_exits_3_without_output(args, named, tmp_path, capsys, recwarn):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3
     assert "numerical failure" in err
+    assert named in err.split("numerical failure")[1]  # "" where no name is promised
     if args[0] in ("bounds", "asymptotics"):
         # pytest records warnings instead of printing them, so check both
         assert "RuntimeWarning" not in err

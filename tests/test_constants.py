@@ -1,7 +1,9 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
+import scipy.special
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -10,10 +12,13 @@ from fou.constants import (
     alpha_h,
     b_t_closed_form,
     delta_h,
+    gamma_p,
+    kummer_1f1,
     sigma2_h,
     skorohod_correction,
     stationary_variance,
 )
+from fou.montecarlo import normal_cdf
 from oracles import rate_exponent
 
 mp.mp.dps = 30
@@ -209,3 +214,41 @@ def test_closed_forms_match_mpmath_time_integrals(theta, h, horizon):
     b_t, c_t = mp_b_t_and_c_t(theta, h, horizon)
     assert b_t_closed_form(p) == pytest.approx(b_t, rel=1e-11)
     assert skorohod_correction(p) == pytest.approx(c_t, rel=1e-11)
+
+
+# a in (0, 3/2] and x over 14 decades for P; the 1F1 range starts at x = 1,
+# where `b_t_closed_form` leaves its series, and runs across the crossover
+P_A = (1e-6, 1e-3, 0.05, 0.2, 0.5, 0.999, 1.0, 1.2, 1.5)
+P_X = (*np.geomspace(1e-8, 1e6, 29).tolist(), 1.0, 2.0, 2.5, 39.9, 40.0)
+F_A = (1e-8, 1e-4, 0.01, 0.1, 0.2, 0.35, 0.5)
+F_X = (*np.geomspace(1.0, 1e6, 25).tolist(), 40.0, 60.0, 79.9, 80.0, 80.1)
+
+
+@pytest.mark.parametrize("a", P_A)
+def test_gamma_p_matches_mpmath(a):
+    for x in P_X:
+        expect = float(mp.gammainc(mp.mpf(a), 0, mp.mpf(x), regularized=True))
+        assert gamma_p(a, x) == pytest.approx(expect, rel=1e-14), x
+
+
+@pytest.mark.parametrize("a", F_A)
+def test_kummer_1f1_matches_mpmath(a):
+    for x in F_X:
+        expect = float(mp.hyp1f1(1, mp.mpf(a) + 1, -mp.mpf(x)))
+        assert kummer_1f1(a, x) == pytest.approx(expect, rel=2e-13), x
+
+
+def test_special_functions_at_huge_and_infinite_x():
+    # an overflowed theta*T must give the limit, not a hang or NaN
+    for a in (1e-6, 0.2, 0.5, 1.5):
+        assert gamma_p(a, 1e300) == 1.0 and gamma_p(a, math.inf) == 1.0
+    for a in (1e-8, 0.2, 0.5):
+        assert kummer_1f1(a, 1e300) == pytest.approx(a / 1e300, rel=1e-15)
+        assert kummer_1f1(a, math.inf) == 0.0
+    assert gamma_p(0.5, 0.0) == 0.0 and kummer_1f1(0.5, 0.0) == 1.0
+
+
+def test_normal_cdf_matches_ndtr():
+    z = np.concatenate([np.linspace(-38.0, 9.0, 4001), [-1e-300, 0.0, 1e-300]])
+    got, expect = normal_cdf(z), scipy.special.ndtr(z)
+    assert np.all(np.abs(got - expect) <= 1e-15 * np.maximum(expect, 1e-300) + 1e-16)
