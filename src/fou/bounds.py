@@ -17,11 +17,11 @@ Toeplitz Gram matrix of the grid, similar to symmetric S_f and S_g.  Every
 ingredient is a trace, a Frobenius norm or a weighted entrywise product of
 X = S_f S_f and Y = S_g S_g (`_ingredients`).  Neither S nor its square is
 formed.  The displacement S S - Z S S Z' (Z the down shift) has 9
-generator columns, each one product by S: two AR(1) scans and a Toeplitz
-product through the length-2n circulant of the row of W (Kailath, Kung
-and Morf 1979).  X[k, k+d] is then a prefix sum along diagonal d, and one
-sweep over the rows, carrying the running sum of every diagonal, yields X
-and Y together: O(n^2) flops and O(n) memory.
+generator columns, each one product by S: two AR(1) scans and a product
+by W from `fgn.toeplitz_product` (Kailath, Kung and Morf 1979).  X[k, k+d]
+is then a prefix sum along diagonal d, and one sweep over the rows,
+carrying the running sum of every diagonal, yields X and Y together:
+O(n^2) flops and O(n) memory.
 
 Largest relative error of the six matrix ingredients against a long-double
 dense reference (the same float64 s_f, c1 and c2; w, K, v and every product
@@ -43,9 +43,10 @@ one scalar, lam = -expm1(-theta step), computed without cancelling.  What
 remains is the rounding of rho, ~eps / (theta step) in the g-terms.
 
 s_f, c1, c2 and v come from the compact kernels of `hilbert`, once per
-horizon.  `horizon_grids` resolves every horizon's grid and enforces the
-cell ceiling `MAX_BOUND_CELLS`, set from measured time (see there), before
-any n-sized array exists.  The asymptotics report re-measures each
+horizon; `hilbert.kernel_f` rejects a degenerate rho.  `horizon_grids`
+resolves every horizon's grid and enforces the cell ceiling
+`MAX_BOUND_CELLS`, set from measured time (see there), before any n-sized
+array exists.  The asymptotics report re-measures each
 ingredient across a T grid against its known limit; the bound constants
 themselves are existential and never claimed, so rate checks are
 ratio-based.
@@ -65,8 +66,7 @@ from .constants import (
     sigma2_h,
     stationary_variance,
 )
-from .errors import NumericsError
-from .fgn import Grid, increment_autocov
+from .fgn import Grid, increment_autocov, toeplitz_product
 from .hilbert import kernel_f, kernel_g
 from .process import ar1_scan
 
@@ -175,18 +175,14 @@ def _ingredients(params: ModelParams, grid: Grid) -> tuple[Ingredients, float]:
     """
     n, x = grid.n, params.theta * grid.step
     rho, lam = math.exp(-x), -math.expm1(-x)
-    c1, c2, v = kernel_g(params, grid)
-    s_f = kernel_f(params, grid)[0]
-    if not (rho < 1.0 and math.isfinite(s_f) and math.isfinite(c1) and math.isfinite(c2)):
-        raise NumericsError(f"theta*step = {x:.6g} leaves the AR(1) factor of the kernels "
-                            f"degenerate (rho = {rho}, s_f = {s_f}, c1 = {c1}, c2 = {c2})")
+    s_f = kernel_f(params, grid)[0]  # first: it rejects a degenerate rho
+    _, c2, v = kernel_g(params, grid)
     w = increment_autocov(grid, params.hurst)
-    spectrum = np.fft.rfft(np.r_[w, 0.0, w[:0:-1]])  # the circulant embedding of W
+    w_apply = toeplitz_product(w)
 
-    def m_apply(y):  # M y, column by column: backward scan, Toeplitz product, forward scan
+    def m_apply(y):  # M y, column by column: backward scan, product by W, forward scan
         u = ar1_scan(y.T[:, ::-1], rho)[:, ::-1]
-        u = np.fft.irfft(spectrum * np.fft.rfft(u, 2 * n), 2 * n)
-        return ar1_scan(u[:, :n], rho).T
+        return ar1_scan(w_apply(u), rho).T
 
     ends = np.zeros((n, 2))
     ends[0, 0] = ends[-1, 1] = 1.0

@@ -13,7 +13,9 @@ Commands:
 
 Only `kolmogorov` and `rate-fit` take --method; the other commands reject
 it, and their RunConfig.method is None.  Every argv check runs once, in
-`parse_args`.  Every command needs a --t horizon; `kolmogorov`, `rate-fit`
+`parse_args`: argparse parses --t (repeatable, comma separated) and the
+mutually exclusive --dt and --n like every other flag, and the checks
+across flags follow.  Every command needs a --t horizon; `kolmogorov`, `rate-fit`
 and `asymptotics` need them strictly increasing, and T > 1 at H = 3/4.  A
 grid above `fgn.MAX_CELLS` cells, or in `bounds` and `asymptotics` above
 `bounds.MAX_BOUND_CELLS`, is rejected where it is built (exit 2), before any
@@ -73,14 +75,9 @@ class RunConfig:
     method: str | None
 
 
-def _parse_horizons(values) -> tuple:
-    out = []
-    for v in values:
-        for part in str(v).split(","):
-            part = part.strip()
-            if part:
-                out.append(float(part))
-    return tuple(out)
+def horizons(text: str) -> list[float]:
+    """The horizons of one --t value: comma separated, blanks skipped."""
+    return [float(part) for part in text.split(",") if part.strip()]
 
 
 def parse_args(argv) -> RunConfig:
@@ -94,10 +91,11 @@ def parse_args(argv) -> RunConfig:
         p = sub.add_parser(name)
         p.add_argument("--theta", type=float, required=True, help="drift parameter, > 0")
         p.add_argument("--hurst", type=float, required=True, help="Hurst index in [0.5, 0.75]")
-        p.add_argument("--t", action="append", default=None, metavar="T[,T...]",
-                       help="horizon(s); repeatable or comma separated")
-        p.add_argument("--dt", type=float, default=None, help="fixed step (default 0.05)")
-        p.add_argument("--n", type=int, default=None, help="fixed cell count per horizon")
+        p.add_argument("--t", action="extend", type=horizons, default=None,
+                       metavar="T[,T...]", help="horizon(s); repeatable or comma separated")
+        step = p.add_mutually_exclusive_group()
+        step.add_argument("--dt", type=float, default=None, help="fixed step (default 0.05)")
+        step.add_argument("--n", type=int, default=None, help="fixed cell count per horizon")
         p.add_argument("--reps", type=int, default=1000, help="replications (default 1000)")
         p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
         p.add_argument("--out", default=None, help="output path (default <command>.<format>)")
@@ -107,9 +105,7 @@ def parse_args(argv) -> RunConfig:
                            default=mc.CHAOS_RATIO, help="Monte Carlo statistic")
     ns = parser.parse_args(argv)
 
-    t_list = _parse_horizons(ns.t or [])
-    if ns.dt is not None and ns.n is not None:
-        parser.error("--dt and --n are mutually exclusive")
+    t_list = tuple(ns.t or ())
     dt = ns.dt if (ns.dt is not None or ns.n is not None) else 0.05
     try:
         for t in t_list:

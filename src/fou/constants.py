@@ -98,18 +98,20 @@ def delta_h(hurst: float) -> float:
     )
 
 
-def _theta_power(theta: float, p: float) -> float:
-    """theta^p, or a NumericsError naming theta where it overflows."""
+def checked_power(base: float, p: float, name: str, **context: float) -> float:
+    """base^p, or a NumericsError naming `name` = base and every `context`
+    value where it overflows."""
     try:
-        return theta**p
+        return base**p
     except OverflowError:
-        raise NumericsError(f"theta^{p:.6g} overflows at theta = {theta:.6g}") from None
+        at = ", ".join(f"{k} = {v:.6g}" for k, v in {name: base, **context}.items())
+        raise NumericsError(f"{name}^{p:.6g} overflows at {at}") from None
 
 
 def stationary_variance(params: ModelParams) -> float:
     """a = H Gamma(2H) theta^(-2H), the T -> infinity limit of b_T."""
     h = params.hurst
-    return h * math.gamma(2 * h) * _theta_power(params.theta, -2 * h)
+    return h * math.gamma(2 * h) * checked_power(params.theta, -2 * h, "theta")
 
 
 def gamma_p(a: float, x: float) -> float:
@@ -154,8 +156,8 @@ def kummer_1f1(a: float, x: float) -> float:
 def _gamma_integrals(params: ModelParams) -> tuple[float, float]:
     """(I_a, J): the incomplete gamma integrals of `b_t_closed_form`, a = 2H-1."""
     theta, x, a = params.theta, params.theta * params.horizon, 2.0 * params.hurst - 1.0
-    return (_theta_power(theta, -a) * math.gamma(a) * gamma_p(a, x),
-            _theta_power(theta, -(a + 1)) * math.gamma(a + 1) * gamma_p(a + 1, x))
+    return (checked_power(theta, -a, "theta") * math.gamma(a) * gamma_p(a, x),
+            checked_power(theta, -(a + 1), "theta") * math.gamma(a + 1) * gamma_p(a + 1, x))
 
 
 def b_t_closed_form(params: ModelParams) -> float:

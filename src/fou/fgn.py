@@ -6,7 +6,9 @@ functions under the fBm inner product, so every weighted inner product
 downstream carries no quadrature error from the singular kernel.  W is
 Toeplitz, and production reads only its first row, `increment_autocov`;
 the dense `gram_weights` is left for the benchmark's per-layer metric and
-the test oracles.
+the test oracles.  `toeplitz_product` is the one product by W, through
+the length-2n circulant embedding of its row, so `numpy.fft` is used in
+this module only.
 
 Sampling uses circulant embedding of the fGn autocovariance (Davies & Harte
 1987; Wood & Chan 1994).  The length-2n embedding is nonnegative definite
@@ -29,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import _check_hurst
+from .constants import _check_hurst, checked_power
 from .errors import NumericsError
 
 _MASK64 = (1 << 64) - 1
@@ -100,9 +102,19 @@ def _unit_autocov(kmax: int, hurst: float) -> np.ndarray:
 
 
 def increment_autocov(grid: Grid, hurst: float) -> np.ndarray:
-    """gamma(0..n-1): covariance of two fGn increments of the grid k cells apart."""
+    """gamma(0..n-1): covariance of two fGn increments of the grid k cells
+    apart.  A step^2H that overflows raises NumericsError naming step and T."""
     _check_hurst(hurst)
-    return grid.step ** (2.0 * hurst) * _unit_autocov(grid.n - 1, hurst)
+    scale = checked_power(grid.step, 2.0 * hurst, "step", T=grid.horizon)
+    return scale * _unit_autocov(grid.n - 1, hurst)
+
+
+def toeplitz_product(row: np.ndarray):
+    """y -> W y along the last axis of y for the symmetric Toeplitz W with
+    first row `row`, by the length-2n circulant embedding of W: O(n log n)."""
+    n = row.size
+    spectrum = np.fft.rfft(np.r_[row, 0.0, row[:0:-1]])
+    return lambda y: np.fft.irfft(spectrum * np.fft.rfft(y, 2 * n), 2 * n)[..., :n]
 
 
 def gram_weights(grid: Grid, hurst: float) -> np.ndarray:

@@ -12,6 +12,12 @@ the displacement generators of the AR(1) factor of f, and the O(n)
 per-replication statistic in `montecarlo` takes its recentering traces
 from the Toeplitz row.  The dense kernels and the tensor algebra on them
 are test oracles only (`tests/oracles.py`).
+
+Both consumers read f through `kernel_f`, so it owns the one check of its
+AR(1) factor: where rho = exp(-theta step) rounds to 1 or theta step
+overflows, it raises NumericsError, so the bound terms and the chaos
+statistic reject the same (theta, T, n).  Where rho < 1, s_f, c1 and c2
+are finite too, as theta T >= theta step.
 """
 from __future__ import annotations
 
@@ -20,14 +26,20 @@ import math
 import numpy as np
 
 from .constants import ModelParams, sigma2_h
+from .errors import NumericsError
 from .fgn import Grid
 
 
 def kernel_f(params: ModelParams, grid: Grid) -> np.ndarray:
     """First row of the Toeplitz numerator kernel, f[i, j] = row[|i - j|]:
-    row[k] = exp(-theta step k) / (2 sqrt(theta sigma2_H T))."""
+    row[k] = exp(-theta step k) / (2 sqrt(theta sigma2_H T)).  Raises
+    NumericsError where the AR(1) factor degenerates (module docstring)."""
+    x = params.theta * grid.step
+    if not (math.exp(-x) < 1.0 and math.isfinite(x)):
+        raise NumericsError(f"theta*step = {x:.6g} leaves the AR(1) factor of the kernels "
+                            f"degenerate (rho = exp(-theta*step) = {math.exp(-x)})")
     scale = 1.0 / (2.0 * math.sqrt(params.theta * sigma2_h(params.hurst) * params.horizon))
-    return scale * np.exp(-params.theta * grid.step * np.arange(grid.n))
+    return scale * np.exp(-x * np.arange(grid.n))
 
 
 def kernel_g(params: ModelParams, grid: Grid) -> tuple[float, float, np.ndarray]:

@@ -15,10 +15,11 @@ form needs one forward scan, the blocked scan `process.ar1_scan`:
     u_i = rho u_{i-1} + xi_i,   xi' E xi = 2 xi' L xi - xi' xi = sum_i xi_i (2 u_i - xi_i).
 
 The boundary kernel is rank one, and the recentering traces use the
-Toeplitz structure of the Gram weights; everything is O(n) or O(n log n)
-per replication and agrees with the dense operations to rounding error.
-The Toeplitz row of f and the compact form (c1, c2, v) of g come from
-`hilbert`, once per horizon, through `_chaos_traces`.
+Toeplitz structure of the Gram weights (`fgn.toeplitz_product`); everything
+is O(n) or O(n log n) per replication and agrees with the dense operations
+to rounding error.  The Toeplitz row of f, checked by `hilbert.kernel_f`
+as for `bounds`, and the compact form (c1, c2, v) of g come from `hilbert`,
+once per horizon, through `_chaos_traces`.
 At H = 3/4 the statistic carries the extra 1/sqrt(log T) normalization.
 
 `replicate` is the one replication driver: `run` (for `kolmogorov` and
@@ -49,7 +50,7 @@ from .constants import (
     skorohod_correction,
 )
 from .errors import DegeneratePathError, NumericsError
-from .fgn import Grid, derive_seed, increment_autocov, sample_fgn_batch
+from .fgn import Grid, derive_seed, increment_autocov, sample_fgn_batch, toeplitz_product
 from .hilbert import kernel_f, kernel_g
 from .process import NEAR_ZERO_DENOM, ar1_scan, denominator_floor, estimate_pathwise
 
@@ -124,17 +125,16 @@ def _chaos_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
 
 def _chaos_traces(params: ModelParams, grid: Grid) -> tuple:
     """Per-horizon inputs of `_chaos_batch`: the recentering traces
-    tr(f W) and tr(v v' W) via the Toeplitz structure (W v as a product by
-    the length-2n circulant embedding of W, through `numpy.fft`), then the
-    boundary vector v, the scale row[0] of f and the coefficients c1, c2 of g."""
+    tr(f W) and tr(v v' W) via the Toeplitz structure (W v from
+    `fgn.toeplitz_product`), then the boundary vector v, the scale row[0]
+    of f and the coefficients c1, c2 of g."""
     n = grid.n
     gamma = increment_autocov(grid, params.hurst)
     row = kernel_f(params, grid)
     lags = np.arange(1, n, dtype=float)
     tr_f = n * row[0] * gamma[0] + 2.0 * np.sum((n - lags) * row[1:] * gamma[1:])
     c1, c2, v = kernel_g(params, grid)
-    spectrum = np.fft.rfft(np.r_[gamma, 0.0, gamma[:0:-1]])  # circulant embedding of W
-    tr_h = float(v @ np.fft.irfft(spectrum * np.fft.rfft(v, 2 * n), 2 * n)[:n])
+    tr_h = float(v @ toeplitz_product(gamma)(v))
     return (tr_f, tr_h, v, row[0], c1, c2)
 
 

@@ -99,11 +99,14 @@ def test_eps_is_not_a_flag(command):
      "exceeds MAX_CELLS=4194304 cells"),   # T/dt overflows to inf
     (["bounds", "--theta", "1e300", "--hurst", "0.6", "--t", "10", "--n", "64"],
      "b_T must be positive, got 0.0"),     # b_T underflows to 0
+    (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "abc", "--n", "16"], "argument --t"),
+    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10,x", "--n", "16",
+      "--reps", "100"], "argument --t"),
 ], ids=["step_wider_than_horizon", "bounds_theta_nan", "kolmogorov_theta_nan",
         "estimate_t_nan", "simulate_t_inf", "dt_nan", "kolmogorov_reps_50",
         "kolmogorov_decreasing_t", "rate_fit_repeated_t", "asymptotics_decreasing_t",
         "kolmogorov_method_mle", "estimate_method", "step_above_cell_ceiling",
-        "step_overflows", "bounds_b_t_underflows"])
+        "step_overflows", "bounds_b_t_underflows", "t_not_a_number", "t_list_not_numbers"])
 def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])
@@ -118,9 +121,14 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
      "theta"),
     (["estimate", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64",
       "--reps", "10"], "theta"),
-    (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "1e300", "--n", "64"], ""),
+    (["kolmogorov", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64",
+      "--reps", "100"], "theta*step"),
+    (["bounds", "--theta", "1e200", "--hurst", "0.6", "--t", "1e200", "--n", "64"],
+     "theta*step"),
+    (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "1e300", "--n", "64"],
+     "overflows at step = 1.5625e+298, T = 1e+300"),
     (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "1e300", "--n", "64",
-      "--reps", "100"], ""),
+      "--reps", "100"], "overflows at step = 1.5625e+298, T = 1e+300"),
     (["kolmogorov", "--theta", "1e200", "--hurst", "0.6", "--t", "1e200", "--n", "64",
       "--reps", "100"], "theta*T"),
     (["estimate", "--theta", "1e200", "--hurst", "0.6", "--t", "1e200", "--n", "64",
@@ -128,7 +136,8 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     (["estimate", "--theta", "1e150", "--hurst", "0.6", "--t", "1e150", "--n", "64",
       "--reps", "3"], "int X^2 dt"),  # theta*T is finite, the denominator is not
 ], ids=["bounds_tiny_theta", "asymptotics_tiny_theta", "estimate_tiny_theta",
-        "bounds_huge_t", "kolmogorov_huge_t", "kolmogorov_theta_t_overflows",
+        "kolmogorov_tiny_theta", "bounds_theta_step_overflows", "bounds_huge_t",
+        "kolmogorov_huge_t", "kolmogorov_theta_t_overflows",
         "estimate_theta_t_overflows", "estimate_denominator_overflows"])
 def test_overflow_exits_3_without_output(args, named, tmp_path, capsys, recwarn):
     out = tmp_path / "out.csv"
@@ -136,7 +145,7 @@ def test_overflow_exits_3_without_output(args, named, tmp_path, capsys, recwarn)
     err = capsys.readouterr().err
     assert code == 3
     assert "numerical failure" in err
-    assert named in err.split("numerical failure")[1]  # "" where no name is promised
+    assert named in err.split("numerical failure")[1]
     if args[0] in ("bounds", "asymptotics"):
         # pytest records warnings instead of printing them, so check both
         assert "RuntimeWarning" not in err

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fou.fgn as fgn
 from fou.errors import NumericsError
-from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
+from fou.fgn import (
+    Grid,
+    derive_seed,
+    gram_weights,
+    increment_autocov,
+    sample_fgn,
+    sample_fgn_batch,
+    toeplitz_product,
+)
 from oracles import fbm_cov, fgn_autocov, sample_fgn_cholesky
 
 
@@ -91,6 +101,27 @@ def test_gram_weights_self_similar_scaling():
     w1 = gram_weights(Grid(horizon=1.0, n=n), h)
     w2 = gram_weights(Grid(horizon=c, n=n), h)
     assert np.allclose(w2, c ** (2 * h) * w1, rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.floats(0.5, 0.75), horizon=st.floats(1e-3, 1e3), n=st.integers(2, 400),
+       rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_toeplitz_product_matches_dense_gram(h, horizon, n, rows, seed):
+    # y -> W y through the circulant embedding against the dense W y, for one
+    # vector and for a block of rows; a block's rows are the same rows done
+    # one at a time, bit for bit, so no result depends on how rows are grouped
+    grid = Grid(horizon=horizon, n=n)
+    w = gram_weights(grid, h)
+    w_apply = toeplitz_product(increment_autocov(grid, h))
+    y = np.random.default_rng(seed).standard_normal((rows, n))
+    want = y @ w  # W is symmetric
+    atol = 1e-13 * np.abs(y).max() * np.abs(w).sum(axis=1).max()
+    block = w_apply(y)
+    assert block.shape == (rows, n)
+    np.testing.assert_allclose(block, want, rtol=0, atol=atol)
+    np.testing.assert_allclose(w_apply(y[0]), w @ y[0], rtol=0, atol=atol)
+    for r in range(rows):
+        assert np.array_equal(block[r], w_apply(y[r]))
 
 
 def test_derive_seed_is_stable_and_spreads():
