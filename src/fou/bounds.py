@@ -19,9 +19,10 @@ X = S_f S_f and Y = S_g S_g (`_ingredients`).  Neither S nor its square is
 formed.  The displacement S S - Z S S Z' (Z the down shift) has 9
 generator columns, each one product by S: two AR(1) scans and a product
 by W from `fgn.toeplitz_product` (Kailath, Kung and Morf 1979).  X[k, k+d]
-is then a prefix sum along diagonal d, and one sweep over the rows,
-carrying the running sum of every diagonal, yields X and Y together:
-O(n^2) flops and O(n) memory.
+is then a prefix sum along diagonal d, and one sweep over blocks of rows,
+carrying the running sum of every diagonal, yields X and Y together: one
+product per block gives the displacement rows, and the running sums go
+down the block a row at a time.  O(n^2) flops and O(n) memory.
 
 Largest relative error of the six matrix ingredients against a long-double
 dense reference (the same float64 s_f, c1 and c2; w, K, v and every product
@@ -62,6 +63,7 @@ from .constants import (
     HURST_MAX,
     ModelParams,
     b_t_closed_form,
+    checked_power,
     delta_h,
     sigma2_h,
     stationary_variance,
@@ -70,11 +72,23 @@ from .fgn import Grid, increment_autocov, toeplitz_product
 from .hilbert import kernel_f, kernel_g
 from .process import ar1_scan
 
-# The largest power of two at which one horizon of `_ingredients` takes no
-# longer than the dense n^3 route it replaced took at n = 4096 (1.1-1.5 s):
-# 0.33-0.44 s at n = 8192 and 1.5-1.8 s at 16384 (theta = 1, H = 0.6, 2 vCPUs,
-# OpenBLAS on 2 threads).  Enforced on every horizon by `horizon_grids`.
+# The largest power of two at which one horizon of `_ingredients` took no
+# longer than the dense n^3 route it replaced took at n = 4096 (1.1-1.5 s),
+# when the sweep went row by row: 0.33-0.44 s at n = 8192 and 1.5-1.8 s at
+# 16384.  The blocked sweep takes 0.16-0.22 s and 0.79-0.85 s there
+# (theta = 1, H = 0.6, T = 200, 2 vCPUs, OpenBLAS on 2 threads), so 16384
+# now meets that mark; the ceiling has not been raised.  Enforced on every
+# horizon by `horizon_grids`.
 MAX_BOUND_CELLS = 8192
+
+# Rows per block of `_diagonal_sweep` are SWEEP_CELLS // n (at most n), so
+# its scratch, 2 x rows x (n + rows + 1) doubles, stays within 2 MiB.  A
+# block's product, at most 9 SWEEP_CELLS multiply-adds, then runs on one
+# OpenBLAS thread, and so do the Gram's row dot products (n + rows cells,
+# at most 8200 up to MAX_BOUND_CELLS).  At 2^17 cells OpenBLAS threads the
+# product, which at n = 2048 made the sweep no faster for 40% more CPU
+# time; 2^15 and 2^14 were no faster at any n from 1024 to 8192.
+SWEEP_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -133,28 +147,46 @@ def horizon_grids(t_list, n: int | None = None, dt: float | None = None) -> list
 
 
 def _diagonal_sweep(left: np.ndarray, right: np.ndarray):
-    """Row by row, the upper triangles of the symmetric X and Y whose
+    """Block by block, the upper triangles of the symmetric X and Y whose
     displacements are X - Z X Z' = left[0] right[0]' and Y - Z Y Z' =
     left[1] right[1]'.  Row k of X is its displacement row plus row k-1
     shifted one place: X[k, k+d] is the prefix sum over i <= k of
-    left[i] . right[i+d] along diagonal d.  Returns, per row k, the Gram
-    matrix of (X[k, k:], Y[k, k:]) and their first and last entries."""
-    n, r = left.shape[1:]
+    left[i] . right[i+d] along diagonal d.  A block of h rows k0, ... takes
+    D = left[k0:k0+h] right[k0:]' from one product per matrix, read through
+    a skewed view so that row i sees D[i, i+d] at diagonal d; the running
+    sums then go down the block one row at a time.  Returns the Gram matrix
+    of (X, Y) summed over the rows of the upper triangle,
+    sum_k (X[k, k:], Y[k, k:]) (X[k, k:], Y[k, k:])', and per row k the
+    first and last entries of X[k, k:] and Y[k, k:]."""
+    n = left.shape[1]
     # Entries below 1e-150 of their column's largest cannot move a float64
     # sum; left in, they underflow to subnormals, which made the sweep
     # three times slower at theta T > 708.
     left, right = (np.where(np.abs(x) < 1e-150 * np.abs(x).max(axis=1, keepdims=True), 0.0, x)
                    for x in (left, right))
-    rows = np.zeros((n, 2, 2 * r))
-    rows[:, 0, :r], rows[:, 1, r:] = left[0], left[1]
-    cols = np.ascontiguousarray(np.concatenate([right[0], right[1]], axis=1).T)
-    gram, first, last = np.empty((n, 2, 2)), np.empty((n, 2)), np.empty((n, 2))
-    prev = np.zeros((2, n + 1))
-    for k in range(n):
-        row = rows[k] @ cols[:, k:]
-        row += prev[:, :-1]
-        gram[k] = row @ row.T
-        first[k], last[k], prev = row[:, 0], row[:, -1], row
+    right = np.ascontiguousarray(right.transpose(0, 2, 1))
+    b = max(1, min(n, SWEEP_CELLS // n))
+    flat, upper = np.zeros(2 * b * (n + b + 1)), np.triu(np.ones((b, b)))
+    gram, first, last = np.zeros((2, 2)), np.empty((n, 2)), np.empty((n, 2))
+    carry = np.zeros((2, n))
+    for k0 in range(0, n, b):
+        h, m = min(b, n - k0), n - k0
+        w = m + h  # row i of the skewed view reaches column i + m - 1
+        skew = flat[:2 * h * (w + 1)].reshape(2, h, w + 1)  # skew[c, i, d] = block[c, i, i + d]
+        block = skew.reshape(2, -1)[:, :h * w].reshape(2, h, w)
+        np.matmul(left[:, k0:k0 + h], right[:, :, k0:], out=block[:, :, :m])
+        rows = skew[:, :, :m]  # X[k0+i, k0+i+d] (and Y) for d < m - i
+        rows[:, 0] += carry[:, :m]
+        by_row = list(rows.transpose(1, 0, 2))
+        for prev, row in zip(by_row, by_row[1:]):
+            np.add(row, prev, out=row)
+        block[:, :, m:] = 0.0  # past d = m - i row i holds stale sums
+        block[:, :, :h] *= upper[:h, :h]  # D below the diagonal is not part of X or Y
+        xx, yy = np.vecdot(block, block).sum(axis=1)
+        xy = np.vecdot(block[0], block[1]).sum()
+        gram += [[xx, xy], [xy, yy]]
+        first[k0:k0 + h], last[k0:k0 + h] = rows[:, :, 0].T, block[:, :, m - 1].T
+        carry = rows[:, h - 1, :m - h].copy()
     return gram, first, last
 
 
@@ -192,21 +224,23 @@ def _ingredients(params: ModelParams, grid: Grid) -> tuple[Ingredients, float]:
     # S - Z S Z' = g0 j g0'.  With h0 = g0 j and z = Z S e,
     # S S - Z S S Z' = (S g0) h0' + g0 (S h0 - h0 g0' h0)' - z z'.
     g0 = np.column_stack([a, rho ** np.arange(n), ends[:, 1], m])
+    # D = diag(d, ..., d, d_last) of S_f, then of S_g
+    ds = [(math.sqrt(scale * (1.0 - rho) * (1.0 + rho)), math.sqrt(scale_last))
+          for scale, scale_last in ((s_f, s_f), (c2, c2 * lam))]
+    dv = np.repeat([np.r_[np.full(n - 1, d), d_last] for d, d_last in ds], 4, axis=0).T
+    sg0s = np.hsplit(dv * m_apply(dv * np.tile(g0, 2)), 2)  # S_f g0 and S_g g0 in one pass
     left, right = [], []
-    for scale, scale_last in ((s_f, s_f), (c2, c2 * lam)):  # S_f, then S_g
-        d, d_last = math.sqrt(scale * (1.0 - rho) * (1.0 + rho)), math.sqrt(scale_last)
+    for (d, d_last), sg0 in zip(ds, sg0s):
         cross = d * (d_last - d)
         j = np.array([[0.0, d * d, 0.0, 0.0],
                       [d * d, -w[0] * d * d, 0.0, 0.0],
                       [0.0, 0.0, (d_last - d) ** 2 * m[-1], cross],
                       [0.0, 0.0, cross, 0.0]])
-        dv = np.r_[np.full(n - 1, d), d_last][:, None]
-        sg0 = dv * m_apply(dv * g0)
         z = np.r_[0.0, sg0[:-1, 2]]
         left.append(np.column_stack([sg0, g0, z]))
         right.append(np.column_stack([g0 @ j, (sg0 - g0 @ (j @ (g0.T @ g0))) @ j, -z]))
     gram, first, last = _diagonal_sweep(np.stack(left), np.stack(right))
-    sq = 2.0 * gram.sum(axis=0) - first.T @ first  # off-diagonal pairs count twice
+    sq = 2.0 * gram - first.T @ first  # off-diagonal pairs count twice
     root = math.sqrt(lam)  # pair weight on the last column: root + 1/root = 2 + (1 - root)^2/root
     f1g2 = sq[0, 1] + (1.0 - root) ** 2 / root * float(last[:-1, 0] @ last[:-1, 1])
     s = v[-1] ** 2 * left[0][-1, 2] / s_f  # left[0][:, 2] = S_f e
@@ -244,7 +278,7 @@ def asymptotics_report(theta: float, hurst: float, t_list, n: int | None = None,
     """
     h = hurst
     a = stationary_variance(ModelParams(theta=theta, hurst=h, horizon=1.0))
-    lim_g2 = delta_h(h) / (2.0 * theta ** (1 + 4 * h))
+    lim_g2 = delta_h(h) / (2.0 * checked_power(theta, 1 + 4 * h, "theta"))
     lim_fg = math.sqrt(theta / sigma2_h(h)) * lim_g2
     log_case = h == HURST_MAX
     label = "T/log(T)" if log_case else "T"

@@ -11,7 +11,9 @@ routes against.  No `fou` command calls any of them.
   (every quantity there comes from the displacement generators of the
   squared AR(1) factors of W f and W g).  `ingredients_long_double` is the
   same algebra in long double, the reference where float64 loses digits:
-  the g-terms at theta T << 1.
+  the g-terms at theta T << 1.  `diagonal_sweep_rows` is the row-by-row
+  form of the generator sweep: it checks the blocked
+  `fou.bounds._diagonal_sweep`.
 * `b_t_gram_quadrature` evaluates b_T from its defining time average.  It
   cross-checks `fou.constants.b_t_closed_form`.
 * `i2` and `normalized_statistic` form the second-chaos statistic
@@ -154,6 +156,27 @@ def ingredients_long_double(params: ModelParams, grid: Grid) -> dict:
         "norm_g1g": np.sqrt(np.sum(gg * gg.T)),
         "norm_h2": (v @ weights @ v) ** 2,
     }
+
+
+def diagonal_sweep_rows(left: np.ndarray, right: np.ndarray):
+    """Row by row, the upper triangles of X and Y with displacements
+    X - Z X Z' = left[0] right[0]' and Y - Z Y Z' = left[1] right[1]': row k
+    of each is its displacement row plus row k-1 shifted one place.  Returns
+    the Gram matrix of (X[k, k:], Y[k, k:]) summed over k, and per row k the
+    first and last entries of X[k, k:] and Y[k, k:].  Two small products per
+    row and no flush of tiny generator entries."""
+    n, r = left.shape[1:]
+    rows = np.zeros((n, 2, 2 * r))
+    rows[:, 0, :r], rows[:, 1, r:] = left[0], left[1]
+    cols = np.ascontiguousarray(np.concatenate([right[0], right[1]], axis=1).T)
+    gram, first, last = np.zeros((2, 2)), np.empty((n, 2)), np.empty((n, 2))
+    prev = np.zeros((2, n + 1))
+    for k in range(n):
+        row = rows[k] @ cols[:, k:]
+        row += prev[:, :-1]
+        gram += row @ row.T
+        first[k], last[k], prev = row[:, 0], row[:, -1], row
+    return gram, first, last
 
 
 def b_t_gram_quadrature(params: ModelParams, grid: Grid) -> float:

@@ -6,6 +6,7 @@ import pytest
 
 from fou.bounds import (
     Ingredients,
+    _diagonal_sweep,
     _ingredients,
     asymptotics_report,
     psi_from_ingredients,
@@ -16,6 +17,7 @@ from fou.fgn import Grid, gram_weights
 from oracles import (
     boundary_vector,
     contract1,
+    diagonal_sweep_rows,
     ingredients_long_double,
     inner_h2,
     kernel_f,
@@ -112,6 +114,43 @@ def test_ingredients_match_long_double_reference(theta, hurst, horizon, n):
     got = {name: getattr(ing, name) for name in ref if name != "norm_h2"} | {"norm_h2": norm_h2}
     for name, want in ref.items():
         assert abs(float(got[name] / want - 1)) <= 5e-12, name
+
+
+def assert_sweeps_agree(got, want):
+    gram, first, last = got
+    gram_ref, first_ref, last_ref = want
+    np.testing.assert_allclose(gram, gram_ref, rtol=1e-13)
+    np.testing.assert_allclose(first, first_ref, rtol=1e-13)
+    # X[k, n-1] spans hundreds of decades at theta T > 708: measure it
+    # against each column's largest
+    scale = np.abs(last_ref).max(axis=0)
+    np.testing.assert_allclose(last / scale, last_ref / scale, rtol=1e-13, atol=1e-13)
+
+
+BLOCK = 8
+
+
+@pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+def test_blocked_sweep_matches_row_oracle(n, monkeypatch):
+    # SWEEP_CELLS = BLOCK n makes every block BLOCK rows (fewer when n < BLOCK),
+    # so n = 3 BLOCK + 1 ends on a block of one row
+    monkeypatch.setattr("fou.bounds.SWEEP_CELLS", BLOCK * n)
+    left, right = np.random.default_rng(n).random((2, 2, n, 9))
+    assert_sweeps_agree(_diagonal_sweep(left, right), diagonal_sweep_rows(left, right))
+
+
+def test_blocked_sweep_matches_row_oracle_past_underflow(monkeypatch):
+    # at theta T = 800 the generators span exp(-800), so the sweep flushes
+    # their entries below 1e-150 of each column's largest; the oracle keeps
+    # them.  n = 600 makes five blocks of 109 rows and one of 55.
+    seen = []
+    monkeypatch.setattr("fou.bounds._diagonal_sweep",
+                        lambda left, right: seen.append((left, right)) or _diagonal_sweep(left, right))
+    _ingredients(ModelParams(theta=1.0, hurst=0.6, horizon=800.0), Grid(horizon=800.0, n=600))
+    left, right = seen[0]
+    column_max = np.abs(left).max(axis=1, keepdims=True)
+    assert ((left != 0.0) & (np.abs(left) < 1e-150 * column_max)).any()
+    assert_sweeps_agree(_diagonal_sweep(left, right), diagonal_sweep_rows(left, right))
 
 
 def test_ingredients_peak_is_linear_in_n():

@@ -125,6 +125,8 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
       "--reps", "100"], "theta*step"),
     (["bounds", "--theta", "1e200", "--hurst", "0.6", "--t", "1e200", "--n", "64"],
      "theta*step"),
+    (["asymptotics", "--theta", "1e200", "--hurst", "0.6", "--t", "1e200", "--n", "64"],
+     "theta^3.4 overflows"),
     (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "1e300", "--n", "64"],
      "overflows at step = 1.5625e+298, T = 1e+300"),
     (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "1e300", "--n", "64",
@@ -136,8 +138,8 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     (["estimate", "--theta", "1e150", "--hurst", "0.6", "--t", "1e150", "--n", "64",
       "--reps", "3"], "int X^2 dt"),  # theta*T is finite, the denominator is not
 ], ids=["bounds_tiny_theta", "asymptotics_tiny_theta", "estimate_tiny_theta",
-        "kolmogorov_tiny_theta", "bounds_theta_step_overflows", "bounds_huge_t",
-        "kolmogorov_huge_t", "kolmogorov_theta_t_overflows",
+        "kolmogorov_tiny_theta", "bounds_theta_step_overflows", "asymptotics_theta_overflows",
+        "bounds_huge_t", "kolmogorov_huge_t", "kolmogorov_theta_t_overflows",
         "estimate_theta_t_overflows", "estimate_denominator_overflows"])
 def test_overflow_exits_3_without_output(args, named, tmp_path, capsys, recwarn):
     out = tmp_path / "out.csv"
