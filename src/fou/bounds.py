@@ -68,6 +68,7 @@ from .constants import (
     sigma2_h,
     stationary_variance,
 )
+from .errors import NumericsError
 from .fgn import Grid, increment_autocov, toeplitz_product
 from .hilbert import kernel_f, kernel_g
 from .process import ar1_scan
@@ -278,7 +279,10 @@ def asymptotics_report(theta: float, hurst: float, t_list, n: int | None = None,
     """
     h = hurst
     a = stationary_variance(ModelParams(theta=theta, hurst=h, horizon=1.0))
-    lim_g2 = delta_h(h) / (2.0 * checked_power(theta, 1 + 4 * h, "theta"))
+    theta_power = checked_power(theta, 1 + 4 * h, "theta")
+    if theta_power == 0.0:
+        raise NumericsError(f"theta^{1 + 4 * h:.6g} underflows at theta = {theta:.6g}")
+    lim_g2 = delta_h(h) / (2.0 * theta_power)
     lim_fg = math.sqrt(theta / sigma2_h(h)) * lim_g2
     log_case = h == HURST_MAX
     label = "T/log(T)" if log_case else "T"

@@ -20,8 +20,12 @@ and one real-output inverse transform (`hfft`) replaces a length-2n complex
 FFT.  Streams are derived from 64-bit seeds with a splitmix64 mix so
 replications are reproducible independent of scheduling and batching.
 One Philox bit generator serves a whole batch; per row it is reset to the
-initial state of the stream keyed by that row's seed.  `sample_fgn` is a
-batch of one and returns the plain n-vector of increments.
+initial state of the stream keyed by that row's seed.  A `Workspace` holds
+that generator and the batch's two buffers (the draws and the complex
+coefficients), so a caller that samples chunk after chunk, such as a
+worker of `montecarlo.replicate`, builds them once and allocates nothing
+path-sized per chunk.  `sample_fgn` is a batch of one and returns the
+plain n-vector of increments.
 """
 from __future__ import annotations
 
@@ -164,7 +168,31 @@ def _embedding_sqrt_eigs(n: int, hurst: float) -> tuple:
     return (np.sqrt(lam[0] / m), np.sqrt(lam[n] / m), np.sqrt(lam[1:n] / (2 * m)))
 
 
-def sample_fgn_batch(grid: Grid, hurst: float, seeds) -> np.ndarray:
+class Workspace:
+    """One thread's sampler state for `sample_fgn_batch`: a Philox bit
+    generator, its Generator and the zero-counter state template, and two
+    flat buffers (draws, complex coefficients) that grow on demand and are
+    never shrunk."""
+
+    def __init__(self) -> None:
+        self.bits = np.random.Philox(key=0)
+        self.rng = np.random.Generator(self.bits)
+        self.fresh = self.bits.state  # zero counter, empty buffer
+        self._draws, self._coeffs = np.empty(0), np.empty(0, dtype=complex)
+
+    def buffers(self, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """C-contiguous views rows x 2n (float) and rows x (n+1) (complex),
+        with arbitrary contents."""
+        if self._draws.size < rows * 2 * n:
+            self._draws = np.empty(rows * 2 * n)
+        if self._coeffs.size < rows * (n + 1):
+            self._coeffs = np.empty(rows * (n + 1), dtype=complex)
+        return (self._draws[:rows * 2 * n].reshape(rows, 2 * n),
+                self._coeffs[:rows * (n + 1)].reshape(rows, n + 1))
+
+
+def sample_fgn_batch(grid: Grid, hurst: float, seeds,
+                     workspace: Workspace | None = None) -> np.ndarray:
     """Exact fGn draws, one row per seed; row r depends only on seeds[r].
 
     Each stream contributes 2n standard normals laid out as
@@ -175,26 +203,30 @@ def sample_fgn_batch(grid: Grid, hurst: float, seeds) -> np.ndarray:
     scaled by step^H (self-similarity), so the nonnegativity check is
     scale-free.  The transform overwrites the spent draws, so the result
     is a non-contiguous view: the first n columns of a rows x 2n buffer.
+
+    That buffer belongs to `workspace`.  Without one, a fresh workspace is
+    built and the caller owns the result.  With one, the result stays valid
+    only until the workspace is used again.
     """
     _check_hurst(hurst)
     n = grid.n
     m = 2 * n
     f0, fn, fmid = _embedding_sqrt_eigs(n, hurst)
-    draws = np.empty((len(seeds), m))
-    bits = np.random.Philox(key=0)
-    rng, fresh = np.random.Generator(bits), bits.state  # zero counter, empty buffer
+    ws = workspace if workspace is not None else Workspace()
+    draws, zc = ws.buffers(len(seeds), n)
+    bits, rng, fresh = ws.bits, ws.rng, ws.fresh
     for r, s in enumerate(seeds):
         fresh["state"]["key"][0] = s & _MASK64  # now the state of Philox(key=s)
         bits.state = fresh
         rng.standard_normal(out=draws[r])
     # zc holds conj(z): hfft(z) is the unscaled irfft of conj(z), and
     # filling the conjugate directly spares hfft its complex copy.
-    zc = np.zeros((len(seeds), n + 1), dtype=complex)
     re, im = zc.real, zc.imag
     np.multiply(f0, draws[:, 0], out=re[:, 0])
     np.multiply(fn, draws[:, 1], out=re[:, n])
     np.multiply(fmid, draws[:, 2 : n + 1], out=re[:, 1:n])
     np.multiply(-fmid, draws[:, n + 1 :], out=im[:, 1:n])
+    im[:, 0] = im[:, n] = 0.0  # z_0 and z_n are real
     xi = np.fft.irfft(zc, n=m, axis=1, norm="forward", out=draws)[:, :n]  # out=: numpy 2
     return np.multiply(xi, grid.step**hurst, out=xi)
 

@@ -25,18 +25,19 @@ At H = 3/4 the statistic carries the extra 1/sqrt(log T) normalization.
 `replicate` is the one replication driver: `run` (for `kolmogorov` and
 `rate-fit`) and the `estimate` command both draw through it, so FOU_THREADS
 applies to `estimate` too.  It splits the replications into chunks of at
-most CHUNK_CELLS cells (rows x n).  One chunk's buffers (2n
-normals, n+1 complex coefficients and the 2n-point transform per row, then
-the scan) take about 4 MB per worker, so they stay in the processor's
-caches, and peak memory does not grow with the replication count; chunks
-of 8M cells needed about 0.7 GB per worker.  Chunks of 32K to 128K cells
-ran equally fast on a 2-core host, and going from 64K to 128K raised the
-peak memory of a whole `estimate` run from 112 to 117 MB.
+most CHUNK_CELLS cells (rows x n), so peak memory does not grow with the
+replication count.  Each pool thread keeps one `fgn.Workspace`, which
+holds the chunk buffers (2n normals and n+1 complex coefficients per row)
+and the Philox generator; it is reused from chunk to chunk and never shared
+between threads.  The statistics then reduce each row with
+einsum("ij,ij->i", ...), so in steady state the only path-sized arrays a
+chunk allocates are those of the scan.
 """
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -50,9 +51,9 @@ from .constants import (
     skorohod_correction,
 )
 from .errors import DegeneratePathError, NumericsError
-from .fgn import Grid, derive_seed, increment_autocov, sample_fgn_batch, toeplitz_product
+from .fgn import Grid, Workspace, derive_seed, increment_autocov, sample_fgn_batch, toeplitz_product
 from .hilbert import kernel_f, kernel_g
-from .process import NEAR_ZERO_DENOM, ar1_scan, denominator_floor, estimate_pathwise
+from .process import NEAR_ZERO_DENOM, ar1_scan, degenerate_denominators, estimate_pathwise
 
 CHAOS_RATIO = "chaos_ratio"
 PATHWISE = "pathwise"
@@ -109,12 +110,9 @@ def _chaos_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
     `traces` is what `_chaos_traces` returns for the same params and grid."""
     tr_f, tr_h, v, sf, c1, c2 = traces
     u = ar1_scan(xi, math.exp(-params.theta * grid.step))
-    u *= 2.0
-    u -= xi
-    u *= xi
-    q_exp = u.sum(axis=1)
-    # einsum, not a BLAS matvec: its per-row sum does not depend on how many
-    # rows share the call, so no value depends on chunk boundaries.
+    # einsum, not BLAS: its per-row sum does not depend on how many rows
+    # share the call, so no value depends on chunk boundaries.
+    q_exp = 2.0 * np.einsum("ij,ij->i", xi, u) - np.einsum("ij,ij->i", xi, xi)
     q_h = np.einsum("ij,j->i", xi, v) ** 2
     i2_f = sf * q_exp - tr_f
     i2_g = c1 * i2_f - c2 * (q_h - tr_h)
@@ -143,7 +141,7 @@ def _pathwise_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
     """Normalized pathwise estimator error for each row of xi; returns
     (values, degenerate count)."""
     num, den, _ = estimate_pathwise(grid, params, xi, c_t)
-    degenerate = int(np.sum(den < denominator_floor(params)))
+    degenerate = int(np.count_nonzero(degenerate_denominators(params, den)))
     scale = math.sqrt(params.horizon / (params.theta * sigma2_h(params.hurst)))
     return scale * (num / den - params.theta), degenerate
 
@@ -160,6 +158,10 @@ def replicate(setup, theta: float, hurst: float, t_list, reps: int, seed: int,
     the chunks of at most CHUNK_CELLS cells run on a pool of FOU_THREADS
     workers, so no row depends on chunk boundaries or scheduling.  A theta*T
     that overflows raises NumericsError before any draw.
+
+    Each worker draws into its own `fgn.Workspace`, so the rows a statistic
+    receives are overwritten by that worker's next chunk: a statistic must
+    not keep a view of its input rows, only arrays of its own.
     """
     workers = os.environ.get("FOU_THREADS")
     workers = int(workers) if workers else (os.cpu_count() or 1)
@@ -175,10 +177,15 @@ def replicate(setup, theta: float, hurst: float, t_list, reps: int, seed: int,
         tasks.extend(chunks)
         counts.append(len(chunks))
 
+    local = threading.local()
+
     def work(task):
         i, grid, statistic, r0, r1 = task
         seeds = [derive_seed(seed, i, r) for r in range(r0, r1)]
-        return statistic(sample_fgn_batch(grid, hurst, seeds))
+        workspace = getattr(local, "workspace", None)
+        if workspace is None:
+            workspace = local.workspace = Workspace()
+        return statistic(sample_fgn_batch(grid, hurst, seeds, workspace))
 
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         results = pool.map(work, tasks)

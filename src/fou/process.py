@@ -17,7 +17,8 @@ The estimator -int X dX / int X^2 dt comes in two computable forms:
 path per row, and a single path is a batch of one.  A row's result does
 not depend on the other rows of its batch.  The recursion is a blocked
 numpy scan (`ar1_scan`), the same scan that `montecarlo._chaos_batch`
-and `bounds._ingredients` use.
+and `bounds._ingredients` use; `estimate_pathwise` reduces the scan's rows
+directly, without the node array that `simulate_fou` returns.
 """
 from __future__ import annotations
 
@@ -74,14 +75,20 @@ def denominator_floor(params: ModelParams) -> float:
     return DEGENERATE_DENOM_FACTOR * params.horizon * stationary_variance(params)
 
 
+def degenerate_denominators(params: ModelParams, denominator: np.ndarray) -> np.ndarray:
+    """Rows whose int X^2 dt is not positive or is below `denominator_floor`.
+    Both tests are needed: the floor itself underflows to 0 where the
+    denominator does."""
+    return ~(denominator > 0.0) | (denominator < denominator_floor(params))
+
+
 def check_denominators(params: ModelParams, denominator: np.ndarray) -> None:
-    """Raise DegeneratePathError if any row's int X^2 dt is below the floor."""
-    floor = denominator_floor(params)
-    low = np.flatnonzero(denominator < floor)
+    """Raise DegeneratePathError naming T if any row's int X^2 dt is degenerate."""
+    low = np.flatnonzero(degenerate_denominators(params, denominator))
     if low.size:
         raise DegeneratePathError(
-            f"int X^2 dt = {denominator[low[0]]} below {floor} at T={params.horizon}; "
-            "wiring or RNG problem")
+            f"int X^2 dt = {denominator[low[0]]} is not positive or below "
+            f"{denominator_floor(params)} at T={params.horizon}; wiring or RNG problem")
 
 
 def estimate_pathwise(grid: Grid, params: ModelParams, xi: np.ndarray,
@@ -90,8 +97,8 @@ def estimate_pathwise(grid: Grid, params: ModelParams, xi: np.ndarray,
     the path that `simulate_fou` builds from each row of noise xi (rows x n);
     returns (numerator, denominator, method).  c_t is
     skorohod_correction(params), unused at H = 1/2.  The caller decides
-    what a denominator below `denominator_floor` means; one that overflows
-    raises NumericsError.
+    what a degenerate denominator (`degenerate_denominators`) means; one
+    that overflows raises NumericsError.
 
     The denominator is the trapezoid rule for int X^2 dt.  H = 1/2 uses the
     Ito identity directly.  H > 1/2 evaluates the Young integral of X dX by
@@ -100,12 +107,16 @@ def estimate_pathwise(grid: Grid, params: ModelParams, xi: np.ndarray,
     the discrete quadratic variation, which at step dt decays only like
     dt^(2H-1) and visibly biases the estimate; the trapezoid sum is the same
     Riemann-Stieltjes limit without that defect.)
+
+    Both come from the scan u = x[1..n] alone: with x_0 = 0 the trapezoid
+    sum is step * (sum_k u_k^2 - u_T^2 / 2), and the numerator needs only
+    u_T, so the node array and its square are never formed.
     """
-    x = simulate_fou(grid, params, xi)
-    x2 = x * x
-    denominator = grid.step * (0.5 * x2[:, 0] + x2[:, 1:-1].sum(axis=1) + 0.5 * x2[:, -1])
+    u = ar1_scan(xi, math.exp(-params.theta * grid.step))
+    u_t2 = u[:, -1] ** 2
+    denominator = grid.step * (np.einsum("ij,ij->i", u, u) - 0.5 * u_t2)
     if not np.isfinite(denominator).all():
         raise NumericsError(f"int X^2 dt overflows at T={params.horizon}")
     if params.hurst == HURST_MIN:
-        return 0.5 * (params.horizon - x2[:, -1]), denominator, PATHWISE_ITO
-    return -(0.5 * x2[:, -1] - c_t), denominator, SKOROHOD_ORACLE
+        return 0.5 * (params.horizon - u_t2), denominator, PATHWISE_ITO
+    return -(0.5 * u_t2 - c_t), denominator, SKOROHOD_ORACLE

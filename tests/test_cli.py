@@ -137,10 +137,16 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
       "--reps", "100"], "theta*T"),
     (["estimate", "--theta", "1e150", "--hurst", "0.6", "--t", "1e150", "--n", "64",
       "--reps", "3"], "int X^2 dt"),  # theta*T is finite, the denominator is not
+    # int X^2 dt underflows to 0, and its floor with it
+    (["estimate", "--theta", "4.18e178", "--hurst", "0.5000001", "--t", "6.94e-176",
+      "--n", "16", "--reps", "100"], "T=6.94e-176"),
+    (["asymptotics", "--theta", "1e-100", "--hurst", "0.6", "--t", "10", "--n", "64"],
+     "theta^3.4 underflows"),
 ], ids=["bounds_tiny_theta", "asymptotics_tiny_theta", "estimate_tiny_theta",
         "kolmogorov_tiny_theta", "bounds_theta_step_overflows", "asymptotics_theta_overflows",
         "bounds_huge_t", "kolmogorov_huge_t", "kolmogorov_theta_t_overflows",
-        "estimate_theta_t_overflows", "estimate_denominator_overflows"])
+        "estimate_theta_t_overflows", "estimate_denominator_overflows",
+        "estimate_denominator_underflows", "asymptotics_theta_underflows"])
 def test_overflow_exits_3_without_output(args, named, tmp_path, capsys, recwarn):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])

@@ -7,6 +7,7 @@ import fou.fgn as fgn
 from fou.errors import NumericsError
 from fou.fgn import (
     Grid,
+    Workspace,
     derive_seed,
     gram_weights,
     increment_autocov,
@@ -154,6 +155,39 @@ def test_sample_batch_matches_single():
     batch = sample_fgn_batch(g, 0.6, seeds)
     for r, s in enumerate(seeds):
         assert np.array_equal(batch[r], sample_fgn(g, 0.6, s))
+
+
+def test_workspace_reused_across_shapes_matches_fresh_calls():
+    # (rows, n) grow and shrink, so each call finds the last call's values
+    # in its buffers; every row must still equal a fresh call's, bit for bit
+    ws = Workspace()
+    for rows, n in ((3, 16), (40, 64), (2, 8), (5, 128), (1, 16), (40, 64)):
+        g = Grid(horizon=2.0, n=n)
+        seeds = [derive_seed(21, n, r) for r in range(rows)]
+        reused = sample_fgn_batch(g, 0.7, seeds, ws)
+        assert reused.shape == (rows, n)
+        assert reused.tobytes() == sample_fgn_batch(g, 0.7, seeds).tobytes()
+
+
+def test_workspace_rows_live_until_its_next_call():
+    g = Grid(horizon=1.0, n=32)
+    ws = Workspace()
+    first = sample_fgn_batch(g, 0.6, [1, 2, 3], ws)
+    second = sample_fgn_batch(g, 0.6, [4, 5, 6], ws)
+    assert np.shares_memory(first, second)  # the buffer is reused, not reallocated
+    assert np.array_equal(first, sample_fgn_batch(g, 0.6, [4, 5, 6]))  # first is overwritten
+
+
+def test_batch_without_workspace_is_never_aliased():
+    g = Grid(horizon=1.0, n=32)
+    owned = sample_fgn_batch(g, 0.6, [1, 2, 3])
+    kept = owned.copy()
+    ws = Workspace()
+    for seeds in ([4, 5, 6], [7, 8, 9]):
+        later = sample_fgn_batch(g, 0.6, seeds)
+        assert not np.shares_memory(owned, later)
+        assert not np.shares_memory(owned, sample_fgn_batch(g, 0.6, seeds, ws))
+    assert np.array_equal(owned, kept)
 
 
 @pytest.mark.parametrize("h", [0.5, 0.75])

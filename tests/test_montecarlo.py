@@ -1,20 +1,25 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from fou.constants import ModelParams, b_t_closed_form
-from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn_batch
+from fou.constants import ModelParams, b_t_closed_form, skorohod_correction
+from fou.fgn import Grid, Workspace, derive_seed, gram_weights, sample_fgn_batch
 from fou.montecarlo import (
     CHAOS_RATIO,
+    CHUNK_CELLS,
     _chaos_batch,
     _chaos_traces,
     _pathwise_batch,
     ks_distance,
     rate_fit,
+    replicate,
     run,
 )
+from fou.process import ar1_scan
 from oracles import kernel_f, kernel_g, normalized_pathwise_statistic, normalized_statistic
 
 
@@ -150,3 +155,59 @@ def test_statistic_methods_agree_in_distribution():
         out[method] = run(theta=1.0, hurst=0.5, t_list=(t,), reps=reps,
                           seed=42, n=None, dt=dt, method=method)[0].ks_distance
     assert abs(out["chaos_ratio"] - out["pathwise"]) <= 0.02
+
+
+@pytest.mark.parametrize("method", ["pathwise", CHAOS_RATIO])
+def test_warm_chunk_allocates_only_the_scan(method):
+    # On a warm workspace one chunk's sampler allocates nothing path-sized
+    # and the statistic reduces rows without temporaries, so the chunk peaks
+    # at what the scan alone needs (its rows x n output, its block carries
+    # and numpy's fixed-size ufunc buffers) plus per-row results.  The
+    # sampler's own draws and coefficients would add 4 x 8 rows n bytes.
+    params = ModelParams(theta=1.0, hurst=0.7, horizon=50.0)
+    grid = Grid.from_step(50.0, 0.05)
+    rows = CHUNK_CELLS // grid.n
+    seeds = [derive_seed(3, 0, r) for r in range(rows)]
+    if method == CHAOS_RATIO:
+        b_t, traces = b_t_closed_form(params), _chaos_traces(params, grid)
+        statistic = lambda xi: _chaos_batch(params, grid, xi, b_t, traces)  # noqa: E731
+    else:
+        c_t = skorohod_correction(params)
+        statistic = lambda xi: _pathwise_batch(params, grid, xi, c_t)  # noqa: E731
+    ws = Workspace()
+    xi = sample_fgn_batch(grid, params.hurst, seeds, ws)
+    statistic(xi)  # warm the buffers and the caches
+    rho = math.exp(-params.theta * grid.step)
+    peaks = []
+    for chunk in (lambda: ar1_scan(xi, rho),
+                  lambda: statistic(sample_fgn_batch(grid, params.hurst, seeds, ws))):
+        tracemalloc.start()
+        try:
+            chunk()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    scan_peak, chunk_peak = peaks
+    assert chunk_peak <= scan_peak + 16 * 8 * rows
+    assert chunk_peak < 2 * 8 * rows * grid.n
+
+
+def test_workspaces_stay_per_thread_under_contention(monkeypatch):
+    # More workers than cores and a short switch interval: a workspace that
+    # two threads shared would hand one chunk's rows to another's statistic.
+    def setup(params, grid):
+        return lambda xi: xi[:, ::5].copy()
+
+    args = (setup, 1.0, 0.7, [5.0, 10.0, 20.0], 640, 11, 1024, None)
+    monkeypatch.setenv("FOU_THREADS", "1")
+    serial = replicate(*args)
+    monkeypatch.setenv("FOU_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = replicate(*args)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(serial[0]) == 10  # 64-row chunks
+    for one, many in zip(serial, threaded):
+        assert np.concatenate(one).tobytes() == np.concatenate(many).tobytes()
