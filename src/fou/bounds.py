@@ -105,27 +105,6 @@ class Ingredients:
     norm_g1g: float     # ||g x1 g||
 
 
-@dataclass(frozen=True)
-class BoundTerms:
-    psi1: float
-    psi2: float
-    psi3: float
-    max_psi: float
-    ingredients: Ingredients
-
-
-@dataclass(frozen=True)
-class AsymptoticsRow:
-    """Measured scaled quantities at one horizon, with their limits.
-
-    `quantities` maps a scaled-quantity name to (measured, limit, ratio);
-    ratio is measured/limit where the limit is nonzero, else None.
-    """
-
-    t: float
-    quantities: dict
-
-
 def psi_from_ingredients(ing: Ingredients) -> tuple[float, float, float]:
     """Assemble (Psi1, Psi2, Psi3) from raw ingredient values."""
     b2 = ing.b_t * ing.b_t
@@ -257,19 +236,21 @@ def _ingredients(params: ModelParams, grid: Grid) -> tuple[Ingredients, float]:
     return ing, float(s * s)
 
 
-def psi_terms(params: ModelParams, grid: Grid) -> BoundTerms:
-    """Evaluate the three bound terms at (theta, H, T) on the given grid."""
+def psi_terms(params: ModelParams, grid: Grid) -> dict:
+    """The `bounds` row at (theta, H, T) on the grid: Psi1-3, max_psi and the ingredients."""
     ing, _ = _ingredients(params, grid)
     if ing.b_t <= 0:
         raise ValueError(f"b_T must be positive, got {ing.b_t}")
-    psi1, psi2, psi3 = psi_from_ingredients(ing)
-    return BoundTerms(psi1=psi1, psi2=psi2, psi3=psi3,
-                      max_psi=max(psi1, psi2, psi3), ingredients=ing)
+    psi = dict(zip(("psi1", "psi2", "psi3"), psi_from_ingredients(ing)))
+    row = {"T": grid.horizon, **psi, "max_psi": max(psi.values()), **vars(ing)}
+    row["b_T"] = row.pop("b_t")
+    return row
 
 
 def asymptotics_report(theta: float, hurst: float, t_list, n: int | None = None,
-                       dt: float | None = None) -> list[AsymptoticsRow]:
-    """Measure every bound ingredient at (theta, H) across a horizon grid.
+                       dt: float | None = None) -> list[dict]:
+    """Measure every bound ingredient at (theta, H) across a horizon grid;
+    returns the long-format `asymptotics` rows, ratio "" at a zero limit.
 
     Quantity names carry the scaling actually applied; at H = 3/4 the
     denominator-kernel quantities take their log-corrected scalings and
@@ -304,10 +285,7 @@ def asymptotics_report(theta: float, hurst: float, t_list, n: int | None = None,
             f"sqrt({label})*norm_f1g": (math.sqrt(scale) * ing.norm_f1g, 0.0),
             f"sqrt({label})*norm_g1g": (math.sqrt(scale) * ing.norm_g1g, 0.0),
         }
-        quantities = {
-            name: (meas, lim, meas / lim if lim != 0.0 else None)
-            for name, (meas, lim) in q.items()
-        }
-        rows.append(AsymptoticsRow(t=t, quantities=quantities))
+        rows.extend({"T": t, "quantity": name, "measured": meas, "paper_limit": lim,
+                     "ratio": meas / lim if lim != 0.0 else ""}
+                    for name, (meas, lim) in q.items())
     return rows
-

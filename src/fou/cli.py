@@ -12,7 +12,7 @@ Commands:
     rate-fit     kolmogorov + fitted log-log rate (at least 3 horizons)
 
 Only `kolmogorov` and `rate-fit` take --method; the other commands reject
-it, and their RunConfig.method is None.  Every argv check runs once, in
+it, and their resolved method is None.  Every argv check runs once, in
 `parse_args`: argparse parses --t (repeatable, comma separated) and the
 mutually exclusive --dt and --n like every other flag, and the checks
 across flags follow.  Every command needs a --t horizon; `kolmogorov`, `rate-fit`
@@ -22,7 +22,8 @@ grid above `fgn.MAX_CELLS` cells, or in `bounds` and `asymptotics` above
 n-sized array exists.
 
 Exit codes: 0 success, 2 usage, 3 numerical failure (a `NumericsError`,
-or an `ArithmeticError` such as an overflow), 4 I/O.  The resolved
+an `ArithmeticError` such as an overflow, or a NaN or inf in a column,
+found before the file is opened), 4 I/O.  The resolved
 configuration (defaults included) is echoed to stderr before any work, and
 numbers are printed with 12 significant digits.
 """
@@ -30,9 +31,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 # numpy's idle OpenBLAS worker busy-waits 2^28 clock ticks (0.13 s on a 2-vCPU
 # VM) from its start, on into a command's work, burning a core for nothing;
@@ -60,29 +61,14 @@ CSV_COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    theta: float
-    hurst: float
-    t_list: tuple
-    dt: float | None
-    n: int | None
-    reps: int
-    seed: int
-    out: str
-    format: str
-    method: str | None
-
-
 def horizons(text: str) -> list[float]:
     """The horizons of one --t value: comma separated, blanks skipped."""
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def parse_args(argv) -> RunConfig:
-    """Translate argv into a validated RunConfig; exits with status 2 on
-    unknown flags, missing values, or invariant violations."""
+def parse_args(argv) -> argparse.Namespace:
+    """Translate argv into the validated configuration, defaults resolved;
+    exits with status 2 on unknown flags, missing values, or invariant violations."""
     parser = argparse.ArgumentParser(
         prog="fou",
         description="Fractional Ornstein-Uhlenbeck drift-estimation experiments")
@@ -129,9 +115,9 @@ def parse_args(argv) -> RunConfig:
     except ValueError as exc:
         parser.error(str(exc))
     out = ns.out if ns.out is not None else f"{ns.command}.{ns.format}"
-    return RunConfig(command=ns.command, theta=ns.theta, hurst=ns.hurst,
-                     t_list=t_list, dt=dt, n=ns.n, reps=ns.reps, seed=ns.seed,
-                     out=out, format=ns.format, method=getattr(ns, "method", None))
+    return argparse.Namespace(command=ns.command, theta=ns.theta, hurst=ns.hurst,
+                              t_list=t_list, dt=dt, n=ns.n, reps=ns.reps, seed=ns.seed,
+                              out=out, format=ns.format, method=getattr(ns, "method", None))
 
 
 def _fmt(value) -> str:
@@ -140,7 +126,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _rows_simulate(cfg: RunConfig):
+def _rows_simulate(cfg):
     rows = []
     for i, t in enumerate(cfg.t_list):
         grid = Grid.for_horizon(t, n=cfg.n, dt=cfg.dt)
@@ -151,7 +137,7 @@ def _rows_simulate(cfg: RunConfig):
     return rows
 
 
-def _rows_estimate(cfg: RunConfig):
+def _rows_estimate(cfg):
     def setup(params, grid):
         c_t = skorohod_correction(params)
 
@@ -172,48 +158,27 @@ def _rows_estimate(cfg: RunConfig):
     return rows
 
 
-def _rows_bounds(cfg: RunConfig):
-    rows = []
-    for grid in bounds_mod.horizon_grids(cfg.t_list, n=cfg.n, dt=cfg.dt):
-        t = grid.horizon
-        params = ModelParams(theta=cfg.theta, hurst=cfg.hurst, horizon=t)
-        terms = bounds_mod.psi_terms(params, grid)
-        ing = terms.ingredients
-        rows.append({"T": t, "psi1": terms.psi1, "psi2": terms.psi2,
-                     "psi3": terms.psi3, "max_psi": terms.max_psi,
-                     "b_T": ing.b_t, "norm_f2": ing.norm_f2,
-                     "norm_f1f": ing.norm_f1f, "norm_f1g": ing.norm_f1g,
-                     "inner_fg": ing.inner_fg, "norm_g2": ing.norm_g2,
-                     "norm_g1g": ing.norm_g1g})
-    return rows
+def _rows_bounds(cfg):
+    return [bounds_mod.psi_terms(ModelParams(theta=cfg.theta, hurst=cfg.hurst,
+                                             horizon=grid.horizon), grid)
+            for grid in bounds_mod.horizon_grids(cfg.t_list, n=cfg.n, dt=cfg.dt)]
 
 
-def _rows_asymptotics(cfg: RunConfig):
-    rows = []
-    for row in bounds_mod.asymptotics_report(cfg.theta, cfg.hurst, cfg.t_list,
-                                             n=cfg.n, dt=cfg.dt):
-        for name, (measured, limit, ratio) in row.quantities.items():
-            rows.append({"T": row.t, "quantity": name, "measured": measured,
-                         "paper_limit": limit,
-                         "ratio": ratio if ratio is not None else ""})
-    return rows
+def _rows_asymptotics(cfg):
+    return bounds_mod.asymptotics_report(cfg.theta, cfg.hurst, cfg.t_list, n=cfg.n, dt=cfg.dt)
 
 
-def _rows_kolmogorov(cfg: RunConfig):
+def _rows_kolmogorov(cfg):
     rows = mc.run(cfg.theta, cfg.hurst, cfg.t_list, cfg.reps, cfg.seed, cfg.n, cfg.dt, cfg.method)
-    return [{"T": r.t, "ks_distance": r.ks_distance, "sample_mean": r.sample_mean,
-             "sample_var": r.sample_var, "reps": cfg.reps, "seed": cfg.seed}
-            for r in rows]
+    return [{**r, "reps": cfg.reps, "seed": cfg.seed} for r in rows]
 
 
-def _rows_rate_fit(cfg: RunConfig):
+def _rows_rate_fit(cfg):
     rows = mc.run(cfg.theta, cfg.hurst, cfg.t_list, cfg.reps, cfg.seed, cfg.n, cfg.dt, cfg.method)
-    if not all(r.ks_distance > 0 for r in rows):  # NaN fails too
+    if not all(r["ks_distance"] > 0 for r in rows):  # NaN fails too
         raise NumericsError("rate fit needs positive distances at every horizon")
-    fit = mc.rate_fit([(r.t, r.ks_distance) for r in rows])
-    return [{"T": r.t, "ks_distance": r.ks_distance, "beta_hat": fit.beta_hat,
-             "c_hat": fit.c_hat, "r_squared": fit.r_squared}
-            for r in rows]
+    fit = mc.rate_fit([(r["T"], r["ks_distance"]) for r in rows])
+    return [{**r, **fit} for r in rows]
 
 
 _ROW_BUILDERS = {
@@ -226,7 +191,15 @@ _ROW_BUILDERS = {
 }
 
 
-def emit_report(rows, cfg: RunConfig) -> str:
+def check_finite(rows, command: str) -> None:
+    """Raise NumericsError naming the column and T of the first NaN or inf written."""
+    for row in rows:
+        for column in CSV_COLUMNS[command]:
+            if isinstance(row[column], float) and not math.isfinite(row[column]):
+                raise NumericsError(f"{column} is {row[column]} at T={row['T']:.6g}")
+
+
+def emit_report(rows, cfg) -> str:
     """Write rows to cfg.out in the fixed schema for cfg.command; returns the path."""
     columns = CSV_COLUMNS[cfg.command]
     if cfg.format == "csv":
@@ -253,6 +226,7 @@ def main(argv=None) -> int:
     print(f"[fou] resolved config: {json.dumps(vars(cfg), sort_keys=True)}", file=sys.stderr)
     try:
         rows = _ROW_BUILDERS[cfg.command](cfg)
+        check_finite(rows, cfg.command)
         path = emit_report(rows, cfg)
     except (NumericsError, ArithmeticError) as exc:
         print(f"[fou] numerical failure: {exc}", file=sys.stderr)

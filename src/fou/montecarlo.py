@@ -1,26 +1,28 @@
 """Monte Carlo harness: replicate the normalized statistic, estimate the
 empirical Kolmogorov distance to N(0,1), and fit the decay rate.  `run`
 takes the plain, already validated arguments of `replicate` plus the
-method, and fits nothing; `rate_fit` is the `rate-fit` command's own step.
+method, and returns one row per horizon; `rate_fit` is the `rate-fit`
+command's own step.
 
 Replication r at horizon index i draws from the stream derive_seed(master,
 i, r), so results are bit-identical regardless of chunking or worker
 count; FOU_THREADS caps the worker pool (default: hardware concurrency).
 
-Per-replication statistics avoid dense n x n kernels entirely.  The
-exponential kernel is E = L + L' - I, with L the causal AR(1) filter
-(L[i, j] = rho^(i-j) for i >= j, rho = exp(-theta dt)), so its quadratic
-form needs one forward scan, the blocked scan `process.ar1_scan`:
+Per-replication statistics avoid dense n x n kernels entirely.  With
+rho = exp(-theta dt) and u = L xi the causal AR(1) scan of a row (the
+blocked `process.ar1_scan`, u_i = rho u_{i-1} + xi_i), the exponential
+kernel E[i, j] = rho^|i-j| = (1 - rho^2) L'L + w w' (w_i = rho^(n-i)) and
+the boundary vector v_i = rho^(n-1/2-i) give
 
-    u_i = rho u_{i-1} + xi_i,   xi' E xi = 2 xi' L xi - xi' xi = sum_i xi_i (2 u_i - xi_i).
+    xi' E xi = (1 - rho^2) sum_i u_i^2 + rho^2 u_T^2,    (xi . v)^2 = rho u_T^2,
 
-The boundary kernel is rank one, and the recentering traces use the
-Toeplitz structure of the Gram weights (`fgn.toeplitz_product`); everything
-is O(n) or O(n log n) per replication and agrees with the dense operations
-to rounding error.  The Toeplitz row of f, checked by `hilbert.kernel_f`
-as for `bounds`, and the compact form (c1, c2, v) of g come from `hilbert`,
-once per horizon, through `_chaos_traces`.
-At H = 3/4 the statistic carries the extra 1/sqrt(log T) normalization.
+with 1 - rho^2 taken as -expm1(-2 theta dt).  The recentering traces use
+the Toeplitz structure of the Gram weights (`fgn.toeplitz_product`); all
+of it is O(n) or O(n log n) per replication and agrees with the dense
+operations to rounding error.  The Toeplitz row of f, checked by
+`hilbert.kernel_f` as for `bounds`, and the compact form (c1, c2, v) of g
+come from `hilbert`, once per horizon, through `_chaos_traces`.  At
+H = 3/4 the statistic carries the extra 1/sqrt(log T) normalization.
 
 `replicate` is the one replication driver: `run` (for `kolmogorov` and
 `rate-fit`) and the `estimate` command both draw through it, so FOU_THREADS
@@ -39,7 +41,6 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,22 +61,6 @@ PATHWISE = "pathwise"
 CHUNK_CELLS = 1 << 16  # cells per chunk; see the module docstring
 
 
-@dataclass(frozen=True)
-class MCRow:
-    t: float
-    samples: np.ndarray = field(repr=False)
-    ks_distance: float
-    sample_mean: float
-    sample_var: float
-
-
-@dataclass(frozen=True)
-class RateFit:
-    beta_hat: float
-    c_hat: float
-    r_squared: float
-
-
 def normal_cdf(z: np.ndarray) -> np.ndarray:
     """Standard normal CDF erfc(-z / sqrt 2) / 2, accurate in the lower tail."""
     return 0.5 * np.array([math.erfc(-x * math.sqrt(0.5)) for x in z.tolist()])
@@ -89,10 +74,10 @@ def ks_distance(samples) -> float:
     return float(max(np.max(i / z.size - cdf), np.max(cdf - (i - 1) / z.size)))
 
 
-def rate_fit(rows) -> RateFit:
-    """OLS of log distance on log T: distance ~ c_hat * T^(-beta_hat).  The
-    caller passes at least 3 strictly increasing horizons (`cli.parse_args`)
-    and positive distances (`cli._rows_rate_fit`)."""
+def rate_fit(rows) -> dict:
+    """OLS of log distance on log T over (T, distance) pairs: distance ~
+    c_hat * T^(-beta_hat).  The caller passes at least 3 strictly increasing
+    horizons (`cli.parse_args`) and positive distances (`cli._rows_rate_fit`)."""
     ts = np.array([t for t, _ in rows], dtype=float)
     ds = np.array([d for _, d in rows], dtype=float)
     lx, ly = np.log(ts), np.log(ds)
@@ -100,32 +85,32 @@ def rate_fit(rows) -> RateFit:
     resid = ly - (slope * lx + intercept)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(beta_hat=float(-slope), c_hat=float(math.exp(intercept)),
-                   r_squared=r2)
+    return {"beta_hat": float(-slope), "c_hat": float(math.exp(intercept)), "r_squared": r2}
 
 
 def _chaos_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
                  b_t: float, traces: tuple) -> tuple[np.ndarray, int]:
     """Chaos-ratio statistic for each row of xi; returns (values, degenerate count).
     `traces` is what `_chaos_traces` returns for the same params and grid."""
-    tr_f, tr_h, v, sf, c1, c2 = traces
-    u = ar1_scan(xi, math.exp(-params.theta * grid.step))
+    tr_f, tr_h, sf, c1, c2 = traces
+    x = params.theta * grid.step
+    rho = math.exp(-x)
+    u = ar1_scan(xi, rho)
+    u_t2 = u[:, -1] ** 2
     # einsum, not BLAS: its per-row sum does not depend on how many rows
     # share the call, so no value depends on chunk boundaries.
-    q_exp = 2.0 * np.einsum("ij,ij->i", xi, u) - np.einsum("ij,ij->i", xi, xi)
-    q_h = np.einsum("ij,j->i", xi, v) ** 2
+    q_exp = -math.expm1(-2.0 * x) * np.einsum("ij,ij->i", u, u) + rho * rho * u_t2
     i2_f = sf * q_exp - tr_f
-    i2_g = c1 * i2_f - c2 * (q_h - tr_h)
+    i2_g = c1 * i2_f - c2 * (rho * u_t2 - tr_h)
     den = i2_g + b_t
     degenerate = int(np.sum(np.abs(den) < NEAR_ZERO_DENOM))
     return -i2_f / den, degenerate
 
 
 def _chaos_traces(params: ModelParams, grid: Grid) -> tuple:
-    """Per-horizon inputs of `_chaos_batch`: the recentering traces
-    tr(f W) and tr(v v' W) via the Toeplitz structure (W v from
-    `fgn.toeplitz_product`), then the boundary vector v, the scale row[0]
-    of f and the coefficients c1, c2 of g."""
+    """Per-horizon inputs of `_chaos_batch`: the recentering traces tr(f W)
+    and tr(v v' W) via the Toeplitz structure (W v from
+    `fgn.toeplitz_product`), the scale row[0] of f and c1, c2 of g."""
     n = grid.n
     gamma = increment_autocov(grid, params.hurst)
     row = kernel_f(params, grid)
@@ -133,17 +118,18 @@ def _chaos_traces(params: ModelParams, grid: Grid) -> tuple:
     tr_f = n * row[0] * gamma[0] + 2.0 * np.sum((n - lags) * row[1:] * gamma[1:])
     c1, c2, v = kernel_g(params, grid)
     tr_h = float(v @ toeplitz_product(gamma)(v))
-    return (tr_f, tr_h, v, row[0], c1, c2)
+    return (tr_f, tr_h, row[0], c1, c2)
 
 
 def _pathwise_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
                     c_t: float) -> tuple[np.ndarray, int]:
     """Normalized pathwise estimator error for each row of xi; returns
-    (values, degenerate count)."""
+    (values, degenerate count).  A degenerate row is NaN, not divided."""
     num, den, _ = estimate_pathwise(grid, params, xi, c_t)
-    degenerate = int(np.count_nonzero(degenerate_denominators(params, den)))
+    bad = degenerate_denominators(params, den)
+    theta_hat = np.divide(num, den, out=np.full_like(num, np.nan), where=~bad)
     scale = math.sqrt(params.horizon / (params.theta * sigma2_h(params.hurst)))
-    return scale * (num / den - params.theta), degenerate
+    return scale * (theta_hat - params.theta), int(np.count_nonzero(bad))
 
 
 def replicate(setup, theta: float, hurst: float, t_list, reps: int, seed: int,
@@ -193,11 +179,11 @@ def replicate(setup, theta: float, hurst: float, t_list, reps: int, seed: int,
 
 
 def run(theta: float, hurst: float, t_list, reps: int, seed: int, n: int | None,
-        dt: float | None, method: str) -> list[MCRow]:
-    """One MCRow per horizon of the CHAOS_RATIO or PATHWISE statistic, drawn
-    by `replicate`.  `cli.parse_args` validates the arguments.  Aborts if
+        dt: float | None, method: str) -> list[dict]:
+    """One row per horizon of the CHAOS_RATIO or PATHWISE statistic, drawn by
+    `replicate`, with the `samples` array that no report writes.  Aborts if
     more than 0.1% of replications at any horizon produce degenerate
-    denominators."""
+    denominators; below that, a degenerate PATHWISE row is NaN."""
     def setup(params, grid):
         if method == CHAOS_RATIO:
             b_t, traces = b_t_closed_form(params), _chaos_traces(params, grid)
@@ -214,6 +200,6 @@ def run(theta: float, hurst: float, t_list, reps: int, seed: int, n: int | None,
         s = np.concatenate([vals for vals, _ in chunks])
         if hurst == HURST_MAX:
             s /= math.sqrt(math.log(t))
-        rows.append(MCRow(t=t, samples=s, ks_distance=ks_distance(s),
-                          sample_mean=float(s.mean()), sample_var=float(s.var())))
+        rows.append({"T": t, "ks_distance": ks_distance(s), "sample_mean": float(s.mean()),
+                     "sample_var": float(s.var()), "samples": s})
     return rows

@@ -144,7 +144,7 @@ def test_criterion_07_bound_terms_decreasing():
         maxes = []
         for t in (25.0, 50.0, 100.0, 200.0):
             terms = psi_terms(ModelParams(THETA, h, t), Grid(horizon=t, n=2048))
-            maxes.append(terms.max_psi)
+            maxes.append(terms["max_psi"])
         dec = all(a > b for a, b in zip(maxes, maxes[1:]))
         ok &= dec
         details.append(f"H={h}: max_psi={['%.4f' % m for m in maxes]} decreasing={dec}")
@@ -183,14 +183,14 @@ def test_criterion_09_kolmogorov_distance_brownian():
     # (a) single-horizon distance at T = 200
     rows = run(theta=THETA, hurst=0.5, t_list=(200.0,), reps=5000,
                seed=42, n=None, dt=0.05, method=CHAOS_RATIO)
-    d200 = rows[0].ks_distance
+    d200 = rows[0]["ks_distance"]
     ok &= d200 <= 0.05
     details.append(f"ks(T=200)={d200:.4f}")
     # (b) median over 5 master seeds, nonincreasing across T
     per_seed = [run(theta=THETA, hurst=0.5, t_list=(50.0, 100.0, 200.0),
                     reps=5000, seed=ms, n=None, dt=0.05, method=CHAOS_RATIO)
                 for ms in (1, 2, 3, 4, 5)]
-    medians = [float(np.median([rows[i].ks_distance for rows in per_seed]))
+    medians = [float(np.median([rows[i]["ks_distance"] for rows in per_seed]))
                for i in range(3)]
     trend = all(a >= b for a, b in zip(medians, medians[1:]))
     ok &= trend
@@ -198,9 +198,9 @@ def test_criterion_09_kolmogorov_distance_brownian():
     # (c) fitted decay exponent across four horizons
     rows = run(theta=THETA, hurst=0.5, t_list=(50.0, 100.0, 200.0, 400.0),
                reps=10_000, seed=42, n=None, dt=0.05, method=CHAOS_RATIO)
-    beta = rate_fit([(r.t, r.ks_distance) for r in rows]).beta_hat
+    beta = rate_fit([(r["T"], r["ks_distance"]) for r in rows])["beta_hat"]
     ok &= 0.3 <= beta <= 0.7
-    details.append(f"beta_hat={beta:.3f} (distances={['%.4f' % r.ks_distance for r in rows]})")
+    details.append(f"beta_hat={beta:.3f} (distances={['%.4f' % r['ks_distance'] for r in rows]})")
     report(9, ok, "; ".join(details))
 
 

@@ -34,6 +34,12 @@ def ing(**kw):
     return Ingredients(**base)
 
 
+def quantities(rows):
+    """(measured, paper_limit, ratio) by quantity name, from the
+    asymptotics rows of one horizon."""
+    return {r["quantity"]: (r["measured"], r["paper_limit"], r["ratio"]) for r in rows}
+
+
 def test_psi1_vanishes_on_balanced_ingredients():
     # b^2 = 2 ||f||^2 and no contraction -> Psi1 = 0
     psi1, _, _ = psi_from_ingredients(ing(b_t=math.sqrt(2.0), norm_f2=1.0))
@@ -56,20 +62,19 @@ def test_psi_terms_ingredients_match_one_op_route():
     w = gram_weights(g, 0.6)
     f, gg = kernel_f(p, g), kernel_g(p, g)
     terms = psi_terms(p, g)
-    i = terms.ingredients
-    assert i.norm_f2 == pytest.approx(norm2_h2(f, w), rel=1e-10)
-    assert i.norm_g2 == pytest.approx(norm2_h2(gg, w), rel=1e-10)
-    assert i.inner_fg == pytest.approx(inner_h2(f, gg, w), rel=1e-10)
-    assert i.norm_f1f == pytest.approx(
+    assert terms["norm_f2"] == pytest.approx(norm2_h2(f, w), rel=1e-10)
+    assert terms["norm_g2"] == pytest.approx(norm2_h2(gg, w), rel=1e-10)
+    assert terms["inner_fg"] == pytest.approx(inner_h2(f, gg, w), rel=1e-10)
+    assert terms["norm_f1f"] == pytest.approx(
         math.sqrt(norm2_h2(contract1(f, f, w), w)), rel=1e-10)
-    assert i.norm_f1g == pytest.approx(
+    assert terms["norm_f1g"] == pytest.approx(
         math.sqrt(norm2_h2(contract1(f, gg, w), w)), rel=1e-10)
-    assert i.norm_g1g == pytest.approx(
+    assert terms["norm_g1g"] == pytest.approx(
         math.sqrt(norm2_h2(contract1(gg, gg, w), w)), rel=1e-10)
-    p1, p2, p3 = psi_from_ingredients(i)
-    assert terms.psi1 == p1 and terms.psi2 == p2 and terms.psi3 == p3
-    assert terms.max_psi == max(p1, p2, p3)
-    assert min(terms.psi1, terms.psi2, terms.psi3) >= 0.0
+    p1, p2, p3 = psi_from_ingredients(_ingredients(p, g)[0])
+    assert terms["psi1"] == p1 and terms["psi2"] == p2 and terms["psi3"] == p3
+    assert terms["max_psi"] == max(p1, p2, p3)
+    assert min(terms["psi1"], terms["psi2"], terms["psi3"]) >= 0.0
 
 
 @pytest.mark.parametrize("n, theta_t, hurst", [(1024, 1.0, 0.75), (2048, 4.0, 0.6)])
@@ -185,8 +190,8 @@ def test_psi_decreasing_trend_light():
     for t in (25.0, 100.0):
         p = ModelParams(theta=1.0, hurst=0.5, horizon=t)
         vals.append(psi_terms(p, Grid(horizon=t, n=512)))
-    assert vals[1].psi1 < vals[0].psi1 < 1.0
-    assert vals[1].max_psi < vals[0].max_psi
+    assert vals[1]["psi1"] < vals[0]["psi1"] < 1.0
+    assert vals[1]["max_psi"] < vals[0]["max_psi"]
 
 
 def test_psi_refinement_stability():
@@ -194,8 +199,8 @@ def test_psi_refinement_stability():
     p = ModelParams(theta=1.0, hurst=0.6, horizon=25.0)
     out = {n: psi_terms(p, Grid(horizon=25.0, n=n)) for n in (256, 512, 1024)}
     for attr in ("psi1", "psi2", "psi3"):
-        d1 = abs(getattr(out[512], attr) - getattr(out[256], attr))
-        d2 = abs(getattr(out[1024], attr) - getattr(out[512], attr))
+        d1 = abs(out[512][attr] - out[256][attr])
+        d2 = abs(out[1024][attr] - out[512][attr])
         assert d2 <= 2.0 * d1 + 1e-12, attr
 
 
@@ -205,16 +210,16 @@ def test_psi1_gap_term_grows_against_contraction():
     ratios = []
     for t in (25.0, 50.0, 100.0, 200.0):
         p = ModelParams(theta=1.0, hurst=0.7, horizon=t)
-        i = psi_terms(p, Grid.from_step(t, 0.1)).ingredients
-        gap = abs(i.b_t**2 - 2.0 * i.norm_f2)
-        ratios.append(gap / i.norm_f1f)
+        i = psi_terms(p, Grid.from_step(t, 0.1))
+        gap = abs(i["b_T"]**2 - 2.0 * i["norm_f2"])
+        ratios.append(gap / i["norm_f1f"])
     assert all(r1 < r2 for r1, r2 in zip(ratios, ratios[1:]))
 
 
 def test_asymptotics_report_brownian_limits():
     p = ModelParams(theta=1.0, hurst=0.5, horizon=100.0)
     rows = asymptotics_report(p.theta, p.hurst, [100.0], n=2048)
-    q = rows[0].quantities
+    q = quantities(rows)
     a = stationary_variance(p)
     meas, lim, ratio = q["2*norm_f2"]
     assert lim == pytest.approx(a * a, rel=1e-12)
@@ -231,17 +236,17 @@ def test_asymptotics_report_brownian_limits():
 def test_asymptotics_report_zhou_trend():
     p = ModelParams(theta=1.0, hurst=0.6, horizon=100.0)
     rows = asymptotics_report(p.theta, p.hurst, [25.0, 50.0, 100.0], dt=0.05)
-    scaled = [math.sqrt(r.t) * r.quantities["norm_f1f"][0] for r in rows]
+    scaled = [math.sqrt(r["T"]) * r["measured"] for r in rows if r["quantity"] == "norm_f1f"]
     assert max(scaled) / min(scaled) < 2.0
 
 
 def test_asymptotics_report_log_branch_names():
     p = ModelParams(theta=1.0, hurst=0.75, horizon=50.0)
     rows = asymptotics_report(p.theta, p.hurst, [50.0], n=256)
-    names = set(rows[0].quantities)
+    names = set(quantities(rows))
     assert "T/log(T)*norm_g2" in names
     assert "sqrt(T/log(T))*inner_fg" in names
-    lim = rows[0].quantities["T/log(T)*norm_g2"][1]
+    lim = quantities(rows)["T/log(T)*norm_g2"][1]
     assert lim == pytest.approx(delta_h(0.75) / 2.0, rel=1e-12)
 
 

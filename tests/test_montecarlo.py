@@ -58,11 +58,11 @@ def test_ks_distance_self_calibration():
 def test_rate_fit_exact_power_laws():
     ts = [10.0, 100.0, 1000.0]
     fit = rate_fit([(t, t**-0.5) for t in ts])
-    assert fit.beta_hat == pytest.approx(0.5, rel=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert fit["beta_hat"] == pytest.approx(0.5, rel=1e-12)
+    assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
     fit = rate_fit([(t, 2.0 * t**-0.2) for t in ts])
-    assert fit.beta_hat == pytest.approx(0.2, rel=1e-10)
-    assert fit.c_hat == pytest.approx(2.0, rel=1e-10)
+    assert fit["beta_hat"] == pytest.approx(0.2, rel=1e-10)
+    assert fit["c_hat"] == pytest.approx(2.0, rel=1e-10)
 
 
 def test_run_needs_exactly_one_grid_policy():
@@ -110,9 +110,9 @@ def test_run_small_config_sanity():
                seed=7, n=None, dt=0.1, method=CHAOS_RATIO)
     assert len(rows) == 2
     for row in rows:
-        assert row.samples.shape == (400,)
-        assert 0.0 <= row.ks_distance <= 1.0
-        assert row.sample_var == pytest.approx(1.0, abs=0.35)
+        assert row["samples"].shape == (400,)
+        assert 0.0 <= row["ks_distance"] <= 1.0
+        assert row["sample_var"] == pytest.approx(1.0, abs=0.35)
 
 
 def test_run_deterministic_and_thread_invariant(monkeypatch):
@@ -123,15 +123,15 @@ def test_run_deterministic_and_thread_invariant(monkeypatch):
     monkeypatch.setenv("FOU_THREADS", "8")
     r2 = run(**args)
     for a, b in zip(r1, r2):
-        assert np.array_equal(a.samples, b.samples)
-        assert a.ks_distance == b.ks_distance
+        assert np.array_equal(a["samples"], b["samples"])
+        assert a["ks_distance"] == b["ks_distance"]
 
 
 def test_run_fits_rate_with_three_horizons():
     rows = run(theta=1.0, hurst=0.5, t_list=(10.0, 20.0, 40.0),
                reps=300, seed=5, n=None, dt=0.1, method=CHAOS_RATIO)
-    fitted = rate_fit([(r.t, r.ks_distance) for r in rows])
-    assert fitted.beta_hat == fitted.beta_hat  # finite
+    fitted = rate_fit([(r["T"], r["ks_distance"]) for r in rows])
+    assert fitted["beta_hat"] == fitted["beta_hat"]  # finite
 
 
 def test_run_seed_median_trend():
@@ -140,7 +140,7 @@ def test_run_seed_median_trend():
         medians = []
         for i, t in enumerate((25.0, 100.0)):
             ds = [run(theta=1.0, hurst=h, t_list=(t,), reps=400,
-                      seed=ms, n=None, dt=0.1, method=CHAOS_RATIO)[0].ks_distance
+                      seed=ms, n=None, dt=0.1, method=CHAOS_RATIO)[0]["ks_distance"]
                   for ms in (1, 2, 3, 4, 5)]
             medians.append(np.median(ds))
         assert medians[1] <= medians[0], h
@@ -153,7 +153,7 @@ def test_statistic_methods_agree_in_distribution():
     out = {}
     for method in ("chaos_ratio", "pathwise"):
         out[method] = run(theta=1.0, hurst=0.5, t_list=(t,), reps=reps,
-                          seed=42, n=None, dt=dt, method=method)[0].ks_distance
+                          seed=42, n=None, dt=dt, method=method)[0]["ks_distance"]
     assert abs(out["chaos_ratio"] - out["pathwise"]) <= 0.02
 
 

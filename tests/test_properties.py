@@ -6,16 +6,17 @@ dense quadratic forms, the chunked `estimate` rows against a batch of one,
 and the generator-route bound ingredients against the dense tensor algebra
 of `oracles`.
 """
+import argparse
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fou.montecarlo as mc
 from fou.bounds import _ingredients, asymptotics_report
-from fou.cli import RunConfig, _rows_estimate
+from fou.cli import _rows_estimate
 from fou.constants import ModelParams, b_t_closed_form, skorohod_correction
 from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
 from fou.montecarlo import _chaos_batch, _chaos_traces, run
@@ -96,6 +97,7 @@ def test_sampler_rows_independent_of_batching(theta, hurst, n, master, data):
 @SETTINGS
 @given(theta=thetas, hurst=hursts, horizon=horizons, n=st.integers(2, 96),
        master=master_seeds)
+@example(theta=0.01, hurst=0.6, horizon=0.96, n=96, master=7)  # theta step = 1e-4
 def test_one_scan_chaos_matches_dense_i2(theta, hurst, horizon, n, master):
     grid = Grid(horizon, n)
     params = ModelParams(theta=theta, hurst=hurst, horizon=horizon)
@@ -115,9 +117,9 @@ def test_one_scan_chaos_matches_dense_i2(theta, hurst, horizon, n, master):
        reps=st.integers(1, 12), chunk_cells=st.integers(1, 2000),
        seed=st.integers(0, 2**32))
 def test_batched_estimate_rows_equal_single_path(theta, hurst, dt, reps, chunk_cells, seed):
-    cfg = RunConfig(command="estimate", theta=theta, hurst=hurst, t_list=(3.0, 7.0),
-                    dt=dt, n=None, reps=reps, seed=seed, out="-",
-                    format="csv", method=None)
+    cfg = argparse.Namespace(command="estimate", theta=theta, hurst=hurst, t_list=(3.0, 7.0),
+                             dt=dt, n=None, reps=reps, seed=seed, out="-",
+                             format="csv", method=None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mc, "CHUNK_CELLS", chunk_cells)
         rows = _rows_estimate(cfg)
@@ -144,7 +146,7 @@ def test_mc_samples_independent_of_chunk_budget(chunk_cells, method):
         mp.setattr(mc, "CHUNK_CELLS", chunk_cells)
         chunked = run(**args)
     for a, b in zip(reference, chunked):
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a["samples"], b["samples"])
 
 
 @SETTINGS
@@ -169,8 +171,9 @@ def test_two_product_ingredients_match_dense_oracles(theta, hurst, horizon, n):
     v = np.exp(-theta * (horizon - grid.midpoints))
     vwv2 = float(v @ w @ v) ** 2
     assert norm_h2 == pytest.approx(vwv2, rel=1e-10)
-    (row,) = asymptotics_report(theta, hurst, [horizon], n=n)
-    assert row.quantities["norm_h2/T"][0] * horizon == pytest.approx(vwv2, rel=1e-10)
+    (row,) = [r for r in asymptotics_report(theta, hurst, [horizon], n=n)
+              if r["quantity"] == "norm_h2/T"]
+    assert row["measured"] * horizon == pytest.approx(vwv2, rel=1e-10)
 
 
 @SETTINGS
