@@ -13,35 +13,42 @@ bound terms do not compound discretization error.
 
 f is s_f times the Kac-Murdock-Szego matrix K[i, j] = rho^|i-j| (1953),
 rho = exp(-theta step), whose AR(1) factor makes W f and W g, with W the
-Toeplitz Gram matrix of the grid, similar to symmetric S_f and S_g.  Every
-ingredient is a trace, a Frobenius norm or a weighted entrywise product of
-X = S_f S_f and Y = S_g S_g (`_ingredients`).  Neither S nor its square is
-formed.  The displacement S S - Z S S Z' (Z the down shift) has 9
-generator columns, each one product by S: two AR(1) scans and a product
-by W from `fgn.toeplitz_product` (Kailath, Kung and Morf 1979).  X[k, k+d]
-is then a prefix sum along diagonal d, and one sweep over blocks of rows,
-carrying the running sum of every diagonal, yields X and Y together: one
-product per block gives the displacement rows, and the running sums go
-down the block a row at a time.  O(n^2) flops and O(n) memory.
+Toeplitz Gram matrix of the grid, similar to symmetric S_f and S_g.  The two
+differ only by a diagonal scaling, S_g = kappa E^1/2 S_f E^1/2 with
+kappa = c2 / s_f, E = diag(1, ..., 1, lam) and lam = 1 - rho.  So
+Y = S_g S_g = kappa^2 Y~ with Y~ = E^1/2 S_f E S_f E^1/2, and X = S_f S_f
+is E^-1/2 Y~ E^-1/2 plus the rank-one rho z z', z = S_f e_{n-1}.  Every
+ingredient is then a sum of squares over a part of Y~, a part of its
+trace, or an inner product of O(n) vectors (`_ingredients`).  Neither S
+nor its square is formed.  The displacement Y~ - Z Y~ Z' (Z the down
+shift) has 9 generator columns, each one product by E^1/2 S_f E^1/2: two
+AR(1) scans and a product by W from `fgn.toeplitz_product` (Kailath, Kung
+and Morf 1979).  Y~[k, k+d] is then a prefix sum along diagonal d, and one
+sweep over blocks of rows, carrying the running sum of every diagonal,
+yields what the ingredients read: one product per block gives the
+displacement rows, and the running sums go down the block a row at a
+time.  O(n^2) flops and O(n) memory, one sweep per horizon.
 
 Largest relative error of the six matrix ingredients against a long-double
 dense reference (the same float64 s_f, c1 and c2; w, K, v and every product
-in long double), for the dense factor route this replaced (S formed, S S from
-one `dsyrk`, the g-terms as low-rank updates of its traces) and for the
-generator route:
+in long double), for the dense factor route (S formed, S S from one `dsyrk`,
+the g-terms as low-rank updates of its traces), for the generator route
+that swept X and Y apart, and for the one-sweep route:
 
-    theta  H     T     n    theta step  factor   generator
-    1      0.6   200   512  0.39        2.0e-16  1.1e-15
-    0.5    0.75  8     256  0.016       4.1e-15  3.0e-15
-    0.5    0.6   2     512  0.0020      1.9e-14  2.1e-14
-    0.1    0.7   0.25  128  0.00020     3.6e-10  1.8e-14
-    0.01   0.6   1     256  0.000039    2.7e-9   6.4e-13
+    theta  H     T     n    theta step  factor   two sweeps  one sweep
+    1      0.6   200   512  0.39        2.0e-16  1.1e-15     7.1e-16
+    0.5    0.75  8     256  0.016       4.1e-15  2.8e-15     2.7e-15
+    0.5    0.6   2     512  0.0020      1.9e-14  2.1e-14     2.1e-14
+    0.1    0.7   0.25  128  0.00020     3.6e-10  1.9e-14     1.9e-14
+    0.01   0.6   1     256  0.000039    2.7e-9   6.4e-13     6.4e-13
 
 At theta T << 1, g = c2 (K - v v') (c1 s_f = c2) is a small difference of
 matrices near all-ones.  The factor route took each g-term as a difference
 of traces and lost digits (the last two rows); here the difference sits in
 one scalar, lam = -expm1(-theta step), computed without cancelling.  What
-remains is the rounding of rho, ~eps / (theta step) in the g-terms.
+remains is the rounding of rho, ~eps / (theta step) in the g-terms.  For
+H >= 1/2 every term the one-sweep route adds up is nonnegative, and it
+divides only by lam in (0, 1], so deriving X from Y~ cancels nothing.
 
 s_f, c1, c2 and v come from the compact kernels of `hilbert`, once per
 horizon; `hilbert.kernel_f` rejects a degenerate rho.  `horizon_grids`
@@ -76,19 +83,21 @@ from .process import ar1_scan
 # The largest power of two at which one horizon of `_ingredients` took no
 # longer than the dense n^3 route it replaced took at n = 4096 (1.1-1.5 s),
 # when the sweep went row by row: 0.33-0.44 s at n = 8192 and 1.5-1.8 s at
-# 16384.  The blocked sweep takes 0.16-0.22 s and 0.79-0.85 s there
-# (theta = 1, H = 0.6, T = 200, 2 vCPUs, OpenBLAS on 2 threads), so 16384
-# now meets that mark; the ceiling has not been raised.  Enforced on every
-# horizon by `horizon_grids`.
+# 16384.  With one sweep per horizon it takes 0.09-0.11 s and 0.36-0.47 s
+# there (theta = 0.1, 1 and 5 at H = 3/4, 0.6 and 1/2, T = 200, 2 vCPUs,
+# OpenBLAS on 2 threads; 0.7-0.9 s CPU time at 16384), so 16384 meets that
+# mark; the ceiling has not been raised.  Enforced on every horizon by
+# `horizon_grids`.
 MAX_BOUND_CELLS = 8192
 
 # Rows per block of `_diagonal_sweep` are SWEEP_CELLS // n (at most n), so
-# its scratch, 2 x rows x (n + rows + 1) doubles, stays within 2 MiB.  A
+# its scratch, rows x (n + rows + 1) doubles, stays within about 1 MiB.  A
 # block's product, at most 9 SWEEP_CELLS multiply-adds, then runs on one
-# OpenBLAS thread, and so do the Gram's row dot products (n + rows cells,
-# at most 8200 up to MAX_BOUND_CELLS).  At 2^17 cells OpenBLAS threads the
-# product, which at n = 2048 made the sweep no faster for 40% more CPU
-# time; 2^15 and 2^14 were no faster at any n from 1024 to 8192.
+# OpenBLAS thread, and so do the row dot products (fewer than n cells, at
+# most 8191 up to MAX_BOUND_CELLS).  At 2^17 cells OpenBLAS threads the
+# product, which at n = 2048 made the sweep (then over two matrices) no
+# faster for 40% more CPU time; 2^15 and 2^14 were no faster at any n from
+# 1024 to 8192.
 SWEEP_CELLS = 2**16
 
 
@@ -127,120 +136,141 @@ def horizon_grids(t_list, n: int | None = None, dt: float | None = None) -> list
 
 
 def _diagonal_sweep(left: np.ndarray, right: np.ndarray):
-    """Block by block, the upper triangles of the symmetric X and Y whose
-    displacements are X - Z X Z' = left[0] right[0]' and Y - Z Y Z' =
-    left[1] right[1]'.  Row k of X is its displacement row plus row k-1
-    shifted one place: X[k, k+d] is the prefix sum over i <= k of
-    left[i] . right[i+d] along diagonal d.  A block of h rows k0, ... takes
-    D = left[k0:k0+h] right[k0:]' from one product per matrix, read through
-    a skewed view so that row i sees D[i, i+d] at diagonal d; the running
-    sums then go down the block one row at a time.  Returns the Gram matrix
-    of (X, Y) summed over the rows of the upper triangle,
-    sum_k (X[k, k:], Y[k, k:]) (X[k, k:], Y[k, k:])', and per row k the
-    first and last entries of X[k, k:] and Y[k, k:]."""
-    n = left.shape[1]
+    """Block by block, the upper triangle of the symmetric Y whose
+    displacement is Y - Z Y Z' = left right' (n x 9 each).  Row k of Y is its
+    displacement row plus row k-1 shifted one place: Y[k, k+d] is the prefix
+    sum over i <= k of left[i] . right[i+d] along diagonal d.  A block of h
+    rows k0, ... takes D = left[k0:k0+h] right[k0:]' from one product, read
+    through a skewed view so that row i sees D[i, i+d] at diagonal d; the
+    running sums then go down the block one row at a time.  Returns
+    sum Y[k, l]^2 over k <= l < n-1 (the upper triangle without the last
+    column), the diagonal and the last column of Y."""
+    n = left.shape[0]
     # Entries below 1e-150 of their column's largest cannot move a float64
     # sum; left in, they underflow to subnormals, which made the sweep
     # three times slower at theta T > 708.
-    left, right = (np.where(np.abs(x) < 1e-150 * np.abs(x).max(axis=1, keepdims=True), 0.0, x)
+    left, right = (np.where(np.abs(x) < 1e-150 * np.abs(x).max(axis=0), 0.0, x)
                    for x in (left, right))
-    right = np.ascontiguousarray(right.transpose(0, 2, 1))
+    right = np.ascontiguousarray(right.T)
     b = max(1, min(n, SWEEP_CELLS // n))
-    flat, upper = np.zeros(2 * b * (n + b + 1)), np.triu(np.ones((b, b)))
-    gram, first, last = np.zeros((2, 2)), np.empty((n, 2)), np.empty((n, 2))
-    carry = np.zeros((2, n))
+    flat, upper = np.zeros(b * (n + b + 1)), np.triu(np.ones((b, b)))
+    total, diag, last, carry = 0.0, np.empty(n), np.empty(n), np.zeros(n)
     for k0 in range(0, n, b):
         h, m = min(b, n - k0), n - k0
         w = m + h  # row i of the skewed view reaches column i + m - 1
-        skew = flat[:2 * h * (w + 1)].reshape(2, h, w + 1)  # skew[c, i, d] = block[c, i, i + d]
-        block = skew.reshape(2, -1)[:, :h * w].reshape(2, h, w)
-        np.matmul(left[:, k0:k0 + h], right[:, :, k0:], out=block[:, :, :m])
-        rows = skew[:, :, :m]  # X[k0+i, k0+i+d] (and Y) for d < m - i
-        rows[:, 0] += carry[:, :m]
-        by_row = list(rows.transpose(1, 0, 2))
-        for prev, row in zip(by_row, by_row[1:]):
+        skew = flat[:h * (w + 1)].reshape(h, w + 1)  # skew[i, d] = block[i, i + d]
+        block = flat[:h * w].reshape(h, w)
+        np.matmul(left[k0:k0 + h], right[:, k0:], out=block[:, :m])
+        rows = skew[:, :m]  # Y[k0+i, k0+i+d] for d < m - i
+        rows[0] += carry[:m]
+        for prev, row in zip(rows, rows[1:]):
             np.add(row, prev, out=row)
-        block[:, :, m:] = 0.0  # past d = m - i row i holds stale sums
-        block[:, :, :h] *= upper[:h, :h]  # D below the diagonal is not part of X or Y
-        xx, yy = np.vecdot(block, block).sum(axis=1)
-        xy = np.vecdot(block[0], block[1]).sum()
-        gram += [[xx, xy], [xy, yy]]
-        first[k0:k0 + h], last[k0:k0 + h] = rows[:, :, 0].T, block[:, :, m - 1].T
-        carry = rows[:, h - 1, :m - h].copy()
-    return gram, first, last
+        block[:, m:] = 0.0  # past d = m - i row i holds stale sums; cleared, they cannot grow
+        block[:, :h] *= upper[:h, :h]  # D below the diagonal is not part of Y
+        total += np.vecdot(block[:, :m - 1], block[:, :m - 1]).sum()
+        diag[k0:k0 + h], last[k0:k0 + h] = rows[:, 0], block[:, m - 1]
+        carry = rows[h - 1, :m - h].copy()
+    return total, diag, last
 
 
 def _ingredients(params: ModelParams, grid: Grid) -> tuple[Ingredients, float]:
-    """All seven ingredients from one sweep over X = S_f S_f and Y = S_g S_g.
+    """All seven ingredients from one sweep over Y~ = E^1/2 S_f E S_f E^1/2.
 
     K = C C' with C = L' D^, L = (I - rho Z)^-1 and D^ = diag(sqrt(1 - rho^2),
     ..., sqrt(1 - rho^2), 1), so W f is similar to S_f = s_f D^ M D^ with
     M = L W L'.  As v = v[n-1] C e (e = e_{n-1}), g = c2 C E C' with
     E = diag(1, ..., 1, lam), lam = 1 - v[n-1]^2 = -expm1(-theta step), and
-    W g is similar to S_g = c2 E^1/2 D^ M D^ E^1/2.  Then
-        ||f||^2 = tr X,  ||f x1 f||^2 = ||X||_F^2,  ||g||^2 = tr Y,
-        ||g x1 g||^2 = ||Y||_F^2,  <f, g> = (c2 / s_f) sum_i E_ii X_ii,
-        ||f x1 g||^2 = sum_ij sqrt(E_ii / E_jj) X_ij Y_ij,
-        ||h||^2 = s^2,  s = v' W v = v[n-1]^2 (S_f)_{n-1,n-1} / s_f.
-    For H >= 1/2 every entry of W, L, X and Y is nonnegative, so no g-term
-    is a difference.  Returns (Ingredients, ||h||^2).
+    W g is similar to S_g = kappa E^1/2 S_f E^1/2, kappa = c2 / s_f.  So
+    Y = S_g S_g = kappa^2 Y~, and X = S_f S_f = S_f E S_f + rho z z' =
+    E^-1/2 Y~ E^-1/2 + rho z z' with z = S_f e and rho = 1 - lam.  Split Y~
+    at its last row and column: I = sum_{k,l < n-1} Y~_kl^2,
+    B = sum_{k < n-1} Y~_{k,n-1}^2, C = Y~_{n-1,n-1}; and with p = S_f z,
+    q = S_f E z,
+        ||g||^2 = tr Y = kappa^2 tr Y~,  ||g x1 g||^2 = ||Y||_F^2 = kappa^4 (I + 2B + C^2),
+        ||f||^2 = tr X = sum_{k < n-1} Y~_kk + C / lam + rho z'z,
+        ||f x1 f||^2 = ||X||_F^2 = I + 2B/lam + C^2/lam^2 + 2 rho p'E p + rho^2 (z'z)^2,
+        <f, g> = kappa tr(E X) = kappa (tr Y~ + rho z'E z),
+        ||f x1 g||^2 = sum_ij sqrt(E_ii / E_jj) X_ij Y_ij
+                     = kappa^2 (I + (1 + lam) B/lam + C^2/lam + rho q'E p),
+        ||h||^2 = s^2,  s = v' W v = v[n-1]^2 (S_f)_{n-1,n-1} / s_f = v[n-1]^2 (M e)_{n-1}.
+    For H >= 1/2 every entry of W, L, M, Y~, z, p and q is nonnegative, so
+    each ingredient is a sum of nonnegative terms, and it divides only by
+    lam in (0, 1].  Returns (Ingredients, ||h||^2).
+
+    Checks, in order: the degeneracy of rho (`kernel_f`), b_T > 0 (a
+    ValueError), then an overflow, a division by zero or an invalid value
+    anywhere in the arithmetic, which raises NumericsError naming theta
+    and T instead of warning and leaving inf or NaN in the ingredients.
     """
     n, x = grid.n, params.theta * grid.step
     rho, lam = math.exp(-x), -math.expm1(-x)
     s_f = kernel_f(params, grid)[0]  # first: it rejects a degenerate rho
-    _, c2, v = kernel_g(params, grid)
-    w = increment_autocov(grid, params.hurst)
-    w_apply = toeplitz_product(w)
+    b_t = b_t_closed_form(params)
+    if b_t <= 0:
+        raise ValueError(f"b_T must be positive, got {b_t}")
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            _, c2, v = kernel_g(params, grid)
+            w = increment_autocov(grid, params.hurst)
+            w_apply = toeplitz_product(w)
 
-    def m_apply(y):  # M y, column by column: backward scan, product by W, forward scan
-        u = ar1_scan(y.T[:, ::-1], rho)[:, ::-1]
-        return ar1_scan(w_apply(u), rho).T
+            def m_apply(y):  # M y, column by column: backward scan, product by W, forward scan
+                u = ar1_scan(y.T[:, ::-1], rho)[:, ::-1]
+                return ar1_scan(w_apply(u), rho).T
 
-    ends = np.zeros((n, 2))
-    ends[0, 0] = ends[-1, 1] = 1.0
-    a, m = m_apply(ends).T  # L w and M e, as L' e_0 = e_0
-    # M - Z M Z' = L (W - Z W Z') L' = a l' + l a' - w_0 l l' with l = L e_0, and
-    # S = D M D, D = diag(d, ..., d, d_last), adds the last row and column:
-    # S - Z S Z' = g0 j g0'.  With h0 = g0 j and z = Z S e,
-    # S S - Z S S Z' = (S g0) h0' + g0 (S h0 - h0 g0' h0)' - z z'.
-    g0 = np.column_stack([a, rho ** np.arange(n), ends[:, 1], m])
-    # D = diag(d, ..., d, d_last) of S_f, then of S_g
-    ds = [(math.sqrt(scale * (1.0 - rho) * (1.0 + rho)), math.sqrt(scale_last))
-          for scale, scale_last in ((s_f, s_f), (c2, c2 * lam))]
-    dv = np.repeat([np.r_[np.full(n - 1, d), d_last] for d, d_last in ds], 4, axis=0).T
-    sg0s = np.hsplit(dv * m_apply(dv * np.tile(g0, 2)), 2)  # S_f g0 and S_g g0 in one pass
-    left, right = [], []
-    for (d, d_last), sg0 in zip(ds, sg0s):
-        cross = d * (d_last - d)
-        j = np.array([[0.0, d * d, 0.0, 0.0],
-                      [d * d, -w[0] * d * d, 0.0, 0.0],
-                      [0.0, 0.0, (d_last - d) ** 2 * m[-1], cross],
-                      [0.0, 0.0, cross, 0.0]])
-        z = np.r_[0.0, sg0[:-1, 2]]
-        left.append(np.column_stack([sg0, g0, z]))
-        right.append(np.column_stack([g0 @ j, (sg0 - g0 @ (j @ (g0.T @ g0))) @ j, -z]))
-    gram, first, last = _diagonal_sweep(np.stack(left), np.stack(right))
-    sq = 2.0 * gram - first.T @ first  # off-diagonal pairs count twice
-    root = math.sqrt(lam)  # pair weight on the last column: root + 1/root = 2 + (1 - root)^2/root
-    f1g2 = sq[0, 1] + (1.0 - root) ** 2 / root * float(last[:-1, 0] @ last[:-1, 1])
-    s = v[-1] ** 2 * left[0][-1, 2] / s_f  # left[0][:, 2] = S_f e
-    ing = Ingredients(
-        b_t=b_t_closed_form(params),
-        norm_f2=float(first[:, 0].sum()),
-        norm_f1f=math.sqrt(sq[0, 0]),
-        norm_f1g=math.sqrt(f1g2),
-        inner_fg=c2 / s_f * float(first[:-1, 0].sum() + lam * first[-1, 0]),
-        norm_g2=float(first[:, 1].sum()),
-        norm_g1g=math.sqrt(sq[1, 1]),
-    )
-    return ing, float(s * s)
+            ends = np.zeros((n, 2))
+            ends[0, 0] = ends[-1, 1] = 1.0
+            a, m = m_apply(ends).T  # L w and M e, as L' e_0 = e_0
+            # M - Z M Z' = L (W - Z W Z') L' = a l' + l a' - w_0 l l' with l = L e_0, and
+            # S = D M D, D = diag(d, ..., d, d_last), adds the last row and column:
+            # S - Z S Z' = g0 j g0'.  With h0 = g0 j and zs = Z S e,
+            # S S - Z S S Z' = (S g0) h0' + g0 (S h0 - h0 g0' h0)' - zs zs'.
+            g0 = np.column_stack([a, rho ** np.arange(n), ends[:, 1], m])
+            d, d_last = math.sqrt(s_f * (1.0 - rho) * (1.0 + rho)), math.sqrt(s_f * lam)
+            # D of S~ = E^1/2 S_f E^1/2 for its generators, D of S_f for p and q
+            dv, dv_f = (np.r_[np.full(n - 1, d), end] for end in (d_last, math.sqrt(s_f)))
+            e_diag = np.r_[np.ones(n - 1), lam]  # E
+            z = dv_f * math.sqrt(s_f) * m  # S_f e
+            scale = np.c_[dv, dv, dv, dv, dv_f, dv_f]
+            # S~ g0, and p = S_f z and q = S_f E z, in one pass
+            sg0, pq = np.hsplit(scale * m_apply(scale * np.c_[g0, z, e_diag * z]), [4])
+            cross = d * (d_last - d)
+            j = np.array([[0.0, d * d, 0.0, 0.0],
+                          [d * d, -w[0] * d * d, 0.0, 0.0],
+                          [0.0, 0.0, (d_last - d) ** 2 * m[-1], cross],
+                          [0.0, 0.0, cross, 0.0]])
+            zs = np.r_[0.0, sg0[:-1, 2]]
+            left = np.column_stack([sg0, g0, zs])
+            right = np.column_stack([g0 @ j, (sg0 - g0 @ (j @ (g0.T @ g0))) @ j, -zs])
+            upper, diag, last = _diagonal_sweep(left, right)
+            p, q = pq.T
+            inner = 2.0 * upper - diag[:-1] @ diag[:-1]  # off-diagonal pairs count twice
+            side, corner, zz = last[:-1] @ last[:-1], last[-1], z @ z
+            kappa, trace = c2 / s_f, diag.sum()
+            ing = Ingredients(
+                b_t=b_t,
+                norm_f2=float(diag[:-1].sum() + corner / lam + rho * zz),
+                norm_f1f=math.sqrt(inner + 2.0 * side / lam + (corner / lam) ** 2
+                                   + 2.0 * rho * (p @ (e_diag * p)) + (rho * zz) ** 2),
+                norm_f1g=kappa * math.sqrt(inner + (1.0 + lam) * side / lam
+                                           + corner * corner / lam + rho * (q @ (e_diag * p))),
+                inner_fg=kappa * float(trace + rho * (z @ (e_diag * z))),
+                norm_g2=kappa * kappa * float(trace),
+                norm_g1g=kappa * kappa * math.sqrt(inner + 2.0 * side + corner * corner),
+            )
+            s = v[-1] ** 2 * m[-1]
+            return ing, float(s * s)
+    except FloatingPointError as exc:
+        raise NumericsError(f"{exc} in the bound ingredients at theta = {params.theta:.6g}, "
+                            f"T = {grid.horizon:.6g}") from None
 
 
 def psi_terms(params: ModelParams, grid: Grid) -> dict:
     """The `bounds` row at (theta, H, T) on the grid: Psi1-3, max_psi and the ingredients."""
     ing, _ = _ingredients(params, grid)
-    if ing.b_t <= 0:
-        raise ValueError(f"b_T must be positive, got {ing.b_t}")
+    if ing.b_t * ing.b_t == 0.0:
+        raise NumericsError(f"b_T^2 underflows at theta = {params.theta:.6g}, "
+                            f"T = {grid.horizon:.6g}")
     psi = dict(zip(("psi1", "psi2", "psi3"), psi_from_ingredients(ing)))
     row = {"T": grid.horizon, **psi, "max_psi": max(psi.values()), **vars(ing)}
     row["b_T"] = row.pop("b_t")

@@ -199,7 +199,8 @@ def b_t_closed_form(params: ModelParams) -> float:
             total += 2 * (m // 2) * term
         return h / theta * horizon**a * math.exp(-x) * total
     if h == HURST_MIN:
-        return 0.5 / theta - (1.0 - math.exp(-2 * theta * horizon)) / (4 * theta**2 * horizon)
+        theta2 = checked_power(theta, 2, "theta")
+        return 0.5 / theta - (1.0 - math.exp(-2 * theta * horizon)) / (4 * theta2 * horizon)
     i_a, j = _gamma_integrals(params)
     i_b = math.exp(-x) * horizon**a / a * kummer_1f1(a, x)
     return (alpha_h(h) / theta) * (i_a + (i_b - (i_a + 2 * theta * j)) / (2 * theta * horizon))

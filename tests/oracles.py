@@ -8,8 +8,8 @@ routes against.  No `fou` command calls any of them.
 * `inner_h`, `norm2_h2`, `inner_h2` and `contract1` are the generic
   weighted tensor algebra on midpoint-sampled kernels.  They check
   `fou.bounds._ingredients`, which never forms f, g or any n x n array
-  (every quantity there comes from the displacement generators of the
-  squared AR(1) factors of W f and W g).  `ingredients_long_double` is the
+  (every quantity there comes from the displacement generators of one
+  squared AR(1) factor, that of W g up to scale, and O(n) vectors).  `ingredients_long_double` is the
   same algebra in long double, the reference where float64 loses digits:
   the g-terms at theta T << 1.  `diagonal_sweep_rows` is the row-by-row
   form of the generator sweep: it checks the blocked
@@ -159,24 +159,19 @@ def ingredients_long_double(params: ModelParams, grid: Grid) -> dict:
 
 
 def diagonal_sweep_rows(left: np.ndarray, right: np.ndarray):
-    """Row by row, the upper triangles of X and Y with displacements
-    X - Z X Z' = left[0] right[0]' and Y - Z Y Z' = left[1] right[1]': row k
-    of each is its displacement row plus row k-1 shifted one place.  Returns
-    the Gram matrix of (X[k, k:], Y[k, k:]) summed over k, and per row k the
-    first and last entries of X[k, k:] and Y[k, k:].  Two small products per
-    row and no flush of tiny generator entries."""
-    n, r = left.shape[1:]
-    rows = np.zeros((n, 2, 2 * r))
-    rows[:, 0, :r], rows[:, 1, r:] = left[0], left[1]
-    cols = np.ascontiguousarray(np.concatenate([right[0], right[1]], axis=1).T)
-    gram, first, last = np.zeros((2, 2)), np.empty((n, 2)), np.empty((n, 2))
-    prev = np.zeros((2, n + 1))
+    """Row by row, the upper triangle of the symmetric Y with displacement
+    Y - Z Y Z' = left right': row k is its displacement row plus row k-1
+    shifted one place.  Returns sum Y[k, l]^2 over k <= l < n-1, the
+    diagonal and the last column of Y.  One small product per row and no
+    flush of tiny generator entries."""
+    n = left.shape[0]
+    total, diag, last = 0.0, np.empty(n), np.empty(n)
+    prev = np.zeros(n + 1)
     for k in range(n):
-        row = rows[k] @ cols[:, k:]
-        row += prev[:, :-1]
-        gram += row @ row.T
-        first[k], last[k], prev = row[:, 0], row[:, -1], row
-    return gram, first, last
+        row = right[k:] @ left[k] + prev[:-1]
+        total += row[:-1] @ row[:-1]
+        diag[k], last[k], prev = row[0], row[-1], row
+    return total, diag, last
 
 
 def b_t_gram_quadrature(params: ModelParams, grid: Grid) -> float:

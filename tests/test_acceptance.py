@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from fou.montecarlo import (
 from oracles import b_t_gram_quadrature, kernel_f, norm2_h2
 
 THETA = 1.0
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -251,13 +253,15 @@ def test_criterion_12_byte_identical_output_across_threads(tmp_path):
         ["bounds", "--theta", "1", "--hurst", "0.7", "--t", "25", "--n", "256"],
         ["asymptotics", "--theta", "1", "--hurst", "0.5", "--t", "10,20", "--n", "128"],
     ]
+    # the child imports `fou` from this checkout's src, installed or not
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     ok = True
     details = []
     for case in cases:
         blobs = {}
         for threads in ("1", "8"):
             out = str(tmp_path / f"{case[0]}_{threads}.csv")
-            env = dict(os.environ, FOU_THREADS=threads)
+            env = dict(os.environ, FOU_THREADS=threads, PYTHONPATH=path)
             res = subprocess.run([sys.executable, "-m", "fou.cli", *case, "--out", out],
                                  capture_output=True, text=True, env=env)
             assert res.returncode == 0, res.stderr

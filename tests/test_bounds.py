@@ -109,10 +109,14 @@ def test_ingredients_near_unit_ar1_coefficient(n, theta_t, hurst):
 
 
 @pytest.mark.parametrize("theta, hurst, horizon, n", [
-    (1.0, 0.6, 200.0, 256), (0.5, 0.75, 8.0, 256), (0.1, 0.7, 0.25, 128), (0.01, 0.6, 1.0, 256)])
+    (1.0, 0.6, 200.0, 256), (0.5, 0.75, 8.0, 256), (0.1, 0.7, 0.25, 128), (0.01, 0.6, 1.0, 256),
+    (1.0, 0.6, 2.0, 2), (1.0, 0.6, 2.0, 3), (3.0, 0.7, 800.0, 300), (1.0, 0.5, 50.0, 200)])
 def test_ingredients_match_long_double_reference(theta, hurst, horizon, n):
-    # at theta T << 1 (the last two cases) g = c2 (K - v v') is a small
-    # difference of near-ones matrices, where float64 dense algebra loses digits
+    # at theta T << 1 (the third and fourth cases) g = c2 (K - v v') is a small
+    # difference of near-ones matrices, where float64 dense algebra loses digits;
+    # at n = 2 and 3 the last row and column are most of the swept matrix, at
+    # theta T = 2400 the sweep flushes tiny generator entries, and H = 1/2
+    # makes W the identity
     p = ModelParams(theta=theta, hurst=hurst, horizon=horizon)
     ing, norm_h2 = _ingredients(p, Grid(horizon=horizon, n=n))
     ref = ingredients_long_double(p, Grid(horizon=horizon, n=n))
@@ -121,14 +125,15 @@ def test_ingredients_match_long_double_reference(theta, hurst, horizon, n):
         assert abs(float(got[name] / want - 1)) <= 5e-12, name
 
 
-def assert_sweeps_agree(got, want):
-    gram, first, last = got
-    gram_ref, first_ref, last_ref = want
-    np.testing.assert_allclose(gram, gram_ref, rtol=1e-13)
-    np.testing.assert_allclose(first, first_ref, rtol=1e-13)
-    # X[k, n-1] spans hundreds of decades at theta T > 708: measure it
-    # against each column's largest
-    scale = np.abs(last_ref).max(axis=0)
+def assert_sweeps_agree(left, right):
+    # the blocked sweep against the row oracle on one generator pair
+    total, diag, last = _diagonal_sweep(left, right)
+    total_ref, diag_ref, last_ref = diagonal_sweep_rows(left, right)
+    np.testing.assert_allclose(total, total_ref, rtol=1e-13)
+    np.testing.assert_allclose(diag, diag_ref, rtol=1e-13)
+    # Y[k, n-1] spans hundreds of decades at theta T > 708: measure it
+    # against its largest
+    scale = np.abs(last_ref).max()
     np.testing.assert_allclose(last / scale, last_ref / scale, rtol=1e-13, atol=1e-13)
 
 
@@ -141,7 +146,8 @@ def test_blocked_sweep_matches_row_oracle(n, monkeypatch):
     # so n = 3 BLOCK + 1 ends on a block of one row
     monkeypatch.setattr("fou.bounds.SWEEP_CELLS", BLOCK * n)
     left, right = np.random.default_rng(n).random((2, 2, n, 9))
-    assert_sweeps_agree(_diagonal_sweep(left, right), diagonal_sweep_rows(left, right))
+    for pair in zip(left, right):  # two generator sets, one at a time
+        assert_sweeps_agree(*pair)
 
 
 def test_blocked_sweep_matches_row_oracle_past_underflow(monkeypatch):
@@ -152,10 +158,10 @@ def test_blocked_sweep_matches_row_oracle_past_underflow(monkeypatch):
     monkeypatch.setattr("fou.bounds._diagonal_sweep",
                         lambda left, right: seen.append((left, right)) or _diagonal_sweep(left, right))
     _ingredients(ModelParams(theta=1.0, hurst=0.6, horizon=800.0), Grid(horizon=800.0, n=600))
-    left, right = seen[0]
-    column_max = np.abs(left).max(axis=1, keepdims=True)
+    (left, right), = seen  # one sweep per horizon
+    column_max = np.abs(left).max(axis=0)
     assert ((left != 0.0) & (np.abs(left) < 1e-150 * column_max)).any()
-    assert_sweeps_agree(_diagonal_sweep(left, right), diagonal_sweep_rows(left, right))
+    assert_sweeps_agree(left, right)
 
 
 def test_ingredients_peak_is_linear_in_n():

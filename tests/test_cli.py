@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -146,11 +148,24 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
       "--n", "16", "--reps", "100"], "T=6.94e-176"),
     (["asymptotics", "--theta", "1e-100", "--hurst", "0.6", "--t", "10", "--n", "64"],
      "theta^3.4 underflows"),
-    # a NaN row, caught by the finiteness check of the rows
+    # an overflow in the arithmetic of the bound ingredients, named before
+    # it makes a NaN row
     (["asymptotics", "--theta", "1", "--hurst", "0.5", "--t", "10,4.84e210", "--n", "2"],
-     "measured is nan at T=4.84e+210"),
+     "at theta = 1, T = 4.84e+210"),
     (["bounds", "--theta", "0.0262", "--hurst", "0.7499999", "--t", "10,2.83e155", "--n", "3"],
-     "psi1 is nan at T=2.83e+155"),
+     "at theta = 0.0262, T = 2.83e+155"),
+    (["bounds", "--theta", "892", "--hurst", "0.7499999", "--t", "6.74e89", "--n", "16"],
+     "at theta = 892, T = 6.74e+89"),
+    # theta sigma2_H T overflows, so the scale of f is 0 and c2 / s_f divides by it
+    (["bounds", "--theta", "1e308", "--hurst", "0.6", "--t", "1e-72", "--n", "2"],
+     "divide by zero encountered in scalar divide in the bound ingredients at theta = 1e+308"),
+    # b_T at H = 1/2 squares theta; Psi divides by b_T^2
+    (["bounds", "--theta", "2.27e259", "--hurst", "0.5", "--t", "0.0149,1e139", "--n", "16"],
+     "theta^2 overflows at theta = 2.27e+259"),
+    (["kolmogorov", "--theta", "3.49e185", "--hurst", "0.5", "--t", "10,144.7", "--n", "2",
+      "--reps", "100"], "theta^2 overflows at theta = 3.49e+185"),
+    (["bounds", "--theta", "1.01e134", "--hurst", "0.7499999", "--t", "0.949,10", "--n", "3"],
+     "b_T^2 underflows at theta = 1.01e+134, T = 0.949"),
     # every denominator degenerate: counted, not divided by
     (["kolmogorov", "--theta", "4.18e178", "--hurst", "0.5000001", "--t",
       "6.94e-176,1e-175", "--n", "16", "--reps", "100", "--method", "pathwise"],
@@ -160,17 +175,19 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
         "bounds_huge_t", "kolmogorov_huge_t", "kolmogorov_theta_t_overflows",
         "estimate_theta_t_overflows", "estimate_denominator_overflows",
         "estimate_denominator_underflows", "asymptotics_theta_underflows",
-        "asymptotics_nan_row", "bounds_nan_row", "kolmogorov_pathwise_degenerate"])
-def test_overflow_exits_3_without_output(args, named, tmp_path, capsys, recwarn, request):
+        "asymptotics_nan_row", "bounds_nan_row", "bounds_ingredients_overflow",
+        "bounds_kernel_scale_underflows", "bounds_theta_squared_overflows",
+        "kolmogorov_theta_squared_overflows", "bounds_b_t_squared_underflows",
+        "kolmogorov_pathwise_degenerate"])
+def test_overflow_exits_3_without_output(args, named, tmp_path, capsys, recwarn):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3
     assert "numerical failure" in err
     assert named in err.split("numerical failure")[1]
-    # the NaN-row cases still warn on the overflow that makes the NaN
     quiet = args[0] in ("bounds", "asymptotics") or "pathwise" in args
-    if quiet and not request.node.callspec.id.endswith("_nan_row"):
+    if quiet:
         # pytest records warnings instead of printing them, so check both
         assert "RuntimeWarning" not in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -271,8 +288,13 @@ def test_main_asymptotics(tmp_path):
     assert len(lines) == 17  # 2 horizons x 8 quantities + header
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(args, env_extra=None, cwd=None):
-    env = dict(os.environ)
+    # the child imports `fou` from this checkout's src, installed or not
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "fou.cli", *args],
@@ -415,7 +437,7 @@ EDGE_HURSTS = [x for h in (0.5, 0.625, 0.75)
        n=st.integers(2, 64), method=st.sampled_from([mc.CHAOS_RATIO, mc.PATHWISE]))
 def test_output_contract_over_argv_space(command, theta, hurst, horizons, n, method, tmp_path):
     # exit 0 writes only finite values; any other exit writes nothing, and
-    # no exception escapes `main` (a traceback)
+    # no exception escapes `main` (a traceback); the bound commands never warn
     out = tmp_path / "out.csv"
     out.unlink(missing_ok=True)
     argv = [command, "--theta", repr(theta), "--hurst", repr(hurst),
@@ -423,8 +445,12 @@ def test_output_contract_over_argv_space(command, theta, hurst, horizons, n, met
             "--out", str(out)]
     if command in cli.MC_COMMANDS:
         argv += ["--method", method]
-    code = main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
     assert code in (0, 2, 3)
+    if command in ("bounds", "asymptotics"):  # every overflow is named, none warns
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
     if code != 0:
         assert not out.exists()
         return
