@@ -21,13 +21,14 @@ is E^-1/2 Y~ E^-1/2 plus the rank-one rho z z', z = S_f e_{n-1}.  Every
 ingredient is then a sum of squares over a part of Y~, a part of its
 trace, or an inner product of O(n) vectors (`_ingredients`).  Neither S
 nor its square is formed.  The displacement Y~ - Z Y~ Z' (Z the down
-shift) has 9 generator columns, each one product by E^1/2 S_f E^1/2: two
-AR(1) scans and a product by W from `fgn.toeplitz_product` (Kailath, Kung
-and Morf 1979).  Y~[k, k+d] is then a prefix sum along diagonal d, and one
-sweep over blocks of rows, carrying the running sum of every diagonal,
-yields what the ingredients read: one product per block gives the
-displacement rows, and the running sums go down the block a row at a
-time.  O(n^2) flops and O(n) memory, one sweep per horizon.
+shift) has 9 generator columns, each one product by E^1/2 S_f E^1/2: the
+product by M = L W L' of `hilbert.Horizon`, two AR(1) scans around a
+product by W, between two diagonal scalings (Kailath, Kung and Morf 1979).
+Y~[k, k+d] is then a prefix sum along diagonal d, and one sweep over
+blocks of rows, carrying the running sum of every diagonal, yields what
+the ingredients read: one product per block gives the displacement rows,
+and the running sums go down the block a row at a time.  O(n^2) flops and
+O(n) memory, one sweep per horizon.
 
 Largest relative error of the six matrix ingredients against a long-double
 dense reference (the same float64 s_f, c1 and c2; w, K, v and every product
@@ -50,11 +51,11 @@ remains is the rounding of rho, ~eps / (theta step) in the g-terms.  For
 H >= 1/2 every term the one-sweep route adds up is nonnegative, and it
 divides only by lam in (0, 1], so deriving X from Y~ cancels nothing.
 
-s_f, c1, c2 and v come from the compact kernels of `hilbert`, once per
-horizon; `hilbert.kernel_f` rejects a degenerate rho.  `horizon_grids`
-resolves every horizon's grid and enforces the cell ceiling
-`MAX_BOUND_CELLS`, set from measured time (see there), before any n-sized
-array exists.  The asymptotics report re-measures each
+s_f, c2, b_T, W and M come from the record of the horizon,
+`hilbert.horizon`, which runs the checks in the order its module docstring
+gives.  `horizon_grids` resolves every horizon's grid and enforces the
+cell ceiling `MAX_BOUND_CELLS`, set from measured time (see there), before
+any n-sized array exists.  The asymptotics report re-measures each
 ingredient across a T grid against its known limit; the bound constants
 themselves are existential and never claimed, so rate checks are
 ratio-based.
@@ -62,23 +63,13 @@ ratio-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (
-    HURST_MAX,
-    ModelParams,
-    b_t_closed_form,
-    checked_power,
-    delta_h,
-    sigma2_h,
-    stationary_variance,
-)
+from .constants import HURST_MAX, ModelParams, checked_power, delta_h, sigma2_h, stationary_variance
 from .errors import NumericsError
-from .fgn import Grid, increment_autocov, toeplitz_product
-from .hilbert import kernel_f, kernel_g
-from .process import ar1_scan
+from .fgn import Grid
+from .hilbert import arithmetic, horizon
 
 # The largest power of two at which one horizon of `_ingredients` took no
 # longer than the dense n^3 route it replaced took at n = 4096 (1.1-1.5 s),
@@ -101,25 +92,13 @@ MAX_BOUND_CELLS = 8192
 SWEEP_CELLS = 2**16
 
 
-@dataclass(frozen=True)
-class Ingredients:
-    """The seven scalars the bound terms are assembled from."""
-
-    b_t: float
-    norm_f2: float      # ||f||^2
-    norm_f1f: float     # ||f x1 f||
-    norm_f1g: float     # ||f x1 g||
-    inner_fg: float     # <f, g>
-    norm_g2: float      # ||g||^2
-    norm_g1g: float     # ||g x1 g||
-
-
-def psi_from_ingredients(ing: Ingredients) -> tuple[float, float, float]:
-    """Assemble (Psi1, Psi2, Psi3) from raw ingredient values."""
-    b2 = ing.b_t * ing.b_t
-    psi1 = math.sqrt((b2 - 2.0 * ing.norm_f2) ** 2 + 8.0 * ing.norm_f1f**2) / b2
-    psi2 = 2.0 * math.sqrt(2.0 * ing.norm_f1g**2 + ing.inner_fg**2) / b2
-    psi3 = 2.0 * math.sqrt(ing.norm_g2**2 + 2.0 * ing.norm_g1g**2) / b2
+def psi_from_ingredients(ing: dict) -> tuple[float, float, float]:
+    """Assemble (Psi1, Psi2, Psi3) from b_T and the six ingredients, keyed
+    by their `bounds` column names."""
+    b2 = ing["b_T"] * ing["b_T"]
+    psi1 = math.sqrt((b2 - 2.0 * ing["norm_f2"]) ** 2 + 8.0 * ing["norm_f1f"] ** 2) / b2
+    psi2 = 2.0 * math.sqrt(2.0 * ing["norm_f1g"] ** 2 + ing["inner_fg"] ** 2) / b2
+    psi3 = 2.0 * math.sqrt(ing["norm_g2"] ** 2 + 2.0 * ing["norm_g1g"] ** 2) / b2
     return psi1, psi2, psi3
 
 
@@ -173,7 +152,7 @@ def _diagonal_sweep(left: np.ndarray, right: np.ndarray):
     return total, diag, last
 
 
-def _ingredients(params: ModelParams, grid: Grid) -> tuple[Ingredients, float]:
+def _ingredients(params: ModelParams, grid: Grid) -> tuple[dict, float]:
     """All seven ingredients from one sweep over Y~ = E^1/2 S_f E S_f E^1/2.
 
     K = C C' with C = L' D^, L = (I - rho Z)^-1 and D^ = diag(sqrt(1 - rho^2),
@@ -192,89 +171,64 @@ def _ingredients(params: ModelParams, grid: Grid) -> tuple[Ingredients, float]:
         <f, g> = kappa tr(E X) = kappa (tr Y~ + rho z'E z),
         ||f x1 g||^2 = sum_ij sqrt(E_ii / E_jj) X_ij Y_ij
                      = kappa^2 (I + (1 + lam) B/lam + C^2/lam + rho q'E p),
-        ||h||^2 = s^2,  s = v' W v = v[n-1]^2 (S_f)_{n-1,n-1} / s_f = v[n-1]^2 (M e)_{n-1}.
+        ||h||^2 = s^2,  s = v' W v = v[n-1]^2 (M e)_{n-1} = rho (M e)_{n-1}, as v[n-1]^2 = rho.
     For H >= 1/2 every entry of W, L, M, Y~, z, p and q is nonnegative, so
     each ingredient is a sum of nonnegative terms, and it divides only by
-    lam in (0, 1].  Returns (Ingredients, ||h||^2).
-
-    Checks, in order: the degeneracy of rho (`kernel_f`), b_T > 0 (a
-    ValueError), then an overflow, a division by zero or an invalid value
-    anywhere in the arithmetic, which raises NumericsError naming theta
-    and T instead of warning and leaving inf or NaN in the ingredients.
+    lam in (0, 1].  rho, lam, s_f, c2, b_T, w, M and M e come from the
+    record of the horizon (`hilbert.horizon`), which runs the checks.
+    Returns the `bounds` columns b_T and the six ingredients, and ||h||^2.
     """
-    n, x = grid.n, params.theta * grid.step
-    rho, lam = math.exp(-x), -math.expm1(-x)
-    s_f = kernel_f(params, grid)[0]  # first: it rejects a degenerate rho
-    b_t = b_t_closed_form(params)
-    if b_t <= 0:
-        raise ValueError(f"b_T must be positive, got {b_t}")
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            _, c2, v = kernel_g(params, grid)
-            w = increment_autocov(grid, params.hurst)
-            w_apply = toeplitz_product(w)
-
-            def m_apply(y):  # M y, column by column: backward scan, product by W, forward scan
-                u = ar1_scan(y.T[:, ::-1], rho)[:, ::-1]
-                return ar1_scan(w_apply(u), rho).T
-
-            ends = np.zeros((n, 2))
-            ends[0, 0] = ends[-1, 1] = 1.0
-            a, m = m_apply(ends).T  # L w and M e, as L' e_0 = e_0
-            # M - Z M Z' = L (W - Z W Z') L' = a l' + l a' - w_0 l l' with l = L e_0, and
-            # S = D M D, D = diag(d, ..., d, d_last), adds the last row and column:
-            # S - Z S Z' = g0 j g0'.  With h0 = g0 j and zs = Z S e,
-            # S S - Z S S Z' = (S g0) h0' + g0 (S h0 - h0 g0' h0)' - zs zs'.
-            g0 = np.column_stack([a, rho ** np.arange(n), ends[:, 1], m])
-            d, d_last = math.sqrt(s_f * (1.0 - rho) * (1.0 + rho)), math.sqrt(s_f * lam)
-            # D of S~ = E^1/2 S_f E^1/2 for its generators, D of S_f for p and q
-            dv, dv_f = (np.r_[np.full(n - 1, d), end] for end in (d_last, math.sqrt(s_f)))
-            e_diag = np.r_[np.ones(n - 1), lam]  # E
-            z = dv_f * math.sqrt(s_f) * m  # S_f e
-            scale = np.c_[dv, dv, dv, dv, dv_f, dv_f]
-            # S~ g0, and p = S_f z and q = S_f E z, in one pass
-            sg0, pq = np.hsplit(scale * m_apply(scale * np.c_[g0, z, e_diag * z]), [4])
-            cross = d * (d_last - d)
-            j = np.array([[0.0, d * d, 0.0, 0.0],
-                          [d * d, -w[0] * d * d, 0.0, 0.0],
-                          [0.0, 0.0, (d_last - d) ** 2 * m[-1], cross],
-                          [0.0, 0.0, cross, 0.0]])
-            zs = np.r_[0.0, sg0[:-1, 2]]
-            left = np.column_stack([sg0, g0, zs])
-            right = np.column_stack([g0 @ j, (sg0 - g0 @ (j @ (g0.T @ g0))) @ j, -zs])
-            upper, diag, last = _diagonal_sweep(left, right)
-            p, q = pq.T
-            inner = 2.0 * upper - diag[:-1] @ diag[:-1]  # off-diagonal pairs count twice
-            side, corner, zz = last[:-1] @ last[:-1], last[-1], z @ z
-            kappa, trace = c2 / s_f, diag.sum()
-            ing = Ingredients(
-                b_t=b_t,
-                norm_f2=float(diag[:-1].sum() + corner / lam + rho * zz),
-                norm_f1f=math.sqrt(inner + 2.0 * side / lam + (corner / lam) ** 2
-                                   + 2.0 * rho * (p @ (e_diag * p)) + (rho * zz) ** 2),
-                norm_f1g=kappa * math.sqrt(inner + (1.0 + lam) * side / lam
-                                           + corner * corner / lam + rho * (q @ (e_diag * p))),
-                inner_fg=kappa * float(trace + rho * (z @ (e_diag * z))),
-                norm_g2=kappa * kappa * float(trace),
-                norm_g1g=kappa * kappa * math.sqrt(inner + 2.0 * side + corner * corner),
-            )
-            s = v[-1] ** 2 * m[-1]
-            return ing, float(s * s)
-    except FloatingPointError as exc:
-        raise NumericsError(f"{exc} in the bound ingredients at theta = {params.theta:.6g}, "
-                            f"T = {grid.horizon:.6g}") from None
+    rec = horizon(params, grid)
+    n, rho, lam, s_f, w = grid.n, rec.rho, rec.lam, rec.f_row[0], rec.w
+    with arithmetic(params, "the bound ingredients"):
+        a, m = rec.m_ends.T  # L w and M e, as L' e_0 = e_0
+        # M - Z M Z' = L (W - Z W Z') L' = a l' + l a' - w_0 l l' with l = L e_0, and
+        # S = D M D, D = diag(d, ..., d, d_last), adds the last row and column:
+        # S - Z S Z' = g0 j g0'.  With h0 = g0 j and zs = Z S e,
+        # S S - Z S S Z' = (S g0) h0' + g0 (S h0 - h0 g0' h0)' - zs zs'.
+        g0 = np.column_stack([a, rho ** np.arange(n), np.r_[np.zeros(n - 1), 1.0], m])
+        d, d_last = math.sqrt(s_f * (1.0 - rho) * (1.0 + rho)), math.sqrt(s_f * lam)
+        # D of S~ = E^1/2 S_f E^1/2 for its generators, D of S_f for p and q
+        dv, dv_f = (np.r_[np.full(n - 1, d), end] for end in (d_last, math.sqrt(s_f)))
+        e_diag = np.r_[np.ones(n - 1), lam]  # E
+        z = dv_f * math.sqrt(s_f) * m  # S_f e
+        scale = np.c_[dv, dv, dv, dv, dv_f, dv_f]
+        # S~ g0, and p = S_f z and q = S_f E z, in one pass
+        sg0, pq = np.hsplit(scale * rec.m_apply(scale * np.c_[g0, z, e_diag * z]), [4])
+        cross = d * (d_last - d)
+        j = np.array([[0.0, d * d, 0.0, 0.0],
+                      [d * d, -w[0] * d * d, 0.0, 0.0],
+                      [0.0, 0.0, (d_last - d) ** 2 * m[-1], cross],
+                      [0.0, 0.0, cross, 0.0]])
+        zs = np.r_[0.0, sg0[:-1, 2]]
+        left = np.column_stack([sg0, g0, zs])
+        right = np.column_stack([g0 @ j, (sg0 - g0 @ (j @ (g0.T @ g0))) @ j, -zs])
+        upper, diag, last = _diagonal_sweep(left, right)
+        p, q = pq.T
+        inner = 2.0 * upper - diag[:-1] @ diag[:-1]  # off-diagonal pairs count twice
+        side, corner, zz = last[:-1] @ last[:-1], last[-1], z @ z
+        kappa, trace = rec.c2 / s_f, diag.sum()
+        return {
+            "b_T": rec.b_t,
+            "norm_f2": float(diag[:-1].sum() + corner / lam + rho * zz),
+            "norm_f1f": math.sqrt(inner + 2.0 * side / lam + (corner / lam) ** 2
+                                  + 2.0 * rho * (p @ (e_diag * p)) + (rho * zz) ** 2),
+            "norm_f1g": kappa * math.sqrt(inner + (1.0 + lam) * side / lam
+                                          + corner * corner / lam + rho * (q @ (e_diag * p))),
+            "inner_fg": kappa * float(trace + rho * (z @ (e_diag * z))),
+            "norm_g2": kappa * kappa * float(trace),
+            "norm_g1g": kappa * kappa * math.sqrt(inner + 2.0 * side + corner * corner),
+        }, rec.vwv ** 2
 
 
 def psi_terms(params: ModelParams, grid: Grid) -> dict:
     """The `bounds` row at (theta, H, T) on the grid: Psi1-3, max_psi and the ingredients."""
     ing, _ = _ingredients(params, grid)
-    if ing.b_t * ing.b_t == 0.0:
+    if ing["b_T"] * ing["b_T"] == 0.0:
         raise NumericsError(f"b_T^2 underflows at theta = {params.theta:.6g}, "
                             f"T = {grid.horizon:.6g}")
     psi = dict(zip(("psi1", "psi2", "psi3"), psi_from_ingredients(ing)))
-    row = {"T": grid.horizon, **psi, "max_psi": max(psi.values()), **vars(ing)}
-    row["b_T"] = row.pop("b_t")
-    return row
+    return {"T": grid.horizon, **psi, "max_psi": max(psi.values()), **ing}
 
 
 def asymptotics_report(theta: float, hurst: float, t_list, n: int | None = None,
@@ -305,15 +259,15 @@ def asymptotics_report(theta: float, hurst: float, t_list, n: int | None = None,
         lt = math.log(t)
         scale = t / lt if log_case else t
         q = {
-            "b_T": (ing.b_t, a),
-            "2*norm_f2": (2.0 * ing.norm_f2 / lt if log_case else 2.0 * ing.norm_f2,
+            "b_T": (ing["b_T"], a),
+            "2*norm_f2": (2.0 * ing["norm_f2"] / lt if log_case else 2.0 * ing["norm_f2"],
                           a * a),
-            "norm_f1f": (ing.norm_f1f, 0.0),
+            "norm_f1f": (ing["norm_f1f"], 0.0),
             "norm_h2/T": (norm_h2 / t, 0.0),
-            f"{label}*norm_g2": (scale * ing.norm_g2, lim_g2),
-            f"sqrt({label})*inner_fg": (math.sqrt(scale) * ing.inner_fg, lim_fg),
-            f"sqrt({label})*norm_f1g": (math.sqrt(scale) * ing.norm_f1g, 0.0),
-            f"sqrt({label})*norm_g1g": (math.sqrt(scale) * ing.norm_g1g, 0.0),
+            f"{label}*norm_g2": (scale * ing["norm_g2"], lim_g2),
+            f"sqrt({label})*inner_fg": (math.sqrt(scale) * ing["inner_fg"], lim_fg),
+            f"sqrt({label})*norm_f1g": (math.sqrt(scale) * ing["norm_f1g"], 0.0),
+            f"sqrt({label})*norm_g1g": (math.sqrt(scale) * ing["norm_g1g"], 0.0),
         }
         rows.extend({"T": t, "quantity": name, "measured": meas, "paper_limit": lim,
                      "ratio": meas / lim if lim != 0.0 else ""}

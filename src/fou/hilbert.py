@@ -1,33 +1,54 @@
-"""The two kernels of the second-chaos statistic and of the bound terms,
-in the compact form every consumer reads.
+"""The per-horizon record that the second-chaos statistic and the bound
+terms both read: the two kernels in compact form, b_T and the Gram
+matrix W of the grid, built and checked once per horizon by `horizon`.
 
 f is the numerator kernel (1 / (2 sqrt(theta sigma2_H T))) exp(-theta|t-s|)
 and g = c1 f - c2 v v' the denominator-fluctuation kernel, with v the
 boundary vector v_i = exp(-theta (T - t*_i)), both sampled at the grid
 midpoints.  f is Toeplitz, as midpoints i and j are |i - j| steps apart, so
-`kernel_f` returns its first row; `kernel_g` returns (c1, c2, v).  No n x n
-kernel is formed: the bound ingredients in `bounds` take the weighted
-tensor norms of f and g from the scale of f, c1, c2 and v[n-1], through
-the displacement generators of the AR(1) factor of f, and the O(n)
-per-replication statistic in `montecarlo` takes its recentering traces
-from the Toeplitz row.  The dense kernels and the tensor algebra on them
-are test oracles only (`tests/oracles.py`).
+`kernel_f` returns its first row; `kernel_g` returns (c1, c2).  No n x n
+kernel and no v is formed.  With rho = exp(-theta step), L = (I - rho Z)^-1
+the AR(1) factor (Z the down shift) and e = e_{n-1}, v = sqrt(rho) L' e, so
+v' W v = rho (M e)_{n-1} with M = L W L'.  The dense kernels and the tensor
+algebra on them are test oracles only (`tests/oracles.py`).
 
-Both consumers read f through `kernel_f`, so it owns the one check of its
-AR(1) factor: where rho = exp(-theta step) rounds to 1 or theta step
-overflows, it raises NumericsError, so the bound terms and the chaos
-statistic reject the same (theta, T, n).  Where rho < 1, s_f, c1 and c2
-are finite too, as theta T >= theta step.
+`Horizon`, the record, holds:
+
+    rho, lam    exp(-theta step) and lam = 1 - rho = -expm1(-theta step)
+    f_row       the Toeplitz row of f (`kernel_f`)
+    c1, c2      g = c1 f - c2 v v' (`kernel_g`)
+    b_t         b_T in closed form (`constants.b_t_closed_form`)
+    w           the first row of W (`fgn.increment_autocov`)
+    m_apply     y -> M y along the columns of y: two AR(1) scans
+                (`process.ar1_scan`) and a product by W (`fgn.toeplitz_product`)
+    m_ends      M e_0 and M e_{n-1}, as the two columns of an n x 2 array
+    vwv         v' W v = rho (M e)_{n-1}
+
+`montecarlo._chaos_traces` and `bounds._ingredients` read it, so the chaos
+statistic and the bound terms reject the same (theta, T, n) in the same
+way.  Checks, in order:
+
+1. `kernel_f`: where rho rounds to 1 or theta step overflows, the AR(1)
+   factor is degenerate, a NumericsError.  Where rho < 1, s_f, c1 and c2
+   are finite too, as theta T >= theta step.
+2. b_T > 0, else a ValueError.
+3. The arithmetic: an overflow, a division by zero or an invalid value
+   raises NumericsError naming theta and T (`arithmetic`) instead of
+   warning and leaving inf or NaN in the record.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ModelParams, sigma2_h
+from .constants import ModelParams, b_t_closed_form, sigma2_h
 from .errors import NumericsError
-from .fgn import Grid
+from .fgn import Grid, increment_autocov, toeplitz_product
+from .process import ar1_scan
 
 
 def kernel_f(params: ModelParams, grid: Grid) -> np.ndarray:
@@ -42,9 +63,60 @@ def kernel_f(params: ModelParams, grid: Grid) -> np.ndarray:
     return scale * np.exp(-x * np.arange(grid.n))
 
 
-def kernel_g(params: ModelParams, grid: Grid) -> tuple[float, float, np.ndarray]:
-    """(c1, c2, v) with g = c1 f - c2 v v': c1 = sqrt(sigma2_H / (theta T)),
-    c2 = 1 / (2 theta T) and v_i = exp(-theta (T - t*_i))."""
+def kernel_g(params: ModelParams, grid: Grid) -> tuple[float, float]:
+    """(c1, c2) with g = c1 f - c2 v v': c1 = sqrt(sigma2_H / (theta T)) and
+    c2 = 1 / (2 theta T)."""
     theta_t = params.theta * params.horizon
-    v = np.exp(-params.theta * (params.horizon - grid.midpoints))
-    return math.sqrt(sigma2_h(params.hurst) / theta_t), 1.0 / (2.0 * theta_t), v
+    return math.sqrt(sigma2_h(params.hurst) / theta_t), 1.0 / (2.0 * theta_t)
+
+
+@contextmanager
+def arithmetic(params: ModelParams, what: str):
+    """numpy arithmetic in the block that overflows, divides by zero or
+    makes an invalid value raises NumericsError naming `what`, theta and T."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericsError(f"{exc} in {what} at theta = {params.theta:.6g}, "
+                            f"T = {params.horizon:.6g}") from None
+
+
+@dataclass(frozen=True)
+class Horizon:
+    """The record of one horizon (module docstring)."""
+
+    rho: float
+    lam: float
+    f_row: np.ndarray
+    c1: float
+    c2: float
+    b_t: float
+    w: np.ndarray
+    m_apply: Callable[[np.ndarray], np.ndarray]
+    m_ends: np.ndarray
+    vwv: float
+
+
+def horizon(params: ModelParams, grid: Grid) -> Horizon:
+    """The record of (theta, H, T) on the grid, checked in the order of the
+    module docstring."""
+    f_row = kernel_f(params, grid)
+    b_t = b_t_closed_form(params)
+    if b_t <= 0:
+        raise ValueError(f"b_T must be positive, got {b_t}")
+    x = params.theta * grid.step
+    rho = math.exp(-x)
+    with arithmetic(params, "the products by W"):
+        w = increment_autocov(grid, params.hurst)
+        w_apply = toeplitz_product(w)
+
+        def m_apply(y):  # M y, column by column: backward scan, product by W, forward scan
+            u = ar1_scan(y.T[:, ::-1], rho)[:, ::-1]
+            return ar1_scan(w_apply(u), rho).T
+
+        ends = np.zeros((grid.n, 2))
+        ends[0, 0] = ends[-1, 1] = 1.0
+        m_ends = m_apply(ends)
+        return Horizon(rho, -math.expm1(-x), f_row, *kernel_g(params, grid), b_t, w,
+                       m_apply, m_ends, rho * float(m_ends[-1, 1]))

@@ -16,13 +16,13 @@ the boundary vector v_i = rho^(n-1/2-i) give
 
     xi' E xi = (1 - rho^2) sum_i u_i^2 + rho^2 u_T^2,    (xi . v)^2 = rho u_T^2,
 
-with 1 - rho^2 taken as -expm1(-2 theta dt).  The recentering traces use
-the Toeplitz structure of the Gram weights (`fgn.toeplitz_product`); all
-of it is O(n) or O(n log n) per replication and agrees with the dense
-operations to rounding error.  The Toeplitz row of f, checked by
-`hilbert.kernel_f` as for `bounds`, and the compact form (c1, c2, v) of g
-come from `hilbert`, once per horizon, through `_chaos_traces`.  At
-H = 3/4 the statistic carries the extra 1/sqrt(log T) normalization.
+with 1 - rho^2 taken as -expm1(-2 theta dt).  It is O(n) per replication
+and agrees with the dense operations to rounding error.  Once per horizon,
+`_chaos_traces` reads the record of `hilbert.horizon`, checked as for
+`bounds`: the scale of f, c1 and c2 of g, b_T, and the recentering trace
+tr(v v' W) = v' W v.  Only tr(f W) it takes itself, from the Toeplitz rows
+of f and W.  At H = 3/4 the statistic carries the extra 1/sqrt(log T)
+normalization.
 
 `replicate` is the one replication driver: `run` (for `kolmogorov` and
 `rate-fit`) and the `estimate` command both draw through it, so FOU_THREADS
@@ -44,16 +44,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .constants import (
-    HURST_MAX,
-    ModelParams,
-    b_t_closed_form,
-    sigma2_h,
-    skorohod_correction,
-)
+from .constants import HURST_MAX, ModelParams, sigma2_h, skorohod_correction
 from .errors import DegeneratePathError, NumericsError
-from .fgn import Grid, Workspace, derive_seed, increment_autocov, sample_fgn_batch, toeplitz_product
-from .hilbert import kernel_f, kernel_g
+from .fgn import Grid, Workspace, derive_seed, sample_fgn_batch
+from .hilbert import horizon
 from .process import NEAR_ZERO_DENOM, ar1_scan, degenerate_denominators, estimate_pathwise
 
 CHAOS_RATIO = "chaos_ratio"
@@ -63,7 +57,7 @@ CHUNK_CELLS = 1 << 16  # cells per chunk; see the module docstring
 
 def normal_cdf(z: np.ndarray) -> np.ndarray:
     """Standard normal CDF erfc(-z / sqrt 2) / 2, accurate in the lower tail."""
-    return 0.5 * np.array([math.erfc(-x * math.sqrt(0.5)) for x in z.tolist()])
+    return 0.5 * np.fromiter(map(math.erfc, -math.sqrt(0.5) * z), float, count=z.size)
 
 
 def ks_distance(samples) -> float:
@@ -89,10 +83,10 @@ def rate_fit(rows) -> dict:
 
 
 def _chaos_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
-                 b_t: float, traces: tuple) -> tuple[np.ndarray, int]:
+                 traces: tuple) -> tuple[np.ndarray, int]:
     """Chaos-ratio statistic for each row of xi; returns (values, degenerate count).
     `traces` is what `_chaos_traces` returns for the same params and grid."""
-    tr_f, tr_h, sf, c1, c2 = traces
+    tr_f, tr_h, sf, c1, c2, b_t = traces
     x = params.theta * grid.step
     rho = math.exp(-x)
     u = ar1_scan(xi, rho)
@@ -108,17 +102,13 @@ def _chaos_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
 
 
 def _chaos_traces(params: ModelParams, grid: Grid) -> tuple:
-    """Per-horizon inputs of `_chaos_batch`: the recentering traces tr(f W)
-    and tr(v v' W) via the Toeplitz structure (W v from
-    `fgn.toeplitz_product`), the scale row[0] of f and c1, c2 of g."""
-    n = grid.n
-    gamma = increment_autocov(grid, params.hurst)
-    row = kernel_f(params, grid)
+    """Per-horizon inputs of `_chaos_batch`: (tr(f W), tr(v v' W), f[0, 0],
+    c1, c2, b_T).  tr(f W) comes from the Toeplitz rows of f and W, the
+    rest from the record of the horizon (`hilbert.horizon`)."""
+    rec, n = horizon(params, grid), grid.n
     lags = np.arange(1, n, dtype=float)
-    tr_f = n * row[0] * gamma[0] + 2.0 * np.sum((n - lags) * row[1:] * gamma[1:])
-    c1, c2, v = kernel_g(params, grid)
-    tr_h = float(v @ toeplitz_product(gamma)(v))
-    return (tr_f, tr_h, row[0], c1, c2)
+    tr_f = n * rec.f_row[0] * rec.w[0] + 2.0 * np.sum((n - lags) * rec.f_row[1:] * rec.w[1:])
+    return (tr_f, rec.vwv, rec.f_row[0], rec.c1, rec.c2, rec.b_t)
 
 
 def _pathwise_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
@@ -186,8 +176,8 @@ def run(theta: float, hurst: float, t_list, reps: int, seed: int, n: int | None,
     denominators; below that, a degenerate PATHWISE row is NaN."""
     def setup(params, grid):
         if method == CHAOS_RATIO:
-            b_t, traces = b_t_closed_form(params), _chaos_traces(params, grid)
-            return lambda xi: _chaos_batch(params, grid, xi, b_t, traces)
+            traces = _chaos_traces(params, grid)
+            return lambda xi: _chaos_batch(params, grid, xi, traces)
         c_t = skorohod_correction(params)
         return lambda xi: _pathwise_batch(params, grid, xi, c_t)
 

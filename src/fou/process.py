@@ -17,8 +17,9 @@ The estimator -int X dX / int X^2 dt comes in two computable forms:
 path per row, and a single path is a batch of one.  A row's result does
 not depend on the other rows of its batch.  The recursion is a blocked
 numpy scan (`ar1_scan`), the same scan that `montecarlo._chaos_batch`
-and `bounds._ingredients` use; `estimate_pathwise` reduces the scan's rows
-directly, without the node array that `simulate_fou` returns.
+and the products by M = L W L' of `hilbert.Horizon` use;
+`estimate_pathwise` reduces the scan's rows directly, without the node
+array that `simulate_fou` returns.
 """
 from __future__ import annotations
 
@@ -71,8 +72,14 @@ def simulate_fou(grid: Grid, params: ModelParams, xi: np.ndarray) -> np.ndarray:
 
 
 def denominator_floor(params: ModelParams) -> float:
-    """Smallest int X^2 dt a genuine path can produce; below it the path is degenerate."""
-    return DEGENERATE_DENOM_FACTOR * params.horizon * stationary_variance(params)
+    """Smallest int X^2 dt a genuine path can produce; below it the path is
+    degenerate.  DEGENERATE_DENOM_FACTOR times min(T a, T^(2H+1) / (2H+1)),
+    the scale of E int X^2 dt at finite T: T a, with a the stationary
+    variance, once theta T >> 1, and T^(2H+1) / (2H+1) while theta T << 1.
+    T^2H is not formed past T = 1e200, where it would overflow."""
+    h, t = params.hurst, params.horizon
+    early = t ** (2.0 * h) / (2.0 * h + 1.0) if t < 1e200 else math.inf
+    return DEGENERATE_DENOM_FACTOR * t * min(stationary_variance(params), early)
 
 
 def degenerate_denominators(params: ModelParams, denominator: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ routes against.  No `fou` command calls any of them.
 * `kernel_f`, `kernel_g`, `boundary_vector` and `kernel_h` are the kernels
   as dense midpoint samples, each from its own closed form.  They check the
   compact kernels of `fou.hilbert` (the Toeplitz row of f, and g as
-  (c1, c2, v)).
+  (c1, c2) with v formed here).  `boundary_form_fft` is v' W v through the
+  circulant embedding of W: a second route to `fou.hilbert.Horizon.vwv`,
+  which takes it from the AR(1) scans.
 * `inner_h`, `norm2_h2`, `inner_h2` and `contract1` are the generic
   weighted tensor algebra on midpoint-sampled kernels.  They check
   `fou.bounds._ingredients`, which never forms f, g or any n x n array
@@ -53,7 +55,7 @@ import numpy as np
 
 from fou.constants import HURST_MAX, ModelParams, _check_hurst, sigma2_h, skorohod_correction
 from fou.errors import NumericsError
-from fou.fgn import _MASK64, Grid, _unit_autocov, gram_weights
+from fou.fgn import _MASK64, Grid, _unit_autocov, gram_weights, increment_autocov, toeplitz_product
 from fou.process import NEAR_ZERO_DENOM, estimate_pathwise
 
 
@@ -68,6 +70,13 @@ def kernel_f(params: ModelParams, grid: Grid) -> np.ndarray:
 def boundary_vector(params: ModelParams, grid: Grid) -> np.ndarray:
     """Midpoint samples v_i = exp(-theta (T - t*_i)); the boundary kernel is h = v v'."""
     return np.exp(-params.theta * (params.horizon - grid.midpoints))
+
+
+def boundary_form_fft(params: ModelParams, grid: Grid) -> float:
+    """v' W v with W v by the circulant embedding of W (`fou.fgn.toeplitz_product`).
+    v[n-1] carries about eps theta T of rounding from T - t*_{n-1}."""
+    v = boundary_vector(params, grid)
+    return float(v @ toeplitz_product(increment_autocov(grid, params.hurst))(v))
 
 
 def kernel_g(params: ModelParams, grid: Grid) -> np.ndarray:

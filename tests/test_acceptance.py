@@ -97,11 +97,11 @@ def test_criterion_04_g_kernel_limits():
         lim_fg = math.sqrt(THETA / sigma2_h(h)) * lim_g
         ing = {t: _ingredients(ModelParams(THETA, h, t), Grid(horizon=t, n=2048))[0]
                for t in (50.0, 100.0, 200.0)}
-        rel_g = abs(200.0 * ing[200.0].norm_g2 - lim_g) / lim_g
-        rel_fg = abs(math.sqrt(200.0) * ing[200.0].inner_fg - lim_fg) / lim_fg
+        rel_g = abs(200.0 * ing[200.0]["norm_g2"] - lim_g) / lim_g
+        rel_fg = abs(math.sqrt(200.0) * ing[200.0]["inner_fg"] - lim_fg) / lim_fg
         ok &= rel_g <= 0.10 and rel_fg <= 0.10
-        fg_trend = [math.sqrt(t) * ing[t].norm_f1g for t in (50.0, 100.0, 200.0)]
-        gg_trend = [math.sqrt(t) * ing[t].norm_g1g for t in (50.0, 100.0, 200.0)]
+        fg_trend = [math.sqrt(t) * ing[t]["norm_f1g"] for t in (50.0, 100.0, 200.0)]
+        gg_trend = [math.sqrt(t) * ing[t]["norm_g1g"] for t in (50.0, 100.0, 200.0)]
         dec = all(a > b for a, b in zip(fg_trend, fg_trend[1:])) and \
             all(a > b for a, b in zip(gg_trend, gg_trend[1:]))
         ok &= dec
@@ -132,7 +132,7 @@ def test_criterion_06_self_contraction_bounded():
         scaled = []
         for t in (25.0, 50.0, 100.0, 200.0):
             ing, _ = _ingredients(ModelParams(THETA, h, t), Grid(horizon=t, n=2048))
-            scaled.append(ing.norm_f1f * t**exponent)
+            scaled.append(ing["norm_f1f"] * t**exponent)
         spread = max(scaled) / min(scaled)
         ok &= spread < 3.0
         details.append(f"H={h}: scaled |f x1 f|={['%.4f' % s for s in scaled]} spread={spread:.2f}")
@@ -230,13 +230,12 @@ def test_criterion_10_log_normalization_at_three_quarters():
 def test_criterion_11_per_path_identity_refines():
     t, reps = 50.0, 400
     p_half = ModelParams(theta=THETA, hurst=0.5, horizon=t)
-    b = b_t_closed_form(p_half)
     med = {}
     for dt in (0.05, 0.0125):
         grid = Grid.from_step(t, dt)
         seeds = [derive_seed(42, 0, r) for r in range(reps)]
         xi = sample_fgn_batch(grid, 0.5, seeds)
-        chaos, bad = _chaos_batch(p_half, grid, xi, b, _chaos_traces(p_half, grid))
+        chaos, bad = _chaos_batch(p_half, grid, xi, _chaos_traces(p_half, grid))
         assert bad == 0
         pathwise, _ = _pathwise_batch(p_half, grid, xi, 0.0)
         rel = np.abs(pathwise - chaos) / np.maximum(np.abs(chaos), 1e-12)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from fou.bounds import (
-    Ingredients,
     _diagonal_sweep,
     _ingredients,
     asymptotics_report,
@@ -28,10 +27,10 @@ from oracles import (
 
 
 def ing(**kw):
-    base = dict(b_t=1.0, norm_f2=0.0, norm_f1f=0.0, norm_f1g=0.0,
+    base = dict(b_T=1.0, norm_f2=0.0, norm_f1f=0.0, norm_f1g=0.0,
                 inner_fg=0.0, norm_g2=0.0, norm_g1g=0.0)
     base.update(kw)
-    return Ingredients(**base)
+    return base
 
 
 def quantities(rows):
@@ -42,17 +41,17 @@ def quantities(rows):
 
 def test_psi1_vanishes_on_balanced_ingredients():
     # b^2 = 2 ||f||^2 and no contraction -> Psi1 = 0
-    psi1, _, _ = psi_from_ingredients(ing(b_t=math.sqrt(2.0), norm_f2=1.0))
+    psi1, _, _ = psi_from_ingredients(ing(b_T=math.sqrt(2.0), norm_f2=1.0))
     assert psi1 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_psi3_synthetic_arithmetic():
-    _, _, psi3 = psi_from_ingredients(ing(b_t=1.0, norm_g2=3.0, norm_g1g=4.0))
+    _, _, psi3 = psi_from_ingredients(ing(b_T=1.0, norm_g2=3.0, norm_g1g=4.0))
     assert psi3 == pytest.approx(2.0 * math.sqrt(9.0 + 32.0), rel=1e-14)
 
 
 def test_psi2_synthetic_arithmetic():
-    _, psi2, _ = psi_from_ingredients(ing(b_t=2.0, norm_f1g=1.0, inner_fg=3.0))
+    _, psi2, _ = psi_from_ingredients(ing(b_T=2.0, norm_f1g=1.0, inner_fg=3.0))
     assert psi2 == pytest.approx(2.0 * math.sqrt(2.0 + 9.0) / 4.0, rel=1e-14)
 
 
@@ -103,7 +102,7 @@ def test_ingredients_near_unit_ar1_coefficient(n, theta_t, hurst):
         "norm_g1g": math.sqrt(inner("gg", "gg")),
     }
     for name, want in dense.items():
-        assert getattr(ing, name) == pytest.approx(want, rel=1e-11), name
+        assert ing[name] == pytest.approx(want, rel=1e-11), name
     v = boundary_vector(p, g)
     assert norm_h2 == pytest.approx(float(v @ w @ v) ** 2, rel=1e-11)
 
@@ -120,7 +119,7 @@ def test_ingredients_match_long_double_reference(theta, hurst, horizon, n):
     p = ModelParams(theta=theta, hurst=hurst, horizon=horizon)
     ing, norm_h2 = _ingredients(p, Grid(horizon=horizon, n=n))
     ref = ingredients_long_double(p, Grid(horizon=horizon, n=n))
-    got = {name: getattr(ing, name) for name in ref if name != "norm_h2"} | {"norm_h2": norm_h2}
+    got = {name: ing[name] for name in ref if name != "norm_h2"} | {"norm_h2": norm_h2}
     for name, want in ref.items():
         assert abs(float(got[name] / want - 1)) <= 5e-12, name
 

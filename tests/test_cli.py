@@ -105,6 +105,8 @@ def test_eps_is_not_a_flag(command):
      "exceeds MAX_CELLS=4194304 cells"),   # T/dt overflows to inf
     (["bounds", "--theta", "1e300", "--hurst", "0.6", "--t", "10", "--n", "64"],
      "b_T must be positive, got 0.0"),     # b_T underflows to 0
+    (["kolmogorov", "--theta", "1e300", "--hurst", "0.6", "--t", "10", "--n", "64",
+      "--reps", "100"], "b_T must be positive, got 0.0"),  # the same check as `bounds`
     (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "abc", "--n", "16"], "argument --t"),
     (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10,x", "--n", "16",
       "--reps", "100"], "argument --t"),
@@ -112,7 +114,8 @@ def test_eps_is_not_a_flag(command):
         "estimate_t_nan", "simulate_t_inf", "dt_nan", "kolmogorov_reps_50",
         "kolmogorov_decreasing_t", "rate_fit_repeated_t", "asymptotics_decreasing_t",
         "kolmogorov_method_mle", "estimate_method", "step_above_cell_ceiling",
-        "step_overflows", "bounds_b_t_underflows", "t_not_a_number", "t_list_not_numbers"])
+        "step_overflows", "bounds_b_t_underflows", "kolmogorov_b_t_underflows",
+        "t_not_a_number", "t_list_not_numbers"])
 def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])
@@ -371,6 +374,22 @@ def test_estimate_one_row_below_floor_exits_3(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("args", [
+    # theta T << 1: the floor follows T^(2H+1) / (2H+1), not T a (5.0e-13
+    # against int X^2 dt = 1.2e-14 here)
+    ["--theta", "2.822475117608143e-07", "--hurst", "0.5000001", "--t",
+     "2.822475117608143e-07", "--n", "25", "--reps", "100"],
+    # T a is 5.5e240 at theta = 1e-200
+    ["--theta", "1e-200", "--hurst", "0.6", "--t", "10", "--n", "16", "--reps", "3"],
+], ids=["theta_t_tiny", "theta_tiny"])
+def test_estimate_floor_follows_the_finite_horizon_mean(args, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["estimate", *args, "--out", str(out)]) == 0, capsys.readouterr().err
+    dens = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
+    params = ModelParams(theta=float(args[1]), hurst=float(args[3]), horizon=float(args[5]))
+    assert 0.0 < process.denominator_floor(params) < min(dens)
+
+
+@pytest.mark.parametrize("args", [
     ["bounds", "--t", "10", "--n", "128"],
     ["asymptotics", "--t", "10", "--n", "128"],
     ["bounds", "--t", "5,20", "--dt", "0.25"],       # n = 20, then 80
@@ -378,7 +397,7 @@ def test_estimate_one_row_below_floor_exits_3(tmp_path, monkeypatch, capsys):
 ])
 def test_dense_ceiling_rejects_before_any_dense_work(args, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bounds, "MAX_BOUND_CELLS", 64)
-    monkeypatch.setattr(bounds, "increment_autocov",
+    monkeypatch.setattr(bounds, "horizon",
                         lambda *a: pytest.fail("n-sized work before the ceiling check"))
     out = tmp_path / "out.csv"
     code = main([args[0], "--theta", "1", "--hurst", "0.6", *args[1:], "--out", str(out)])

@@ -134,6 +134,22 @@ def test_derive_seed_is_stable_and_spreads():
     assert derive_seed(42, 1, 2) == 13658133790647838728
 
 
+# The first normals of replication 0 at horizon 0 under master seed 42.
+# Every golden draws through numpy's Generator.standard_normal on Philox,
+# whose stream NEP 19 does not freeze across numpy versions.
+STREAM_CANARY = [1.575913117532334, 0.9398646803394827, -0.5550608571527742,
+                 1.1565905009076898, -1.0417366797056775, 0.5906480086728916,
+                 -0.9621411425245527, -0.572223488662838]
+
+
+def test_numpy_normal_stream_is_unchanged():
+    bits = np.random.Philox(key=derive_seed(42, 0, 0))
+    got = np.random.Generator(bits).standard_normal(len(STREAM_CANARY)).tolist()
+    assert got == STREAM_CANARY, (
+        f"numpy {np.__version__} draws another Philox standard_normal stream; NEP 19 "
+        "lets a numpy release change it, and then every golden moves at once")
+
+
 def test_sample_fgn_deterministic():
     g = Grid(horizon=1.0, n=32)
     a = sample_fgn(g, 0.7, seed=99)

@@ -5,10 +5,15 @@ import pytest
 from scipy.linalg import toeplitz
 
 from fou import hilbert
+from fou.bounds import _ingredients
 from fou.constants import ModelParams, b_t_closed_form, delta_h, sigma2_h
+from fou.errors import NumericsError
 from fou.fgn import Grid, gram_weights
+from fou.montecarlo import _chaos_traces
 from oracles import (
     b_t_gram_quadrature,
+    boundary_form_fft,
+    boundary_vector,
     contract1,
     fbm_cov,
     inner_h,
@@ -34,8 +39,39 @@ def test_compact_kernels_expand_to_the_dense_oracles(theta, h, t, n):
     p, g = params_grid(theta, h, t, n)
     f = toeplitz(hilbert.kernel_f(p, g))
     assert np.allclose(f, kernel_f(p, g), rtol=1e-13, atol=0)
-    c1, c2, v = hilbert.kernel_g(p, g)
+    c1, c2 = hilbert.kernel_g(p, g)
+    v = boundary_vector(p, g)
     assert np.allclose(c1 * f - c2 * np.outer(v, v), kernel_g(p, g), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("theta, h, t, n", [
+    (1.0, 0.6, 200.0, 512), (0.5, 0.75, 8.0, 256), (0.01, 0.6, 1.0, 256),
+    (1.0, 0.5, 50.0, 200), (1.3, 0.6, 3.0, 2), (3.0, 0.7, 800.0, 300),
+])
+def test_one_boundary_form_for_the_statistic_and_the_bounds(theta, h, t, n):
+    # the chaos traces and ||h||^2 of the bound ingredients read the record's
+    # v' W v = rho (M e)_{n-1}; the dense oracle's v[n-1] carries about
+    # 2 eps theta T from T - t*, so the tolerance grows with theta T
+    p, g = params_grid(theta, h, t, n)
+    vwv = hilbert.horizon(p, g).vwv
+    assert _chaos_traces(p, g)[1] == vwv
+    assert _ingredients(p, g)[1] == vwv**2
+    v, w = boundary_vector(p, g), gram_weights(g, h)
+    tol = 1e-14 + 4 * np.finfo(float).eps * theta * t
+    assert abs(vwv / float(v @ w @ v) - 1) <= tol
+    assert abs(vwv / boundary_form_fft(p, g) - 1) <= tol
+
+
+def test_record_checks_rho_before_b_t():
+    # theta step = 3.1e-17 rounds rho to 1, and b_T underflows to 0: the
+    # degenerate AR(1) factor is reported first, as a NumericsError
+    p, g = params_grid(1e300, 0.6, 2e-315, 64)
+    assert b_t_closed_form(p) == 0.0
+    with pytest.raises(NumericsError, match="theta\\*step"):
+        hilbert.horizon(p, g)
+    p, g = params_grid(1e300, 0.6, 10.0, 64)
+    with pytest.raises(ValueError, match="b_T must be positive, got 0.0"):
+        hilbert.horizon(p, g)
 
 
 def test_kernel_f_diagonal_and_decay():

@@ -45,6 +45,20 @@ def test_ks_distance_point_mass_and_empty():
         ks_distance([])
 
 
+def test_ks_distance_holds_no_python_float_per_sample():
+    # a few float64 arrays of the sample's length (40 bytes per sample at the
+    # peak); a Python list of floats would add 32 bytes per sample for each
+    # list, which two lists made 72
+    samples = np.random.default_rng(5).normal(size=100_000)
+    tracemalloc.start()
+    try:
+        ks_distance(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * samples.size
+
+
 def test_ks_distance_self_calibration():
     # median distance of true normal samples is about 0.82/sqrt(N)
     n, trials = 400, 40
@@ -82,7 +96,7 @@ def test_fast_chaos_matches_dense_ops():
     b = b_t_closed_form(params)
     seeds = [derive_seed(3, 0, r) for r in range(8)]
     xi = sample_fgn_batch(grid, h, seeds)
-    fast, bad = _chaos_batch(params, grid, xi, b, _chaos_traces(params, grid))
+    fast, bad = _chaos_batch(params, grid, xi, _chaos_traces(params, grid))
     assert bad == 0
     for r in range(8):
         dense = normalized_statistic(grid, params, xi[r], f, gg, b, weights=w)
@@ -169,8 +183,8 @@ def test_warm_chunk_allocates_only_the_scan(method):
     rows = CHUNK_CELLS // grid.n
     seeds = [derive_seed(3, 0, r) for r in range(rows)]
     if method == CHAOS_RATIO:
-        b_t, traces = b_t_closed_form(params), _chaos_traces(params, grid)
-        statistic = lambda xi: _chaos_batch(params, grid, xi, b_t, traces)  # noqa: E731
+        traces = _chaos_traces(params, grid)
+        statistic = lambda xi: _chaos_batch(params, grid, xi, traces)  # noqa: E731
     else:
         c_t = skorohod_correction(params)
         statistic = lambda xi: _pathwise_batch(params, grid, xi, c_t)  # noqa: E731

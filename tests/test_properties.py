@@ -104,7 +104,7 @@ def test_one_scan_chaos_matches_dense_i2(theta, hurst, horizon, n, master):
     b_t = b_t_closed_form(params)
     seeds = seeds_for(master, 3)
     xi = sample_fgn_batch(grid, hurst, seeds)
-    fast, _ = _chaos_batch(params, grid, xi, b_t, _chaos_traces(params, grid))
+    fast, _ = _chaos_batch(params, grid, xi, _chaos_traces(params, grid))
     w = gram_weights(grid, hurst)
     f, g = kernel_f(params, grid), kernel_g(params, grid)
     for r in range(len(seeds)):
@@ -158,7 +158,7 @@ def test_two_product_ingredients_match_dense_oracles(theta, hurst, horizon, n):
     w = gram_weights(grid, hurst)
     f, g = kernel_f(params, grid), kernel_g(params, grid)
     dense = {
-        "b_t": b_t_closed_form(params),
+        "b_T": b_t_closed_form(params),
         "norm_f2": norm2_h2(f, w),
         "norm_f1f": math.sqrt(norm2_h2(contract1(f, f, w), w)),
         "norm_f1g": math.sqrt(norm2_h2(contract1(f, g, w), w)),
@@ -167,7 +167,7 @@ def test_two_product_ingredients_match_dense_oracles(theta, hurst, horizon, n):
         "norm_g1g": math.sqrt(norm2_h2(contract1(g, g, w), w)),
     }
     for name, want in dense.items():
-        assert getattr(ing, name) == pytest.approx(want, rel=1e-10), name
+        assert ing[name] == pytest.approx(want, rel=1e-10), name
     v = np.exp(-theta * (horizon - grid.midpoints))
     vwv2 = float(v @ w @ v) ** 2
     assert norm_h2 == pytest.approx(vwv2, rel=1e-10)
@@ -198,7 +198,7 @@ def test_generator_ingredients_match_dense_oracles(theta, hurst, horizon, n):
             "norm_g1g": math.sqrt(norm2_h2(contract1(g, g, w), w)),
         }
     for name, want in dense.items():
-        assert getattr(ing, name) == pytest.approx(want, rel=1e-11), name
+        assert ing[name] == pytest.approx(want, rel=1e-11), name
     v = np.exp(-theta * (horizon - grid.midpoints))
     assert norm_h2 == pytest.approx(float(v @ w @ v) ** 2, rel=1e-11)
-    assert ing.b_t == b_t_closed_form(params)
+    assert ing["b_T"] == b_t_closed_form(params)
