@@ -67,9 +67,9 @@ import math
 import numpy as np
 
 from .constants import HURST_MAX, ModelParams, checked_power, delta_h, sigma2_h, stationary_variance
-from .errors import NumericsError
+from .errors import NumericsError, arithmetic
 from .fgn import Grid
-from .hilbert import arithmetic, horizon
+from .hilbert import horizon
 
 # The largest power of two at which one horizon of `_ingredients` took no
 # longer than the dense n^3 route it replaced took at n = 4096 (1.1-1.5 s),
@@ -180,7 +180,7 @@ def _ingredients(params: ModelParams, grid: Grid) -> tuple[dict, float]:
     """
     rec = horizon(params, grid)
     n, rho, lam, s_f, w = grid.n, rec.rho, rec.lam, rec.f_row[0], rec.w
-    with arithmetic(params, "the bound ingredients"):
+    with arithmetic(params.theta, params.horizon, "the bound ingredients"):
         a, m = rec.m_ends.T  # L w and M e, as L' e_0 = e_0
         # M - Z M Z' = L (W - Z W Z') L' = a l' + l a' - w_0 l l' with l = L e_0, and
         # S = D M D, D = diag(d, ..., d, d_last), adds the last row and column:

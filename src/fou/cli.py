@@ -21,11 +21,19 @@ grid above `fgn.MAX_CELLS` cells, or in `bounds` and `asymptotics` above
 `bounds.MAX_BOUND_CELLS`, is rejected where it is built (exit 2), before any
 n-sized array exists.
 
-Exit codes: 0 success, 2 usage, 3 numerical failure (a `NumericsError`,
-an `ArithmeticError` such as an overflow, or a NaN or inf in a column,
-found before the file is opened), 4 I/O.  The resolved
-configuration (defaults included) is echoed to stderr before any work, and
-numbers are printed with 12 significant digits.
+Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O.  One policy
+decides exit 3, before the file is opened: `main` builds the rows under
+numpy's error state divide/over/invalid = "raise" (underflow left alone),
+so numpy signals an overflow, a division by zero or an invalid value as
+a FloatingPointError instead of warning.  Where theta and T are known it
+becomes a `NumericsError` naming them (`errors.arithmetic`); so does a
+degenerate denominator in any replication (`process.degenerate_denominators`,
+the one rule).  Any other `ArithmeticError` (a Python float or `math`
+overflow), and a NaN or inf in a column (`check_finite`: Python float
+products overflow without a signal), exits 3 too.  No command prints a
+RuntimeWarning.  The resolved configuration (defaults included) is echoed
+to stderr before any work, and numbers are printed with 12 significant
+digits.
 """
 from __future__ import annotations
 
@@ -40,7 +48,9 @@ import sys
 # 2^20 ends it within numpy's import.  Set before numpy loads, if unset.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
-from . import bounds as bounds_mod  # noqa: E402  (after the variable above)
+import numpy as np  # noqa: E402  (after the variable above)
+
+from . import bounds as bounds_mod  # noqa: E402
 from . import montecarlo as mc
 from .constants import ModelParams, check_log_horizons, skorohod_correction
 from .errors import NumericsError
@@ -225,7 +235,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     print(f"[fou] resolved config: {json.dumps(vars(cfg), sort_keys=True)}", file=sys.stderr)
     try:
-        rows = _ROW_BUILDERS[cfg.command](cfg)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            rows = _ROW_BUILDERS[cfg.command](cfg)
         check_finite(rows, cfg.command)
         path = emit_report(rows, cfg)
     except (NumericsError, ArithmeticError) as exc:

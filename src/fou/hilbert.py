@@ -32,21 +32,23 @@ way.  Checks, in order:
    factor is degenerate, a NumericsError.  Where rho < 1, s_f, c1 and c2
    are finite too, as theta T >= theta step.
 2. b_T > 0, else a ValueError.
-3. The arithmetic: an overflow, a division by zero or an invalid value
-   raises NumericsError naming theta and T (`arithmetic`) instead of
-   warning and leaving inf or NaN in the record.
+3. The arithmetic: under the error state that `cli.main` sets, an
+   overflow, a division by zero or an invalid value raises
+   FloatingPointError, which `errors.arithmetic` turns into a NumericsError
+   naming theta and T.  It sets no error state itself; the bound
+   ingredients, int X^2 dt, each replication chunk and each horizon's
+   summary in `montecarlo.run` use it too.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import ModelParams, b_t_closed_form, sigma2_h
-from .errors import NumericsError
+from .errors import NumericsError, arithmetic
 from .fgn import Grid, increment_autocov, toeplitz_product
 from .process import ar1_scan
 
@@ -54,13 +56,15 @@ from .process import ar1_scan
 def kernel_f(params: ModelParams, grid: Grid) -> np.ndarray:
     """First row of the Toeplitz numerator kernel, f[i, j] = row[|i - j|]:
     row[k] = exp(-theta step k) / (2 sqrt(theta sigma2_H T)).  Raises
-    NumericsError where the AR(1) factor degenerates (module docstring)."""
+    NumericsError where the AR(1) factor degenerates (module docstring).
+    exp(-x k) is 0 in float64 for every k >= 1 once x >= 746, so x is
+    capped there and x k stays finite."""
     x = params.theta * grid.step
     if not (math.exp(-x) < 1.0 and math.isfinite(x)):
         raise NumericsError(f"theta*step = {x:.6g} leaves the AR(1) factor of the kernels "
                             f"degenerate (rho = exp(-theta*step) = {math.exp(-x)})")
     scale = 1.0 / (2.0 * math.sqrt(params.theta * sigma2_h(params.hurst) * params.horizon))
-    return scale * np.exp(-x * np.arange(grid.n))
+    return scale * np.exp(-min(x, 746.0) * np.arange(grid.n))
 
 
 def kernel_g(params: ModelParams, grid: Grid) -> tuple[float, float]:
@@ -68,18 +72,6 @@ def kernel_g(params: ModelParams, grid: Grid) -> tuple[float, float]:
     c2 = 1 / (2 theta T)."""
     theta_t = params.theta * params.horizon
     return math.sqrt(sigma2_h(params.hurst) / theta_t), 1.0 / (2.0 * theta_t)
-
-
-@contextmanager
-def arithmetic(params: ModelParams, what: str):
-    """numpy arithmetic in the block that overflows, divides by zero or
-    makes an invalid value raises NumericsError naming `what`, theta and T."""
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise NumericsError(f"{exc} in {what} at theta = {params.theta:.6g}, "
-                            f"T = {params.horizon:.6g}") from None
 
 
 @dataclass(frozen=True)
@@ -107,7 +99,7 @@ def horizon(params: ModelParams, grid: Grid) -> Horizon:
         raise ValueError(f"b_T must be positive, got {b_t}")
     x = params.theta * grid.step
     rho = math.exp(-x)
-    with arithmetic(params, "the products by W"):
+    with arithmetic(params.theta, params.horizon, "the products by W"):
         w = increment_autocov(grid, params.hurst)
         w_apply = toeplitz_product(w)
 

@@ -41,14 +41,15 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 
 import numpy as np
 
 from .constants import HURST_MAX, ModelParams, sigma2_h, skorohod_correction
-from .errors import DegeneratePathError, NumericsError
+from .errors import DegeneratePathError, NumericsError, arithmetic
 from .fgn import Grid, Workspace, derive_seed, sample_fgn_batch
 from .hilbert import horizon
-from .process import NEAR_ZERO_DENOM, ar1_scan, degenerate_denominators, estimate_pathwise
+from .process import ar1_scan, degenerate_denominators, estimate_pathwise
 
 CHAOS_RATIO = "chaos_ratio"
 PATHWISE = "pathwise"
@@ -72,9 +73,7 @@ def rate_fit(rows) -> dict:
     """OLS of log distance on log T over (T, distance) pairs: distance ~
     c_hat * T^(-beta_hat).  The caller passes at least 3 strictly increasing
     horizons (`cli.parse_args`) and positive distances (`cli._rows_rate_fit`)."""
-    ts = np.array([t for t, _ in rows], dtype=float)
-    ds = np.array([d for _, d in rows], dtype=float)
-    lx, ly = np.log(ts), np.log(ds)
+    lx, ly = np.log(np.array(rows, dtype=float).T)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
@@ -84,8 +83,10 @@ def rate_fit(rows) -> dict:
 
 def _chaos_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
                  traces: tuple) -> tuple[np.ndarray, int]:
-    """Chaos-ratio statistic for each row of xi; returns (values, degenerate count).
-    `traces` is what `_chaos_traces` returns for the same params and grid."""
+    """Chaos-ratio statistic for each row of xi; returns (values, degenerate
+    count).  `traces` is what `_chaos_traces` returns for the same params and
+    grid.  A row whose T * denominator is degenerate (`degenerate_denominators`)
+    is NaN, not divided."""
     tr_f, tr_h, sf, c1, c2, b_t = traces
     x = params.theta * grid.step
     rho = math.exp(-x)
@@ -97,8 +98,8 @@ def _chaos_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
     i2_f = sf * q_exp - tr_f
     i2_g = c1 * i2_f - c2 * (rho * u_t2 - tr_h)
     den = i2_g + b_t
-    degenerate = int(np.sum(np.abs(den) < NEAR_ZERO_DENOM))
-    return -i2_f / den, degenerate
+    bad = degenerate_denominators(params, params.horizon * den)
+    return np.divide(-i2_f, den, out=np.full_like(den, np.nan), where=~bad), int(bad.sum())
 
 
 def _chaos_traces(params: ModelParams, grid: Grid) -> tuple:
@@ -133,14 +134,16 @@ def replicate(setup, theta: float, hurst: float, t_list, reps: int, seed: int,
     r at horizon index i is the row drawn from derive_seed(seed, i, r), and
     the chunks of at most CHUNK_CELLS cells run on a pool of FOU_THREADS
     workers, so no row depends on chunk boundaries or scheduling.  A theta*T
-    that overflows raises NumericsError before any draw.
+    that overflows raises NumericsError before any draw.  Each chunk runs in
+    its own copy of the calling thread's context, so under that thread's
+    numpy error state (a pool thread does not inherit it), and
+    `errors.arithmetic` names theta and T of a FloatingPointError.
 
     Each worker draws into its own `fgn.Workspace`, so the rows a statistic
     receives are overwritten by that worker's next chunk: a statistic must
     not keep a view of its input rows, only arrays of its own.
     """
-    workers = os.environ.get("FOU_THREADS")
-    workers = int(workers) if workers else (os.cpu_count() or 1)
+    workers = int(os.environ.get("FOU_THREADS") or os.cpu_count() or 1)
     tasks, counts = [], []
     for i, t in enumerate(t_list):
         if not math.isfinite(theta * t):
@@ -155,25 +158,27 @@ def replicate(setup, theta: float, hurst: float, t_list, reps: int, seed: int,
 
     local = threading.local()
 
+    def start():  # each pool thread's own `fgn.Workspace`
+        local.workspace = Workspace()
+
     def work(task):
         i, grid, statistic, r0, r1 = task
         seeds = [derive_seed(seed, i, r) for r in range(r0, r1)]
-        workspace = getattr(local, "workspace", None)
-        if workspace is None:
-            workspace = local.workspace = Workspace()
-        return statistic(sample_fgn_batch(grid, hurst, seeds, workspace))
+        with arithmetic(theta, grid.horizon, "a replication chunk"):
+            return statistic(sample_fgn_batch(grid, hurst, seeds, local.workspace))
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        results = pool.map(work, tasks)
+    with ThreadPoolExecutor(max(1, workers), initializer=start) as pool:
+        contexts = [copy_context() for _ in tasks]  # this thread's error state, per chunk
+        results = pool.map(lambda context, task: context.run(work, task), contexts, tasks)
         return [[next(results) for _ in range(count)] for count in counts]
 
 
 def run(theta: float, hurst: float, t_list, reps: int, seed: int, n: int | None,
         dt: float | None, method: str) -> list[dict]:
     """One row per horizon of the CHAOS_RATIO or PATHWISE statistic, drawn by
-    `replicate`, with the `samples` array that no report writes.  Aborts if
-    more than 0.1% of replications at any horizon produce degenerate
-    denominators; below that, a degenerate PATHWISE row is NaN."""
+    `replicate`, with the `samples` array that no report writes.  Any
+    replication with a degenerate denominator aborts its horizon with
+    DegeneratePathError, under either statistic."""
     def setup(params, grid):
         if method == CHAOS_RATIO:
             traces = _chaos_traces(params, grid)
@@ -184,12 +189,12 @@ def run(theta: float, hurst: float, t_list, reps: int, seed: int, n: int | None,
     rows = []
     for t, chunks in zip(t_list, replicate(setup, theta, hurst, t_list, reps, seed, n, dt)):
         degenerate = sum(bad for _, bad in chunks)
-        if degenerate > 0.001 * reps:
-            raise DegeneratePathError(
-                f"{degenerate} of {reps} replications degenerate at T={t}")
-        s = np.concatenate([vals for vals, _ in chunks])
-        if hurst == HURST_MAX:
-            s /= math.sqrt(math.log(t))
-        rows.append({"T": t, "ks_distance": ks_distance(s), "sample_mean": float(s.mean()),
-                     "sample_var": float(s.var()), "samples": s})
+        if degenerate:
+            raise DegeneratePathError(f"{degenerate} of {reps} replications degenerate at T={t}")
+        with arithmetic(theta, t, "the summary"):
+            s = np.concatenate([vals for vals, _ in chunks])
+            if hurst == HURST_MAX:
+                s /= math.sqrt(math.log(t))
+            rows.append({"T": t, "ks_distance": ks_distance(s), "sample_mean": float(s.mean()),
+                         "sample_var": float(s.var()), "samples": s})
     return rows

@@ -28,14 +28,13 @@ import math
 import numpy as np
 
 from .constants import HURST_MIN, ModelParams, stationary_variance
-from .errors import DegeneratePathError, NumericsError
+from .errors import DegeneratePathError, NumericsError, arithmetic
 from .fgn import Grid
 
 PATHWISE_ITO = "pathwise_ito"
 SKOROHOD_ORACLE = "skorohod_oracle"
 
 DEGENERATE_DENOM_FACTOR = 1e-12
-NEAR_ZERO_DENOM = 1e-9
 SCAN_BLOCK = 8  # cells per block of `ar1_scan`
 
 
@@ -85,7 +84,10 @@ def denominator_floor(params: ModelParams) -> float:
 def degenerate_denominators(params: ModelParams, denominator: np.ndarray) -> np.ndarray:
     """Rows whose int X^2 dt is not positive or is below `denominator_floor`.
     Both tests are needed: the floor itself underflows to 0 where the
-    denominator does."""
+    denominator does.  This is the one rule for a degenerate denominator:
+    `estimate` (`check_denominators`) and both statistics of
+    `montecarlo.run` apply it, the chaos statistic to T times its
+    denominator, the chaos form of (1/T) int X^2 dt."""
     return ~(denominator > 0.0) | (denominator < denominator_floor(params))
 
 
@@ -103,9 +105,9 @@ def estimate_pathwise(grid: Grid, params: ModelParams, xi: np.ndarray,
     """Least-squares drift estimate theta_hat = numerator / denominator of
     the path that `simulate_fou` builds from each row of noise xi (rows x n);
     returns (numerator, denominator, method).  c_t is
-    skorohod_correction(params), unused at H = 1/2.  The caller decides
-    what a degenerate denominator (`degenerate_denominators`) means; one
-    that overflows raises NumericsError.
+    skorohod_correction(params), unused at H = 1/2.  A degenerate
+    denominator (`degenerate_denominators`) is left to the caller, which
+    aborts on it; one that overflows raises NumericsError.
 
     The denominator is the trapezoid rule for int X^2 dt.  H = 1/2 uses the
     Ito identity directly.  H > 1/2 evaluates the Young integral of X dX by
@@ -121,8 +123,9 @@ def estimate_pathwise(grid: Grid, params: ModelParams, xi: np.ndarray,
     """
     u = ar1_scan(xi, math.exp(-params.theta * grid.step))
     u_t2 = u[:, -1] ** 2
-    denominator = grid.step * (np.einsum("ij,ij->i", u, u) - 0.5 * u_t2)
-    if not np.isfinite(denominator).all():
+    with arithmetic(params.theta, params.horizon, "int X^2 dt"):
+        denominator = grid.step * (np.einsum("ij,ij->i", u, u) - 0.5 * u_t2)
+    if not np.isfinite(denominator).all():  # einsum overflows to inf without a signal
         raise NumericsError(f"int X^2 dt overflows at T={params.horizon}")
     if params.hurst == HURST_MIN:
         return 0.5 * (params.horizon - u_t2), denominator, PATHWISE_ITO

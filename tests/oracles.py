@@ -56,7 +56,12 @@ import numpy as np
 from fou.constants import HURST_MAX, ModelParams, _check_hurst, sigma2_h, skorohod_correction
 from fou.errors import NumericsError
 from fou.fgn import _MASK64, Grid, _unit_autocov, gram_weights, increment_autocov, toeplitz_product
-from fou.process import NEAR_ZERO_DENOM, estimate_pathwise
+from fou.process import estimate_pathwise
+
+# `normalized_statistic` treats a chaos denominator I2(g) + b_T smaller
+# than this in magnitude as numerically zero.  It is the oracle's own
+# guard; production applies `fou.process.degenerate_denominators`.
+NEAR_ZERO_DENOM = 1e-9
 
 
 def kernel_f(params: ModelParams, grid: Grid) -> np.ndarray:

@@ -107,6 +107,10 @@ def test_eps_is_not_a_flag(command):
      "b_T must be positive, got 0.0"),     # b_T underflows to 0
     (["kolmogorov", "--theta", "1e300", "--hurst", "0.6", "--t", "10", "--n", "64",
       "--reps", "100"], "b_T must be positive, got 0.0"),  # the same check as `bounds`
+    # theta*step is finite but theta*step*(n-1) is not: the row of f is
+    # built without an overflow, and b_T is what fails
+    (["bounds", "--theta", "1e300", "--hurst", "0.6", "--t", "1e10", "--n", "64"],
+     "b_T must be positive, got 0.0"),
     (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "abc", "--n", "16"], "argument --t"),
     (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10,x", "--n", "16",
       "--reps", "100"], "argument --t"),
@@ -115,7 +119,7 @@ def test_eps_is_not_a_flag(command):
         "kolmogorov_decreasing_t", "rate_fit_repeated_t", "asymptotics_decreasing_t",
         "kolmogorov_method_mle", "estimate_method", "step_above_cell_ceiling",
         "step_overflows", "bounds_b_t_underflows", "kolmogorov_b_t_underflows",
-        "t_not_a_number", "t_list_not_numbers"])
+        "bounds_kernel_row_overflows", "t_not_a_number", "t_list_not_numbers"])
 def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])
@@ -173,6 +177,24 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     (["kolmogorov", "--theta", "4.18e178", "--hurst", "0.5000001", "--t",
       "6.94e-176,1e-175", "--n", "16", "--reps", "100", "--method", "pathwise"],
      "100 of 100 replications degenerate at T=6.94e-176"),
+    # theta*step*(n-1) overflows in the row of f; the products by M then overflow
+    (["asymptotics", "--theta", "1e90", "--hurst", "0.6", "--t", "1e220", "--n", "64"],
+     "in the bound ingredients at theta = 1e+90, T = 1e+220"),
+    # numpy overflows in a pool thread, under the error state of `main`:
+    # step * sum u^2, then u_T^2
+    (["estimate", "--theta", "1", "--hurst", "0.5", "--t", "1,3.576313464393855e+296",
+      "--n", "2", "--reps", "100"], "in int X^2 dt at theta = 1, T = 3.57631e+296"),
+    (["estimate", "--theta", "1", "--hurst", "0.7", "--t", "1e300", "--n", "2",
+      "--reps", "100"], "in a replication chunk at theta = 1, T = 1e+300"),
+    # at T = 1 on 2 cells, 6 chaos denominators are not positive
+    (["kolmogorov", "--theta", "1", "--hurst", "0.5", "--t", "1,1e307", "--n", "2",
+      "--reps", "100"], "6 of 100 replications degenerate at T=1.0"),
+    # the sample variance overflows
+    (["kolmogorov", "--theta", "1", "--hurst", "0.5", "--t", "1e307", "--n", "2",
+      "--reps", "100"], "overflow encountered in square in the summary at theta = 1, T = 1e+307"),
+    # one chaos denominator of 100 is negative at theta step = 156
+    (["kolmogorov", "--theta", "1000", "--hurst", "0.6", "--t", "10", "--n", "64",
+      "--reps", "100"], "1 of 100 replications degenerate at T=10.0"),
 ], ids=["bounds_tiny_theta", "asymptotics_tiny_theta", "estimate_tiny_theta",
         "kolmogorov_tiny_theta", "bounds_theta_step_overflows", "asymptotics_theta_overflows",
         "bounds_huge_t", "kolmogorov_huge_t", "kolmogorov_theta_t_overflows",
@@ -181,20 +203,43 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
         "asymptotics_nan_row", "bounds_nan_row", "bounds_ingredients_overflow",
         "bounds_kernel_scale_underflows", "bounds_theta_squared_overflows",
         "kolmogorov_theta_squared_overflows", "bounds_b_t_squared_underflows",
-        "kolmogorov_pathwise_degenerate"])
+        "kolmogorov_pathwise_degenerate", "asymptotics_kernel_row_overflows",
+        "estimate_denominator_product_overflows", "estimate_chunk_overflows",
+        "kolmogorov_chaos_degenerate_at_two_cells",
+        "kolmogorov_sample_var_overflows", "kolmogorov_chaos_one_degenerate"])
 def test_overflow_exits_3_without_output(args, named, tmp_path, capsys, recwarn):
+    assert_exits_3_without_output(args, named, tmp_path, capsys, recwarn)
+
+
+def assert_exits_3_without_output(args, named, tmp_path, capsys, recwarn):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3
     assert "numerical failure" in err
     assert named in err.split("numerical failure")[1]
-    quiet = args[0] in ("bounds", "asymptotics") or "pathwise" in args
-    if quiet:
-        # pytest records warnings instead of printing them, so check both
-        assert "RuntimeWarning" not in err
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    # pytest records warnings instead of printing them, so check both
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+def test_one_degenerate_pathwise_replication_in_1000_exits_3(tmp_path, monkeypatch, capsys,
+                                                             recwarn):
+    # Lift the floor just past the smallest int X^2 dt of 1000 replications:
+    # `estimate` draws the same rows as `kolmogorov`, so exactly one of them
+    # is degenerate.  The horizon aborts instead of writing a NaN distance.
+    args = ["--theta", "1", "--hurst", "0.6", "--t", "20", "--dt", "0.1", "--reps", "1000"]
+    first = tmp_path / "first.json"
+    assert main(["estimate", *args, "--format", "json", "--out", str(first)]) == 0
+    dens = sorted(row["denominator"] for row in json.load(open(first))["rows"])
+    assert dens[1] > dens[0] * (1 + 1e-9)
+    scale = 20.0 * stationary_variance(ModelParams(theta=1.0, hurst=0.6, horizon=20.0))
+    monkeypatch.setattr(process, "DEGENERATE_DENOM_FACTOR", dens[0] * (1 + 1e-9) / scale)
+    capsys.readouterr()
+    assert_exits_3_without_output(["kolmogorov", *args, "--method", "pathwise"],
+                                  "1 of 1000 replications degenerate at T=20.0",
+                                  tmp_path, capsys, recwarn)
 
 
 def cfg_for(tmp_path, command, fmt="csv", t_list=()):
@@ -455,8 +500,8 @@ EDGE_HURSTS = [x for h in (0.5, 0.625, 0.75)
        horizons=st.lists(LOG_UNIFORM, min_size=1, max_size=4, unique=True).map(sorted),
        n=st.integers(2, 64), method=st.sampled_from([mc.CHAOS_RATIO, mc.PATHWISE]))
 def test_output_contract_over_argv_space(command, theta, hurst, horizons, n, method, tmp_path):
-    # exit 0 writes only finite values; any other exit writes nothing, and
-    # no exception escapes `main` (a traceback); the bound commands never warn
+    # exit 0 writes only finite values; any other exit writes nothing, no
+    # exception escapes `main` (a traceback), and no command warns
     out = tmp_path / "out.csv"
     out.unlink(missing_ok=True)
     argv = [command, "--theta", repr(theta), "--hurst", repr(hurst),
@@ -468,8 +513,7 @@ def test_output_contract_over_argv_space(command, theta, hurst, horizons, n, met
         warnings.simplefilter("always")
         code = main(argv)
     assert code in (0, 2, 3)
-    if command in ("bounds", "asymptotics"):  # every overflow is named, none warns
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
     if code != 0:
         assert not out.exists()
         return
