@@ -164,16 +164,30 @@ def test_blocked_sweep_matches_row_oracle_past_underflow(monkeypatch):
 
 
 def test_ingredients_peak_is_linear_in_n():
-    # no n x n array: at n = 4096 the peak stays within 1/8 of one (16 MiB),
-    # and at n = 1024 within 4 MiB at both horizons
-    for t, n in ((200.0, 1024), (200.0, 4096), (50.0, 1024)):
+    # no n x n array: at n = 4096 the peak stays within 1/8 of one (16 MiB)
+    p = ModelParams(theta=1.0, hurst=0.6, horizon=200.0)
+    for n in (1024, 4096):
         tracemalloc.start()
         try:
-            _ingredients(ModelParams(theta=1.0, hurst=0.6, horizon=t), Grid(horizon=t, n=n))
+            _ingredients(p, Grid(horizon=200.0, n=n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4096 * n, (t, n)
+        assert peak <= 4096 * n, n
+
+
+def test_ingredients_hold_two_dense_arrays_at_peak():
+    # the bound of the dense route this replaced; the generator route holds
+    # no n x n array (test_ingredients_peak_is_linear_in_n)
+    n = 1024
+    p = ModelParams(theta=1.0, hurst=0.6, horizon=50.0)
+    tracemalloc.start()
+    try:
+        _ingredients(p, Grid(horizon=50.0, n=n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * n * n
 
 
 def test_psi_decreasing_trend_light():
