@@ -32,21 +32,19 @@ O(n) memory, one sweep per horizon.
 
 Largest relative error of the six matrix ingredients against a long-double
 dense reference (the same float64 s_f, c1 and c2; w, K, v and every product
-in long double), for the dense factor route (S formed, S S from one `dsyrk`,
-the g-terms as low-rank updates of its traces), for the generator route
-that swept X and Y apart, and for the one-sweep route:
+in long double; the routes this replaced are compared in CHANGES.md):
 
-    theta  H     T     n    theta step  factor   two sweeps  one sweep
-    1      0.6   200   512  0.39        2.0e-16  1.1e-15     7.1e-16
-    0.5    0.75  8     256  0.016       4.1e-15  2.8e-15     2.7e-15
-    0.5    0.6   2     512  0.0020      1.9e-14  2.1e-14     2.1e-14
-    0.1    0.7   0.25  128  0.00020     3.6e-10  1.9e-14     1.9e-14
-    0.01   0.6   1     256  0.000039    2.7e-9   6.4e-13     6.4e-13
+    theta  H     T     n    theta step  error
+    1      0.6   200   512  0.39        7.1e-16
+    0.5    0.75  8     256  0.016       2.7e-15
+    0.5    0.6   2     512  0.0020      2.1e-14
+    0.1    0.7   0.25  128  0.00020     1.9e-14
+    0.01   0.6   1     256  0.000039    6.4e-13
 
 At theta T << 1, g = c2 (K - v v') (c1 s_f = c2) is a small difference of
-matrices near all-ones.  The factor route took each g-term as a difference
-of traces and lost digits (the last two rows); here the difference sits in
-one scalar, lam = -expm1(-theta step), computed without cancelling.  What
+matrices near all-ones.  Taken as a difference of traces, each g-term
+would lose digits (the last two rows); here the difference sits in one
+scalar, lam = -expm1(-theta step), computed without cancelling.  What
 remains is the rounding of rho, ~eps / (theta step) in the g-terms.  For
 H >= 1/2 every term the one-sweep route adds up is nonnegative, and it
 divides only by lam in (0, 1], so deriving X from Y~ cancels nothing.
@@ -72,13 +70,9 @@ from .fgn import Grid
 from .hilbert import horizon
 
 # The largest power of two at which one horizon of `_ingredients` took no
-# longer than the dense n^3 route it replaced took at n = 4096 (1.1-1.5 s),
-# when the sweep went row by row: 0.33-0.44 s at n = 8192 and 1.5-1.8 s at
-# 16384.  With one sweep per horizon it takes 0.09-0.11 s and 0.36-0.47 s
-# there (theta = 0.1, 1 and 5 at H = 3/4, 0.6 and 1/2, T = 200, 2 vCPUs,
-# OpenBLAS on 2 threads; 0.7-0.9 s CPU time at 16384), so 16384 meets that
-# mark; the ceiling has not been raised.  Enforced on every horizon by
-# `horizon_grids`.
+# longer than the dense n^3 route at n = 4096, when the sweep went row by
+# row; 16384 meets that mark since (timings in CHANGES.md).  Enforced on
+# every horizon by `horizon_grids`.
 MAX_BOUND_CELLS = 8192
 
 # Rows per block of `_diagonal_sweep` are SWEEP_CELLS // n (at most n), so

@@ -1,9 +1,10 @@
 """Closed-form constants for fractional OU drift estimation.
 
 Everything here is a deterministic function of (theta, H, T).  The Hurst
-range covered is H in [1/2, 3/4]; H = 1/2 always takes the elementary
-Brownian branch and H = 3/4 takes its own dedicated branch where the
-generic-H formulas degenerate.
+range covered is H in [1/2, 3/4].  H = 1/2 is decided as the a = 0 end
+(a = 2H - 1) of the same closed forms, where b_T and c_T are continuous in
+H; only H = 3/4 takes its own dedicated branch, where the generic-H
+formulas for sigma2_H and delta_H degenerate.
 
 b_T and c_T are closed forms, not numerical integrals: the incomplete gamma
 function P (`gamma_p`) and Kummer's transform 1F1(1; a+1; -theta T)
@@ -12,10 +13,10 @@ theta T > 709, both summed here from series of positive terms.  Largest
 relative error against mpmath at 40 digits, over 20,000 (a, x) pairs each
 (log-spaced and log-uniform in the ranges shown):
 
-    function          a             x            here     scipy.special
-    P(a, x)           [1e-6, 1.5]   [1e-8, 1e6]  2.0e-15  5.8e-15
-    1F1(1; a+1; -x)   [1e-4, 0.5]   [1, 1e6]     3.3e-15  1.9e-10
-    1F1(1; a+1; -x)   [1e-8, 0.5]   [1, 1e6]     3.6e-15  9.8e-7
+    function          a             x            error
+    P(a, x)           [1e-6, 1.5]   [1e-8, 1e6]  2.0e-15
+    1F1(1; a+1; -x)   [1e-4, 0.5]   [1, 1e6]     3.3e-15
+    1F1(1; a+1; -x)   [1e-8, 0.5]   [1, 1e6]     3.6e-15
 
 Below theta T = 1, where the closed form of b_T cancels, b_T is a power
 series of positive terms.
@@ -61,12 +62,6 @@ def check_log_horizons(hurst: float, t_list) -> None:
         if bad:
             raise ValueError(f"at H = {HURST_MAX} the scaling by log T needs every "
                              f"horizon T > 1, got T = {bad[0]}")
-
-
-def alpha_h(hurst: float) -> float:
-    """H(2H-1); the weight of the |t-s|^(2H-2) singular kernel.  Zero at H=1/2."""
-    _check_hurst(hurst)
-    return hurst * (2.0 * hurst - 1.0)
 
 
 def sigma2_h(hurst: float) -> float:
@@ -115,10 +110,11 @@ def stationary_variance(params: ModelParams) -> float:
 
 
 def gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for 0 < a <= 3/2, x >= 0: the
+    """Regularized lower incomplete gamma P(a, x) for 0 <= a <= 3/2, x >= 0: the
     series x^a e^-x / Gamma(a+1) sum_k x^k / ((a+1)...(a+k)) of positive terms
     (DLMF 8.7.1).  From x = 40 on, 1 - P < x^(a-1) e^-x (1 + 1/x) < 3e-17 and
-    P rounds to 1, which also covers x = inf."""
+    P rounds to 1, which also covers x = inf.  At a = 0 the series is
+    e^-x e^x, and P(0, x) = 1, the limit as a decreases to 0."""
     if x >= 40.0:
         return 1.0
     term = total = 1.0
@@ -131,11 +127,12 @@ def gamma_p(a: float, x: float) -> float:
 
 
 def kummer_1f1(a: float, x: float) -> float:
-    """1F1(1; a+1; -x) for 0 < a <= 1/2, x >= 0.  Below x = 80 Kummer's
+    """1F1(1; a+1; -x) for 0 <= a <= 1/2, x >= 0.  Below x = 80 Kummer's
     transform e^-x 1F1(a; a+1; x) = sum_k a/(a+k) e^-x x^k/k! of positive
     terms; above it the asymptotic series a/x sum_k (1-a)_k/x^k (DLMF 13.7.2),
     whose neglected part is below Gamma(a+1) e^-x x^(1-a)/a relative.  Its
-    limit at x = inf is 0."""
+    limit at x = inf is 0.  At a = 0 the value is e^-x: math.exp(-x) below
+    x = 80, and 0 above it, an absolute error below e^-80."""
     if x < 80.0:
         weight = total = math.exp(-x)
         for k in range(1, MAX_TERMS):
@@ -153,10 +150,11 @@ def kummer_1f1(a: float, x: float) -> float:
     raise NumericsError(f"1F1(1; a+1; -x) did not converge at a = {a}, x = {x}")
 
 
-def _gamma_integrals(params: ModelParams) -> tuple[float, float]:
-    """(I_a, J): the incomplete gamma integrals of `b_t_closed_form`, a = 2H-1."""
+def _gamma_factors(params: ModelParams) -> tuple[float, float]:
+    """(A, J) = (a I_a, J): the incomplete gamma factors of `b_t_closed_form`,
+    a = 2H-1.  A is 1 at a = 0."""
     theta, x, a = params.theta, params.theta * params.horizon, 2.0 * params.hurst - 1.0
-    return (checked_power(theta, -a, "theta") * math.gamma(a) * gamma_p(a, x),
+    return (checked_power(theta, -a, "theta") * math.gamma(a + 1) * gamma_p(a, x),
             checked_power(theta, -(a + 1), "theta") * math.gamma(a + 1) * gamma_p(a + 1, x))
 
 
@@ -164,31 +162,33 @@ def b_t_closed_form(params: ModelParams) -> float:
     """Deterministic centering b_T of the estimator's denominator.
 
     b_T is the time average over [0, T] of the squared weighted norm of
-    s -> exp(-theta(t-s)) on [0, t].  For H = 1/2 this is elementary:
+    s -> exp(-theta(t-s)) on [0, t].  It reduces by integration by parts to
+    three 1-D integrals with an integrable t^(a-1) endpoint (a = 2H-1), each
+    in closed form once multiplied by a, which also carries the weight
+    alpha_H = H a of the singular kernel:
 
-        b_T = 1/(2 theta) - (1 - exp(-2 theta T)) / (4 theta^2 T).
+        b_T = (H/theta) { A + (B - A - 2 theta a J) / (2 theta T) },
+        A = a int_0^T exp(-theta t) t^(a-1) dt = theta^-a Gamma(a+1) P(a, theta T),
+        B = a int_0^T exp(theta(t - 2T)) t^(a-1) dt = exp(-theta T) T^a 1F1(1; a+1; -theta T),
+        J = int_0^T exp(-theta t) t^a dt = theta^-(a+1) Gamma(a+1) P(a+1, theta T).
 
-    For H > 1/2 it reduces by integration by parts to three 1-D integrals
-    with an integrable t^(2H-2) endpoint, each in closed form (a = 2H-1):
+    H = 1/2 is the a = 0 end of the same form, not a branch: A = 1 and
+    B = exp(-2 theta T) there, which gives the Brownian
+    1/(2 theta) - (1 - exp(-2 theta T)) / (4 theta^2 T), and b_T is
+    continuous in H at 1/2.
 
-        b_T = (alpha_H/theta) { I_a + (I_b - I_c) / (2 theta T) },
-        I_a = int_0^T exp(-theta t) t^(2H-2) dt = theta^-a Gamma(a) P(a, theta T),
-        I_b = int_0^T exp(theta(t - 2T)) t^(2H-2) dt = exp(-theta T) T^a/a 1F1(1; a+1; -theta T),
-        I_c = int_0^T exp(-theta t) (1 + 2 theta t) t^(2H-2) dt = I_a + 2 theta J,
-        J   = int_0^T exp(-theta t) t^(2H-1) dt = theta^-(a+1) Gamma(a+1) P(a+1, theta T).
-
-    Both forms cancel twice at x = theta T << 1 (b_T is O(x) while I_a and
+    The form cancels twice at x = theta T << 1 (b_T is O(x) while A and
     the 1/(2x) term are O(1)), so the error grows like eps / x^2; at
     theta = 1, H = 0.7 it is 8.6e-9 at x = 1e-4 and a factor 4.5 at
-    x = 1e-8.  Below x = 1 both take instead the series of positive terms
+    x = 1e-8.  Below x = 1 it takes instead the series of positive terms
 
         b_T = (H/theta) T^a exp(-x) sum_{m>=2} 2 floor(m/2) x^(m-1) / ((a+1)...(a+m)),
 
-    from expanding the integrand of the time average in powers of x (it
-    covers H = 1/2 as a = 0).  Its 19 terms are within 5.6e-16 of a
-    60-digit quadrature for theta in {0.1, 1, 5}, H in [0.5001, 3/4] and
-    x in [1e-8, 1), and within 2.2e-16 of the elementary form at H = 1/2.
-    Converges to stationary_variance at rate 1/T.
+    from expanding the integrand of the time average in powers of x.  Its
+    19 terms are within 5.6e-16 of a 60-digit quadrature for theta in
+    {0.1, 1, 5}, H in [0.5001, 3/4] and x in [1e-8, 1), and within 2.2e-16
+    of the Brownian form at H = 1/2.  Converges to stationary_variance at
+    rate 1/T.
     """
     theta, h, horizon = params.theta, params.hurst, params.horizon
     a, x = 2.0 * h - 1.0, theta * horizon
@@ -198,26 +198,23 @@ def b_t_closed_form(params: ModelParams) -> float:
             term *= x / (a + m)
             total += 2 * (m // 2) * term
         return h / theta * horizon**a * math.exp(-x) * total
-    if h == HURST_MIN:
-        theta2 = checked_power(theta, 2, "theta")
-        return 0.5 / theta - (1.0 - math.exp(-2 * theta * horizon)) / (4 * theta2 * horizon)
-    i_a, j = _gamma_integrals(params)
-    i_b = math.exp(-x) * horizon**a / a * kummer_1f1(a, x)
-    return (alpha_h(h) / theta) * (i_a + (i_b - (i_a + 2 * theta * j)) / (2 * theta * horizon))
+    big_a, j = _gamma_factors(params)
+    big_b = math.exp(-x) * horizon**a * kummer_1f1(a, x)
+    return h / theta * (big_a + (big_b - big_a - 2 * theta * a * j) / (2 * theta * horizon))
 
 
 def skorohod_correction(params: ModelParams) -> float:
     """Trace correction turning the Young integral of X against B into a
     divergence integral:
 
-        c_T = alpha_H int_0^T int_0^t exp(-theta(t-s)) (t-s)^(2H-2) ds dt
-            = alpha_H int_0^T (T-u) exp(-theta u) u^(2H-2) du
-            = alpha_H (T I_a - J),  with I_a and J as in `b_t_closed_form`.
+        c_T = H a int_0^T int_0^t exp(-theta(t-s)) (t-s)^(a-1) ds dt
+            = H a int_0^T (T-u) exp(-theta u) u^(a-1) du
+            = H (T A - a J),  with A and J as in `b_t_closed_form`.
 
-    Depends on the true theta, so the corrected estimator is a simulation
-    instrument, not a feasible statistic.  Zero at H = 1/2.
+    At H = 1/2 (a = 0) this is T/2, the limit as H decreases to 1/2: there
+    the divergence integral is the Ito integral, and the corrected
+    estimator is the Ito one.  Depends on the true theta, so the corrected
+    estimator is a simulation instrument, not a feasible statistic.
     """
-    if params.hurst == HURST_MIN:
-        return 0.0
-    i_a, j = _gamma_integrals(params)
-    return alpha_h(params.hurst) * (params.horizon * i_a - j)
+    big_a, j = _gamma_factors(params)
+    return params.hurst * (params.horizon * big_a - (2.0 * params.hurst - 1.0) * j)

@@ -210,7 +210,6 @@ def sample_fgn_batch(grid: Grid, hurst: float, seeds,
     """
     _check_hurst(hurst)
     n = grid.n
-    m = 2 * n
     f0, fn, fmid = _embedding_sqrt_eigs(n, hurst)
     ws = workspace if workspace is not None else Workspace()
     draws, zc = ws.buffers(len(seeds), n)
@@ -227,7 +226,7 @@ def sample_fgn_batch(grid: Grid, hurst: float, seeds,
     np.multiply(fmid, draws[:, 2 : n + 1], out=re[:, 1:n])
     np.multiply(-fmid, draws[:, n + 1 :], out=im[:, 1:n])
     im[:, 0] = im[:, n] = 0.0  # z_0 and z_n are real
-    xi = np.fft.irfft(zc, n=m, axis=1, norm="forward", out=draws)[:, :n]  # out=: numpy 2
+    xi = np.fft.irfft(zc, n=2 * n, axis=1, norm="forward", out=draws)[:, :n]  # out=: numpy 2
     return np.multiply(xi, grid.step**hurst, out=xi)
 
 

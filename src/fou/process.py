@@ -5,13 +5,14 @@ exact integrating factor: x[k+1] = exp(-theta dt) x[k] + dB_k.  This is
 unconditionally stable; the remaining error is the order-dt approximation
 of the noise integral over each cell.
 
-The estimator -int X dX / int X^2 dt comes in two computable forms:
-
-* pathwise_ito (H = 1/2):    theta_hat = (T - X_T^2) / (2 int X^2 dt)
-* skorohod_oracle (H > 1/2): theta_hat = -(Y - c_T(theta)) / int X^2 dt,
-  where Y is the Young integral of X against itself and c_T(theta) is the
-  divergence-trace correction.  c_T needs the true theta, so this form is
-  a simulation instrument only.
+The estimator -int X dX / int X^2 dt has one computable form for every H
+in [1/2, 3/4]: theta_hat = -(Y - c_T(theta)) / int X^2 dt, where Y is the
+Young integral of X against itself and c_T(theta) is the divergence-trace
+correction (`constants.skorohod_correction`).  c_T needs the true theta, so
+this form is a simulation instrument only.  At H = 1/2 c_T = T/2 and the
+form is the Ito estimator (T - X_T^2) / (2 int X^2 dt); the `method` label
+of an estimate says which of the two names applies, pathwise_ito at
+H = 1/2 and skorohod_oracle above it.
 
 `simulate_fou` and `estimate_pathwise` take noise rows (rows x n), one
 path per row, and a single path is a batch of one.  A row's result does
@@ -105,17 +106,17 @@ def estimate_pathwise(grid: Grid, params: ModelParams, xi: np.ndarray,
     """Least-squares drift estimate theta_hat = numerator / denominator of
     the path that `simulate_fou` builds from each row of noise xi (rows x n);
     returns (numerator, denominator, method).  c_t is
-    skorohod_correction(params), unused at H = 1/2.  A degenerate
+    skorohod_correction(params), T/2 at H = 1/2.  A degenerate
     denominator (`degenerate_denominators`) is left to the caller, which
     aborts on it; one that overflows raises NumericsError.
 
-    The denominator is the trapezoid rule for int X^2 dt.  H = 1/2 uses the
-    Ito identity directly.  H > 1/2 evaluates the Young integral of X dX by
-    the trapezoid sum, which telescopes exactly to X_T^2 / 2, then subtracts
-    the theta-dependent trace correction.  (A left-point sum differs by half
-    the discrete quadratic variation, which at step dt decays only like
-    dt^(2H-1) and visibly biases the estimate; the trapezoid sum is the same
-    Riemann-Stieltjes limit without that defect.)
+    The denominator is the trapezoid rule for int X^2 dt.  The numerator
+    evaluates the Young integral of X dX by the trapezoid sum, which
+    telescopes exactly to X_T^2 / 2, then subtracts the theta-dependent
+    trace correction; at H = 1/2 that is the Ito identity.  (A left-point
+    sum differs by half the discrete quadratic variation, which at step dt
+    decays only like dt^(2H-1) and visibly biases the estimate; the
+    trapezoid sum is the same Riemann-Stieltjes limit without that defect.)
 
     Both come from the scan u = x[1..n] alone: with x_0 = 0 the trapezoid
     sum is step * (sum_k u_k^2 - u_T^2 / 2), and the numerator needs only
@@ -127,6 +128,5 @@ def estimate_pathwise(grid: Grid, params: ModelParams, xi: np.ndarray,
         denominator = grid.step * (np.einsum("ij,ij->i", u, u) - 0.5 * u_t2)
     if not np.isfinite(denominator).all():  # einsum overflows to inf without a signal
         raise NumericsError(f"int X^2 dt overflows at T={params.horizon}")
-    if params.hurst == HURST_MIN:
-        return 0.5 * (params.horizon - u_t2), denominator, PATHWISE_ITO
-    return -(0.5 * u_t2 - c_t), denominator, SKOROHOD_ORACLE
+    return (c_t - 0.5 * u_t2, denominator,
+            PATHWISE_ITO if params.hurst == HURST_MIN else SKOROHOD_ORACLE)

@@ -29,7 +29,8 @@ routes against.  No `fou` command calls any of them.
 * `rate_exponent` is the paper's decay exponent of the Kolmogorov distance
   over the admissible H range, and `theoretical_rate_curve` the decay curve
   C / T^beta (C / log T at H = 3/4) on it.  No command reports either, so
-  both live here.
+  both live here.  So does `alpha_h`, the weight H(2H-1) of the singular
+  kernel, which `fou.constants` folds into its gamma factors.
 * `fbm_cov` and `fgn_autocov` are the covariances in closed form.  They
   check `fou.fgn.gram_weights` and the sampled moments.
   `sample_fgn_cholesky` draws exact fGn through a dense Cholesky factor:
@@ -248,6 +249,12 @@ def normalized_pathwise_statistic(grid: Grid, params: ModelParams, xi: np.ndarra
     num, den, _ = estimate_pathwise(grid, p, xi[None, :], skorohod_correction(p))
     theta_hat = float(num[0] / den[0])
     return math.sqrt(p.horizon / (p.theta * sigma2_h(p.hurst))) * (theta_hat - p.theta)
+
+
+def alpha_h(hurst: float) -> float:
+    """H(2H-1); the weight of the |t-s|^(2H-2) singular kernel.  Zero at H=1/2."""
+    _check_hurst(hurst)
+    return hurst * (2.0 * hurst - 1.0)
 
 
 @dataclass(frozen=True)

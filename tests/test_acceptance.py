@@ -237,7 +237,7 @@ def test_criterion_11_per_path_identity_refines():
         xi = sample_fgn_batch(grid, 0.5, seeds)
         chaos, bad = _chaos_batch(p_half, grid, xi, _chaos_traces(p_half, grid))
         assert bad == 0
-        pathwise, _ = _pathwise_batch(p_half, grid, xi, 0.0)
+        pathwise, _ = _pathwise_batch(p_half, grid, xi, skorohod_correction(p_half))
         rel = np.abs(pathwise - chaos) / np.maximum(np.abs(chaos), 1e-12)
         med[dt] = float(np.median(rel))
     ratio = med[0.0125] / med[0.05]

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ import fou.montecarlo as mc
 import fou.process as process
 from fou.cli import COMMANDS, CSV_COLUMNS, emit_report, main, parse_args
 from fou.constants import ModelParams, stationary_variance
+from fou.errors import NumericsError
 
 
 def test_parse_kolmogorov_example():
@@ -114,12 +116,17 @@ def test_eps_is_not_a_flag(command):
     (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "abc", "--n", "16"], "argument --t"),
     (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10,x", "--n", "16",
       "--reps", "100"], "argument --t"),
+    (["estimate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--reps", "0"],
+     "reps must be positive, got 0"),
+    (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "1"],
+     "n must be at least 2, got 1"),
 ], ids=["step_wider_than_horizon", "bounds_theta_nan", "kolmogorov_theta_nan",
         "estimate_t_nan", "simulate_t_inf", "dt_nan", "kolmogorov_reps_50",
         "kolmogorov_decreasing_t", "rate_fit_repeated_t", "asymptotics_decreasing_t",
         "kolmogorov_method_mle", "estimate_method", "step_above_cell_ceiling",
         "step_overflows", "bounds_b_t_underflows", "kolmogorov_b_t_underflows",
-        "bounds_kernel_row_overflows", "t_not_a_number", "t_list_not_numbers"])
+        "bounds_kernel_row_overflows", "t_not_a_number", "t_list_not_numbers",
+        "estimate_reps_0", "bounds_n_1"])
 def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])
@@ -166,11 +173,9 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     # theta sigma2_H T overflows, so the scale of f is 0 and c2 / s_f divides by it
     (["bounds", "--theta", "1e308", "--hurst", "0.6", "--t", "1e-72", "--n", "2"],
      "divide by zero encountered in scalar divide in the bound ingredients at theta = 1e+308"),
-    # b_T at H = 1/2 squares theta; Psi divides by b_T^2
+    # Psi divides by b_T^2, which underflows at theta T = 3.4e257
     (["bounds", "--theta", "2.27e259", "--hurst", "0.5", "--t", "0.0149,1e139", "--n", "16"],
-     "theta^2 overflows at theta = 2.27e+259"),
-    (["kolmogorov", "--theta", "3.49e185", "--hurst", "0.5", "--t", "10,144.7", "--n", "2",
-      "--reps", "100"], "theta^2 overflows at theta = 3.49e+185"),
+     "b_T^2 underflows at theta = 2.27e+259, T = 0.0149"),
     (["bounds", "--theta", "1.01e134", "--hurst", "0.7499999", "--t", "0.949,10", "--n", "3"],
      "b_T^2 underflows at theta = 1.01e+134, T = 0.949"),
     # every denominator degenerate: counted, not divided by
@@ -195,6 +200,12 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     # one chaos denominator of 100 is negative at theta step = 156
     (["kolmogorov", "--theta", "1000", "--hurst", "0.6", "--t", "10", "--n", "64",
       "--reps", "100"], "1 of 100 replications degenerate at T=10.0"),
+    # H = 1/2 fails where its --hurst 0.5000001 twin does, with the same message
+    (["bounds", "--theta", "1e-170", "--hurst", "0.5", "--t", "1e170", "--n", "16"],
+     "overflow encountered in multiply in the bound ingredients at theta = 1e-170, T = 1e+170"),
+    (["kolmogorov", "--theta", "1e-170", "--hurst", "0.5", "--t", "1e170,2e170", "--n", "16",
+      "--reps", "100"],
+     "overflow encountered in multiply in a replication chunk at theta = 1e-170, T = 1e+170"),
 ], ids=["bounds_tiny_theta", "asymptotics_tiny_theta", "estimate_tiny_theta",
         "kolmogorov_tiny_theta", "bounds_theta_step_overflows", "asymptotics_theta_overflows",
         "bounds_huge_t", "kolmogorov_huge_t", "kolmogorov_theta_t_overflows",
@@ -202,13 +213,25 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
         "estimate_denominator_underflows", "asymptotics_theta_underflows",
         "asymptotics_nan_row", "bounds_nan_row", "bounds_ingredients_overflow",
         "bounds_kernel_scale_underflows", "bounds_theta_squared_overflows",
-        "kolmogorov_theta_squared_overflows", "bounds_b_t_squared_underflows",
+        "bounds_b_t_squared_underflows",
         "kolmogorov_pathwise_degenerate", "asymptotics_kernel_row_overflows",
         "estimate_denominator_product_overflows", "estimate_chunk_overflows",
         "kolmogorov_chaos_degenerate_at_two_cells",
-        "kolmogorov_sample_var_overflows", "kolmogorov_chaos_one_degenerate"])
+        "kolmogorov_sample_var_overflows", "kolmogorov_chaos_one_degenerate",
+        "bounds_brownian_tiny_theta", "kolmogorov_brownian_tiny_theta"])
 def test_overflow_exits_3_without_output(args, named, tmp_path, capsys, recwarn):
     assert_exits_3_without_output(args, named, tmp_path, capsys, recwarn)
+
+
+def test_brownian_huge_theta_matches_its_twin(tmp_path, capsys):
+    # H = 1/2 runs theta = 3.49e185 as H = 0.5000001 does, to the same distances
+    distances = {}
+    for h in ("0.5", "0.5000001"):
+        out = tmp_path / f"{h}.json"
+        assert main(["kolmogorov", "--theta", "3.49e185", "--hurst", h, "--t", "10,144.7",
+                     "--n", "2", "--reps", "100", "--format", "json", "--out", str(out)]) == 0
+        distances[h] = [row["ks_distance"] for row in json.load(open(out))["rows"]]
+    assert distances["0.5"] == distances["0.5000001"] == pytest.approx([0.71, 0.66], rel=1e-12)
 
 
 def assert_exits_3_without_output(args, named, tmp_path, capsys, recwarn):
@@ -240,6 +263,23 @@ def test_one_degenerate_pathwise_replication_in_1000_exits_3(tmp_path, monkeypat
     assert_exits_3_without_output(["kolmogorov", *args, "--method", "pathwise"],
                                   "1 of 1000 replications degenerate at T=20.0",
                                   tmp_path, capsys, recwarn)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_check_finite_names_the_column_and_t(bad):
+    row = {"T": 20.0, "ks_distance": 0.1, "sample_mean": bad, "sample_var": 1.0,
+           "reps": 100, "seed": 1}
+    with pytest.raises(NumericsError) as exc:
+        cli.check_finite([row], "kolmogorov")
+    assert str(exc.value) == f"sample_mean is {bad} at T=20"
+
+
+def test_check_finite_passes_blank_ratio_and_unwritten_samples():
+    cli.check_finite([{"T": 10.0, "quantity": "b_T", "measured": 1.0, "paper_limit": 0.0,
+                       "ratio": ""}], "asymptotics")
+    cli.check_finite([{"T": 10.0, "ks_distance": 0.1, "sample_mean": 0.0, "sample_var": 1.0,
+                       "reps": 100, "seed": 1, "samples": np.array([np.nan, np.inf])}],
+                     "kolmogorov")
 
 
 def cfg_for(tmp_path, command, fmt="csv", t_list=()):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fou.constants import (
     ModelParams,
-    alpha_h,
     b_t_closed_form,
     delta_h,
     gamma_p,
@@ -19,7 +18,7 @@ from fou.constants import (
     stationary_variance,
 )
 from fou.montecarlo import normal_cdf
-from oracles import rate_exponent
+from oracles import alpha_h, rate_exponent
 
 mp.mp.dps = 30
 
@@ -150,12 +149,25 @@ def test_b_t_converges_at_rate_one_over_t():
 
 
 def test_skorohod_correction_values():
-    assert skorohod_correction(ModelParams(1.0, 0.5, 10.0)) == 0.0
+    # T/2 at H = 1/2, where the divergence integral is the Ito integral
+    assert skorohod_correction(ModelParams(1.0, 0.5, 10.0)) == pytest.approx(5.0, rel=2e-15)
     # frozen mpmath quadrature of alpha_H int_0^T (T-u) e^{-theta u} u^{2H-2} du
     assert skorohod_correction(ModelParams(1.0, 0.7, 10.0)) == pytest.approx(
         5.9624157330407187, rel=1e-9)
     assert skorohod_correction(ModelParams(1.0, 0.6, 50.0)) == pytest.approx(
         27.434882022904847, rel=1e-9)
+
+
+@pytest.mark.parametrize("theta", [0.01, 1.0, 50.0])
+def test_closed_forms_continuous_at_half(theta):
+    # H = 1/2 is the a = 0 end of the same closed forms.  The step 1e-13 in H
+    # moves b_T and c_T by at most 3e-12 relative over this range (the slope
+    # in H is about 2 log T), so anything beyond 1e-11 is a jump.
+    for x in np.geomspace(1e-3, 1e5, 33):
+        half, above = ModelParams(theta, 0.5, x / theta), ModelParams(theta, 0.5 + 1e-13, x / theta)
+        assert b_t_closed_form(half) == pytest.approx(b_t_closed_form(above), rel=1e-11), x
+        assert skorohod_correction(half) == pytest.approx(skorohod_correction(above),
+                                                          rel=1e-11), x
 
 
 def test_model_params_validation():

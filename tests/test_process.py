@@ -91,10 +91,11 @@ def test_estimate_consistency_brownian():
     theta, t, dt, reps = 1.0, 500.0, 0.0125, 1000
     g = Grid.from_step(t, dt)
     p = ModelParams(theta=theta, hurst=0.5, horizon=t)
+    c_t = skorohod_correction(p)
     ests = []
     for c0 in range(0, reps, 250):
         seeds = [derive_seed(9, 0, r) for r in range(c0, c0 + 250)]
-        num, den, _ = estimate_pathwise(g, p, sample_fgn_batch(g, 0.5, seeds), 0.0)
+        num, den, _ = estimate_pathwise(g, p, sample_fgn_batch(g, 0.5, seeds), c_t)
         ests.extend(num / den)
     assert np.mean(ests) == pytest.approx(1.0, abs=0.02)
 
