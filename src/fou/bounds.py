@@ -51,12 +51,11 @@ divides only by lam in (0, 1], so deriving X from Y~ cancels nothing.
 
 s_f, c2, b_T, W and M come from the record of the horizon,
 `hilbert.horizon`, which runs the checks in the order its module docstring
-gives.  `horizon_grids` resolves every horizon's grid and enforces the
-cell ceiling `MAX_BOUND_CELLS`, set from measured time (see there), before
-any n-sized array exists.  The asymptotics report re-measures each
-ingredient across a T grid against its known limit; the bound constants
-themselves are existential and never claimed, so rate checks are
-ratio-based.
+gives.  `cli.resolve_horizons` checks every grid against the cell
+ceiling `MAX_BOUND_CELLS`, set from measured time (see there), before any
+n-sized array exists.  The asymptotics report re-measures each ingredient
+across a T grid against its known limit; the bound constants themselves
+are existential and never claimed, so rate checks are ratio-based.
 """
 from __future__ import annotations
 
@@ -72,7 +71,7 @@ from .hilbert import horizon
 # The largest power of two at which one horizon of `_ingredients` took no
 # longer than the dense n^3 route at n = 4096, when the sweep went row by
 # row; 16384 meets that mark since (timings in CHANGES.md).  Enforced on
-# every horizon by `horizon_grids`.
+# every horizon by `cli.resolve_horizons`.
 MAX_BOUND_CELLS = 8192
 
 # Rows per block of `_diagonal_sweep` are SWEEP_CELLS // n (at most n), so
@@ -94,18 +93,6 @@ def psi_from_ingredients(ing: dict) -> tuple[float, float, float]:
     psi2 = 2.0 * math.sqrt(2.0 * ing["norm_f1g"] ** 2 + ing["inner_fg"] ** 2) / b2
     psi3 = 2.0 * math.sqrt(ing["norm_g2"] ** 2 + 2.0 * ing["norm_g1g"] ** 2) / b2
     return psi1, psi2, psi3
-
-
-def horizon_grids(t_list, n: int | None = None, dt: float | None = None) -> list[Grid]:
-    """The grid of every horizon under the discretization policy (see
-    `Grid.for_horizon`), each checked against `MAX_BOUND_CELLS` before
-    any n-sized array is built; a violation is a ValueError."""
-    grids = [Grid.for_horizon(float(t), n=n, dt=dt) for t in t_list]
-    for g in grids:
-        if g.n > MAX_BOUND_CELLS:
-            raise ValueError(f"horizon T={g.horizon} needs n={g.n} cells, above the "
-                             f"ceiling of {MAX_BOUND_CELLS} cells for the bound terms")
-    return grids
 
 
 def _diagonal_sweep(left: np.ndarray, right: np.ndarray):
@@ -225,19 +212,20 @@ def psi_terms(params: ModelParams, grid: Grid) -> dict:
     return {"T": grid.horizon, **psi, "max_psi": max(psi.values()), **ing}
 
 
-def asymptotics_report(theta: float, hurst: float, t_list, n: int | None = None,
-                       dt: float | None = None) -> list[dict]:
-    """Measure every bound ingredient at (theta, H) across a horizon grid;
-    returns the long-format `asymptotics` rows, ratio "" at a zero limit.
+def asymptotics_report(horizons) -> list[dict]:
+    """Measure every bound ingredient at (theta, H) across the (params,
+    grid) pairs of `horizons`, one theta and H; returns the long-format
+    `asymptotics` rows, ratio "" at a zero limit.
 
     Quantity names carry the scaling actually applied; at H = 3/4 the
     denominator-kernel quantities take their log-corrected scalings and
-    the affected names change accordingly.  Discretization policy: fixed
-    n (step grows with T) or fixed dt (cell count grows with T).  The
-    caller validates the horizons (`cli.parse_args`).
+    the affected names change accordingly.  The caller resolves and
+    validates the horizons and their grids (`cli.parse_args`,
+    `cli.resolve_horizons`).
     """
-    h = hurst
-    a = stationary_variance(ModelParams(theta=theta, hurst=h, horizon=1.0))
+    first = horizons[0][0]
+    theta, h = first.theta, first.hurst
+    a = stationary_variance(first)
     theta_power = checked_power(theta, 1 + 4 * h, "theta")
     if theta_power == 0.0:
         raise NumericsError(f"theta^{1 + 4 * h:.6g} underflows at theta = {theta:.6g}")
@@ -246,10 +234,9 @@ def asymptotics_report(theta: float, hurst: float, t_list, n: int | None = None,
     log_case = h == HURST_MAX
     label = "T/log(T)" if log_case else "T"
     rows = []
-    for grid in horizon_grids(t_list, n=n, dt=dt):
-        t = grid.horizon
-        p = ModelParams(theta=theta, hurst=h, horizon=t)
-        ing, norm_h2 = _ingredients(p, grid)
+    for params, grid in horizons:
+        t = params.horizon
+        ing, norm_h2 = _ingredients(params, grid)
         lt = math.log(t)
         scale = t / lt if log_case else t
         q = {

@@ -16,21 +16,24 @@ it, and their resolved method is None.  Every argv check runs once, in
 `parse_args`: argparse parses --t (repeatable, comma separated) and the
 mutually exclusive --dt and --n like every other flag, and the checks
 across flags follow.  Every command needs a --t horizon; `kolmogorov`, `rate-fit`
-and `asymptotics` need them strictly increasing, and T > 1 at H = 3/4.  A
-grid above `fgn.MAX_CELLS` cells, or in `bounds` and `asymptotics` above
-`bounds.MAX_BOUND_CELLS`, is rejected where it is built (exit 2), before any
-n-sized array exists.
+and `asymptotics` need them strictly increasing, and T > 1 at H = 3/4.
+`resolve_horizons` then turns every horizon into its (params, grid) pair
+and checks every grid, before any row is built: a grid above
+`fgn.MAX_CELLS` cells, or in `bounds` and `asymptotics` above
+`bounds.MAX_BOUND_CELLS`, is rejected (exit 2) before any n-sized array
+exists, at any horizon.  The row builders below take that list.
 
 Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O.  One policy
 decides exit 3, before the file is opened: `main` builds the rows under
 numpy's error state divide/over/invalid = "raise" (underflow left alone),
 so numpy signals an overflow, a division by zero or an invalid value as
 a FloatingPointError instead of warning.  Where theta and T are known it
-becomes a `NumericsError` naming them (`errors.arithmetic`); so does a
-degenerate denominator in any replication (`process.degenerate_denominators`,
-the one rule).  Any other `ArithmeticError` (a Python float or `math`
-overflow), and a NaN or inf in a column (`check_finite`: Python float
-products overflow without a signal), exits 3 too.  No command prints a
+becomes a `NumericsError` naming them (`errors.arithmetic`); a degenerate
+denominator in any replication (`process.degenerate_denominators`, the one
+rule) aborts its horizon in `montecarlo.replicate`.  Any other
+`ArithmeticError` (a Python float or `math` overflow), and a NaN or inf in
+a column (`check_finite`: Python float products overflow without a
+signal), exits 3 too.  No command prints a
 RuntimeWarning.  The resolved configuration (defaults included) is echoed
 to stderr before any work, and numbers are printed with 12 significant
 digits.
@@ -55,7 +58,7 @@ from . import montecarlo as mc
 from .constants import ModelParams, check_log_horizons, skorohod_correction
 from .errors import NumericsError
 from .fgn import Grid, derive_seed, sample_fgn
-from .process import check_denominators, estimate_pathwise, simulate_fou
+from .process import degenerate_denominators, estimate_pathwise, simulate_fou
 
 COMMANDS = ("simulate", "estimate", "bounds", "asymptotics", "kolmogorov", "rate-fit")
 MC_COMMANDS = ("kolmogorov", "rate-fit")
@@ -136,55 +139,65 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _rows_simulate(cfg):
+def resolve_horizons(cfg) -> list[tuple[ModelParams, Grid]]:
+    """The (params, grid) pair of every horizon: a fixed cell count --n (the
+    step grows with T) or a fixed step --dt (the cell count grows with T).
+    Every grid is checked against the command's cell ceiling here, before
+    any row is built; a violation is a ValueError."""
+    pairs = []
+    for t in cfg.t_list:
+        grid = Grid(t, cfg.n) if cfg.n is not None else Grid.from_step(t, cfg.dt)
+        if cfg.command in ("bounds", "asymptotics") and grid.n > bounds_mod.MAX_BOUND_CELLS:
+            raise ValueError(f"horizon T={t} needs n={grid.n} cells, above the ceiling "
+                             f"of {bounds_mod.MAX_BOUND_CELLS} cells for the bound terms")
+        pairs.append((ModelParams(theta=cfg.theta, hurst=cfg.hurst, horizon=t), grid))
+    return pairs
+
+
+def _rows_simulate(cfg, horizons):
     rows = []
-    for i, t in enumerate(cfg.t_list):
-        grid = Grid.for_horizon(t, n=cfg.n, dt=cfg.dt)
-        params = ModelParams(theta=cfg.theta, hurst=cfg.hurst, horizon=t)
-        xi = sample_fgn(grid, cfg.hurst, derive_seed(cfg.seed, i, 0))
+    for i, (params, grid) in enumerate(horizons):
+        xi = sample_fgn(grid, params.hurst, derive_seed(cfg.seed, i, 0))
         x = simulate_fou(grid, params, xi[None, :])[0]
-        rows.extend({"T": t, "t": float(tk), "x": float(xk)} for tk, xk in zip(grid.nodes, x))
+        rows.extend({"T": params.horizon, "t": float(tk), "x": float(xk)}
+                    for tk, xk in zip(grid.nodes, x))
     return rows
 
 
-def _rows_estimate(cfg):
+def _rows_estimate(cfg, horizons):
     def setup(params, grid):
         c_t = skorohod_correction(params)
 
         def statistic(xi):
             terms = estimate_pathwise(grid, params, xi, c_t)
-            check_denominators(params, terms[1])
-            return terms
+            return terms, int(degenerate_denominators(params, terms[1]).sum())
 
         return statistic
 
     rows = []
-    for t, chunks in zip(cfg.t_list, mc.replicate(setup, cfg.theta, cfg.hurst, cfg.t_list,
-                                                  cfg.reps, cfg.seed, n=cfg.n, dt=cfg.dt)):
+    for (params, _), chunks in zip(horizons, mc.replicate(setup, horizons, cfg.reps, cfg.seed)):
         terms = [(a, b, method) for num, den, method in chunks for a, b in zip(num, den)]
-        rows.extend({"T": t, "rep": r, "theta_hat": float(a / b), "numerator": float(a),
-                     "denominator": float(b), "method": method}
+        rows.extend({"T": params.horizon, "rep": r, "theta_hat": float(a / b),
+                     "numerator": float(a), "denominator": float(b), "method": method}
                     for r, (a, b, method) in enumerate(terms))
     return rows
 
 
-def _rows_bounds(cfg):
-    return [bounds_mod.psi_terms(ModelParams(theta=cfg.theta, hurst=cfg.hurst,
-                                             horizon=grid.horizon), grid)
-            for grid in bounds_mod.horizon_grids(cfg.t_list, n=cfg.n, dt=cfg.dt)]
+def _rows_bounds(cfg, horizons):
+    return [bounds_mod.psi_terms(params, grid) for params, grid in horizons]
 
 
-def _rows_asymptotics(cfg):
-    return bounds_mod.asymptotics_report(cfg.theta, cfg.hurst, cfg.t_list, n=cfg.n, dt=cfg.dt)
+def _rows_asymptotics(cfg, horizons):
+    return bounds_mod.asymptotics_report(horizons)
 
 
-def _rows_kolmogorov(cfg):
-    rows = mc.run(cfg.theta, cfg.hurst, cfg.t_list, cfg.reps, cfg.seed, cfg.n, cfg.dt, cfg.method)
+def _rows_kolmogorov(cfg, horizons):
+    rows = mc.run(horizons, cfg.reps, cfg.seed, cfg.method)
     return [{**r, "reps": cfg.reps, "seed": cfg.seed} for r in rows]
 
 
-def _rows_rate_fit(cfg):
-    rows = mc.run(cfg.theta, cfg.hurst, cfg.t_list, cfg.reps, cfg.seed, cfg.n, cfg.dt, cfg.method)
+def _rows_rate_fit(cfg, horizons):
+    rows = mc.run(horizons, cfg.reps, cfg.seed, cfg.method)
     if not all(r["ks_distance"] > 0 for r in rows):  # NaN fails too
         raise NumericsError("rate fit needs positive distances at every horizon")
     fit = mc.rate_fit([(r["T"], r["ks_distance"]) for r in rows])
@@ -235,8 +248,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     print(f"[fou] resolved config: {json.dumps(vars(cfg), sort_keys=True)}", file=sys.stderr)
     try:
+        horizons = resolve_horizons(cfg)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            rows = _ROW_BUILDERS[cfg.command](cfg)
+            rows = _ROW_BUILDERS[cfg.command](cfg, horizons)
         check_finite(rows, cfg.command)
         path = emit_report(rows, cfg)
     except (NumericsError, ArithmeticError) as exc:

@@ -75,16 +75,6 @@ class Grid:
             raise ValueError(f"step dt={dt} leaves fewer than 2 cells on horizon T={horizon}")
         return cls(horizon=horizon, n=n)
 
-    @classmethod
-    def for_horizon(cls, horizon: float, n: int | None = None,
-                    dt: float | None = None) -> "Grid":
-        """The discretization policy: a fixed cell count n (the step grows
-        with the horizon) or a fixed step dt (the cell count grows with it).
-        Exactly one of n and dt must be given."""
-        if (n is None) == (dt is None):
-            raise ValueError("exactly one of n (fixed cell count) or dt (fixed step) is required")
-        return cls(horizon, n) if n is not None else cls.from_step(horizon, dt)
-
     @property
     def step(self) -> float:
         return self.horizon / self.n

@@ -25,8 +25,10 @@ algebra on them are test oracles only (`tests/oracles.py`).
     vwv         v' W v = rho (M e)_{n-1}
 
 `montecarlo._chaos_traces` and `bounds._ingredients` read it, so the chaos
-statistic and the bound terms reject the same (theta, T, n) in the same
-way.  Checks, in order:
+statistic and the bound terms run the same checks on the same (theta, T,
+n).  The sampling commands check theta*T first (`montecarlo.replicate`):
+where it overflows, `kolmogorov` names theta*T and `bounds` on the same
+argv names theta*step (check 1).  Checks, in order:
 
 1. `kernel_f`: where rho rounds to 1 or theta step overflows, the AR(1)
    factor is degenerate, a NumericsError.  Where rho < 1, s_f, c1 and c2

@@ -1,8 +1,8 @@
 """Monte Carlo harness: replicate the normalized statistic, estimate the
 empirical Kolmogorov distance to N(0,1), and fit the decay rate.  `run`
-takes the plain, already validated arguments of `replicate` plus the
-method, and returns one row per horizon; `rate_fit` is the `rate-fit`
-command's own step.
+and `replicate` take the (params, grid) pair of every horizon, resolved
+and checked once by `cli.resolve_horizons`; `run` returns one row per
+horizon, and `rate_fit` is the `rate-fit` command's own step.
 
 Replication r at horizon index i draws from the stream derive_seed(master,
 i, r), so results are bit-identical regardless of chunking or worker
@@ -26,12 +26,15 @@ normalization.
 
 `replicate` is the one replication driver: `run` (for `kolmogorov` and
 `rate-fit`) and the `estimate` command both draw through it, so FOU_THREADS
-applies to `estimate` too.  It splits the replications into chunks of at
-most CHUNK_CELLS cells (rows x n), so peak memory does not grow with the
-replication count.  Each pool thread keeps one `fgn.Workspace`, which
-holds the chunk buffers (2n normals and n+1 complex coefficients per row)
-and the Philox generator; it is reused from chunk to chunk and never shared
-between threads.  The statistics then reduce each row with
+applies to `estimate` too.  Every statistic returns (result, degenerate
+count) per chunk, the count by `process.degenerate_denominators`, and
+`replicate` alone aborts a horizon with a degenerate replication.  It
+splits the replications into chunks of at most CHUNK_CELLS cells
+(rows x n), so peak memory does not grow with the replication count.
+Each pool thread keeps one `fgn.Workspace`, which holds the chunk buffers
+(2n normals and n+1 complex coefficients per row) and the Philox
+generator; it is reused from chunk to chunk and never shared between
+threads.  The statistics then reduce each row with
 einsum("ij,ij->i", ...), so in steady state the only path-sized arrays a
 chunk allocates are those of the scan.
 """
@@ -123,35 +126,41 @@ def _pathwise_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
     return scale * (theta_hat - params.theta), int(np.count_nonzero(bad))
 
 
-def replicate(setup, theta: float, hurst: float, t_list, reps: int, seed: int,
-              n: int | None, dt: float | None) -> list[list]:
-    """Draw reps replications at every horizon and apply a statistic to
-    each chunk of them; returns, per horizon, the chunk results in
-    replication order.
+def replicate(setup, horizons, reps: int, seed: int) -> list[list]:
+    """Draw reps replications at every horizon of `horizons`, its (params,
+    grid) pairs, and apply a statistic to each chunk of them; returns, per
+    horizon, the chunk results in replication order.
 
     Per horizon, `setup(params, grid)` runs once, serially, and returns the
-    statistic, a function of one chunk of fGn rows (rows x n).  Replication
-    r at horizon index i is the row drawn from derive_seed(seed, i, r), and
-    the chunks of at most CHUNK_CELLS cells run on a pool of FOU_THREADS
-    workers, so no row depends on chunk boundaries or scheduling.  A theta*T
-    that overflows raises NumericsError before any draw.  Each chunk runs in
-    its own copy of the calling thread's context, so under that thread's
-    numpy error state (a pool thread does not inherit it), and
+    statistic, a function of one chunk of fGn rows (rows x n) that returns
+    (result, degenerate count).  Replication r at horizon index i is the row
+    drawn from derive_seed(seed, i, r), and the chunks of at most CHUNK_CELLS
+    cells run on a pool of FOU_THREADS workers, so no row depends on chunk
+    boundaries or scheduling.  A FOU_THREADS that is not an integer is a
+    ValueError, and a theta*T that overflows a NumericsError, before any
+    draw.  The first horizon with a degenerate replication raises
+    DegeneratePathError ("k of reps replications degenerate at T=...").  Each
+    chunk runs in its own copy of the calling thread's context, so under
+    that thread's numpy error state (a pool thread does not inherit it), and
     `errors.arithmetic` names theta and T of a FloatingPointError.
 
     Each worker draws into its own `fgn.Workspace`, so the rows a statistic
     receives are overwritten by that worker's next chunk: a statistic must
     not keep a view of its input rows, only arrays of its own.
     """
-    workers = int(os.environ.get("FOU_THREADS") or os.cpu_count() or 1)
+    threads = os.environ.get("FOU_THREADS")
+    try:
+        workers = max(1, int(threads or os.cpu_count() or 1))
+    except ValueError:
+        raise ValueError(f"FOU_THREADS must be an integer, got {threads!r}") from None
     tasks, counts = [], []
-    for i, t in enumerate(t_list):
-        if not math.isfinite(theta * t):
-            raise NumericsError(f"theta*T overflows at theta = {theta:.6g}, T = {t:.6g}")
-        grid = Grid.for_horizon(t, n=n, dt=dt)
-        statistic = setup(ModelParams(theta=theta, hurst=hurst, horizon=t), grid)
+    for i, (params, grid) in enumerate(horizons):
+        if not math.isfinite(params.theta * params.horizon):
+            raise NumericsError(f"theta*T overflows at theta = {params.theta:.6g}, "
+                                f"T = {params.horizon:.6g}")
+        statistic = setup(params, grid)
         rows = max(1, CHUNK_CELLS // grid.n)
-        chunks = [(i, grid, statistic, r0, min(r0 + rows, reps))
+        chunks = [(i, params, grid, statistic, r0, min(r0 + rows, reps))
                   for r0 in range(0, reps, rows)]
         tasks.extend(chunks)
         counts.append(len(chunks))
@@ -162,23 +171,31 @@ def replicate(setup, theta: float, hurst: float, t_list, reps: int, seed: int,
         local.workspace = Workspace()
 
     def work(task):
-        i, grid, statistic, r0, r1 = task
+        i, params, grid, statistic, r0, r1 = task
         seeds = [derive_seed(seed, i, r) for r in range(r0, r1)]
-        with arithmetic(theta, grid.horizon, "a replication chunk"):
-            return statistic(sample_fgn_batch(grid, hurst, seeds, local.workspace))
+        with arithmetic(params.theta, params.horizon, "a replication chunk"):
+            return statistic(sample_fgn_batch(grid, params.hurst, seeds, local.workspace))
 
-    with ThreadPoolExecutor(max(1, workers), initializer=start) as pool:
+    out = []
+    with ThreadPoolExecutor(workers, initializer=start) as pool:
         contexts = [copy_context() for _ in tasks]  # this thread's error state, per chunk
         results = pool.map(lambda context, task: context.run(work, task), contexts, tasks)
-        return [[next(results) for _ in range(count)] for count in counts]
+        for (params, _), count in zip(horizons, counts):
+            chunks = [next(results) for _ in range(count)]
+            degenerate = sum(bad for _, bad in chunks)
+            if degenerate:
+                raise DegeneratePathError(f"{degenerate} of {reps} replications "
+                                          f"degenerate at T={params.horizon}")
+            out.append([result for result, _ in chunks])
+    return out
 
 
-def run(theta: float, hurst: float, t_list, reps: int, seed: int, n: int | None,
-        dt: float | None, method: str) -> list[dict]:
+def run(horizons, reps: int, seed: int, method: str) -> list[dict]:
     """One row per horizon of the CHAOS_RATIO or PATHWISE statistic, drawn by
-    `replicate`, with the `samples` array that no report writes.  Any
-    replication with a degenerate denominator aborts its horizon with
-    DegeneratePathError, under either statistic."""
+    `replicate` over the (params, grid) pairs of `horizons`, with the
+    `samples` array that no report writes.  Both statistics return
+    (values, degenerate count), so a degenerate replication aborts its
+    horizon in `replicate`, under either statistic."""
     def setup(params, grid):
         if method == CHAOS_RATIO:
             traces = _chaos_traces(params, grid)
@@ -187,13 +204,11 @@ def run(theta: float, hurst: float, t_list, reps: int, seed: int, n: int | None,
         return lambda xi: _pathwise_batch(params, grid, xi, c_t)
 
     rows = []
-    for t, chunks in zip(t_list, replicate(setup, theta, hurst, t_list, reps, seed, n, dt)):
-        degenerate = sum(bad for _, bad in chunks)
-        if degenerate:
-            raise DegeneratePathError(f"{degenerate} of {reps} replications degenerate at T={t}")
-        with arithmetic(theta, t, "the summary"):
-            s = np.concatenate([vals for vals, _ in chunks])
-            if hurst == HURST_MAX:
+    for (params, _), chunks in zip(horizons, replicate(setup, horizons, reps, seed)):
+        t = params.horizon
+        with arithmetic(params.theta, t, "the summary"):
+            s = np.concatenate(chunks)
+            if params.hurst == HURST_MAX:
                 s /= math.sqrt(math.log(t))
             rows.append({"T": t, "ks_distance": ks_distance(s), "sample_mean": float(s.mean()),
                          "sample_var": float(s.var()), "samples": s})

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .constants import HURST_MIN, ModelParams, stationary_variance
-from .errors import DegeneratePathError, NumericsError, arithmetic
+from .errors import NumericsError, arithmetic
 from .fgn import Grid
 
 PATHWISE_ITO = "pathwise_ito"
@@ -86,19 +86,11 @@ def degenerate_denominators(params: ModelParams, denominator: np.ndarray) -> np.
     """Rows whose int X^2 dt is not positive or is below `denominator_floor`.
     Both tests are needed: the floor itself underflows to 0 where the
     denominator does.  This is the one rule for a degenerate denominator:
-    `estimate` (`check_denominators`) and both statistics of
-    `montecarlo.run` apply it, the chaos statistic to T times its
-    denominator, the chaos form of (1/T) int X^2 dt."""
+    the statistic of `estimate` and both statistics of `montecarlo.run`
+    count its rows, the chaos statistic applying it to T times its
+    denominator, the chaos form of (1/T) int X^2 dt, and
+    `montecarlo.replicate` aborts on any."""
     return ~(denominator > 0.0) | (denominator < denominator_floor(params))
-
-
-def check_denominators(params: ModelParams, denominator: np.ndarray) -> None:
-    """Raise DegeneratePathError naming T if any row's int X^2 dt is degenerate."""
-    low = np.flatnonzero(degenerate_denominators(params, denominator))
-    if low.size:
-        raise DegeneratePathError(
-            f"int X^2 dt = {denominator[low[0]]} is not positive or below "
-            f"{denominator_floor(params)} at T={params.horizon}; wiring or RNG problem")
 
 
 def estimate_pathwise(grid: Grid, params: ModelParams, xi: np.ndarray,
@@ -107,8 +99,8 @@ def estimate_pathwise(grid: Grid, params: ModelParams, xi: np.ndarray,
     the path that `simulate_fou` builds from each row of noise xi (rows x n);
     returns (numerator, denominator, method).  c_t is
     skorohod_correction(params), T/2 at H = 1/2.  A degenerate
-    denominator (`degenerate_denominators`) is left to the caller, which
-    aborts on it; one that overflows raises NumericsError.
+    denominator (`degenerate_denominators`) is left to the caller to count;
+    one that overflows raises NumericsError.
 
     The denominator is the trapezoid rule for int X^2 dt.  The numerator
     evaluates the Young integral of X dX by the trapezoid sum, which

@@ -31,6 +31,10 @@ routes against.  No `fou` command calls any of them.
   C / T^beta (C / log T at H = 3/4) on it.  No command reports either, so
   both live here.  So does `alpha_h`, the weight H(2H-1) of the singular
   kernel, which `fou.constants` folds into its gamma factors.
+* `horizon_pairs` builds the (params, grid) list that `fou.cli.resolve_horizons`
+  passes down, for the tests that call `fou.montecarlo.run`,
+  `fou.montecarlo.replicate`, `fou.bounds.asymptotics_report` or a row
+  builder of `fou.cli` directly.
 * `fbm_cov` and `fgn_autocov` are the covariances in closed form.  They
   check `fou.fgn.gram_weights` and the sampled moments.
   `sample_fgn_cholesky` draws exact fGn through a dense Cholesky factor:
@@ -58,6 +62,14 @@ from fou.constants import HURST_MAX, ModelParams, _check_hurst, sigma2_h, skoroh
 from fou.errors import NumericsError
 from fou.fgn import _MASK64, Grid, _unit_autocov, gram_weights, increment_autocov, toeplitz_product
 from fou.process import estimate_pathwise
+
+
+def horizon_pairs(theta: float, hurst: float, t_list, n: int | None = None,
+                  dt: float | None = None) -> list[tuple[ModelParams, Grid]]:
+    """(params, grid) per horizon, on n cells or at step dt."""
+    return [(ModelParams(theta=theta, hurst=hurst, horizon=t),
+             Grid(t, n) if n is not None else Grid.from_step(t, dt)) for t in t_list]
+
 
 # `normalized_statistic` treats a chaos denominator I2(g) + b_T smaller
 # than this in magnitude as numerically zero.  It is the oracle's own

@@ -32,7 +32,7 @@ from fou.montecarlo import (
     rate_fit,
     run,
 )
-from oracles import b_t_gram_quadrature, kernel_f, norm2_h2
+from oracles import b_t_gram_quadrature, horizon_pairs, kernel_f, norm2_h2
 
 THETA = 1.0
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -183,14 +183,14 @@ def test_criterion_09_kolmogorov_distance_brownian():
     ok = True
     details = []
     # (a) single-horizon distance at T = 200
-    rows = run(theta=THETA, hurst=0.5, t_list=(200.0,), reps=5000,
-               seed=42, n=None, dt=0.05, method=CHAOS_RATIO)
+    rows = run(horizon_pairs(THETA, 0.5, (200.0,), dt=0.05), reps=5000,
+               seed=42, method=CHAOS_RATIO)
     d200 = rows[0]["ks_distance"]
     ok &= d200 <= 0.05
     details.append(f"ks(T=200)={d200:.4f}")
     # (b) median over 5 master seeds, nonincreasing across T
-    per_seed = [run(theta=THETA, hurst=0.5, t_list=(50.0, 100.0, 200.0),
-                    reps=5000, seed=ms, n=None, dt=0.05, method=CHAOS_RATIO)
+    per_seed = [run(horizon_pairs(THETA, 0.5, (50.0, 100.0, 200.0), dt=0.05),
+                    reps=5000, seed=ms, method=CHAOS_RATIO)
                 for ms in (1, 2, 3, 4, 5)]
     medians = [float(np.median([rows[i]["ks_distance"] for rows in per_seed]))
                for i in range(3)]
@@ -198,8 +198,8 @@ def test_criterion_09_kolmogorov_distance_brownian():
     ok &= trend
     details.append(f"seed-median ks={['%.4f' % m for m in medians]} nonincreasing={trend}")
     # (c) fitted decay exponent across four horizons
-    rows = run(theta=THETA, hurst=0.5, t_list=(50.0, 100.0, 200.0, 400.0),
-               reps=10_000, seed=42, n=None, dt=0.05, method=CHAOS_RATIO)
+    rows = run(horizon_pairs(THETA, 0.5, (50.0, 100.0, 200.0, 400.0), dt=0.05),
+               reps=10_000, seed=42, method=CHAOS_RATIO)
     beta = rate_fit([(r["T"], r["ks_distance"]) for r in rows])["beta_hat"]
     ok &= 0.3 <= beta <= 0.7
     details.append(f"beta_hat={beta:.3f} (distances={['%.4f' % r['ks_distance'] for r in rows]})")

@@ -17,6 +17,7 @@ from oracles import (
     boundary_vector,
     contract1,
     diagonal_sweep_rows,
+    horizon_pairs,
     ingredients_long_double,
     inner_h2,
     kernel_f,
@@ -223,7 +224,7 @@ def test_psi1_gap_term_grows_against_contraction():
 
 def test_asymptotics_report_brownian_limits():
     p = ModelParams(theta=1.0, hurst=0.5, horizon=100.0)
-    rows = asymptotics_report(p.theta, p.hurst, [100.0], n=2048)
+    rows = asymptotics_report(horizon_pairs(p.theta, p.hurst, [100.0], n=2048))
     q = quantities(rows)
     a = stationary_variance(p)
     meas, lim, ratio = q["2*norm_f2"]
@@ -240,27 +241,19 @@ def test_asymptotics_report_brownian_limits():
 
 def test_asymptotics_report_zhou_trend():
     p = ModelParams(theta=1.0, hurst=0.6, horizon=100.0)
-    rows = asymptotics_report(p.theta, p.hurst, [25.0, 50.0, 100.0], dt=0.05)
+    rows = asymptotics_report(horizon_pairs(p.theta, p.hurst, [25.0, 50.0, 100.0], dt=0.05))
     scaled = [math.sqrt(r["T"]) * r["measured"] for r in rows if r["quantity"] == "norm_f1f"]
     assert max(scaled) / min(scaled) < 2.0
 
 
 def test_asymptotics_report_log_branch_names():
     p = ModelParams(theta=1.0, hurst=0.75, horizon=50.0)
-    rows = asymptotics_report(p.theta, p.hurst, [50.0], n=256)
+    rows = asymptotics_report(horizon_pairs(p.theta, p.hurst, [50.0], n=256))
     names = set(quantities(rows))
     assert "T/log(T)*norm_g2" in names
     assert "sqrt(T/log(T))*inner_fg" in names
     lim = quantities(rows)["T/log(T)*norm_g2"][1]
     assert lim == pytest.approx(delta_h(0.75) / 2.0, rel=1e-12)
-
-
-def test_asymptotics_report_validation():
-    p = ModelParams(theta=1.0, hurst=0.6, horizon=10.0)
-    with pytest.raises(ValueError, match="exactly one of n"):
-        asymptotics_report(p.theta, p.hurst, [5.0, 10.0])           # no policy
-    with pytest.raises(ValueError, match="exactly one of n"):
-        asymptotics_report(p.theta, p.hurst, [5.0, 10.0], n=64, dt=0.1)  # both policies
 
 
 def test_theoretical_rate_curve_values():

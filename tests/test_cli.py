@@ -251,7 +251,8 @@ def test_one_degenerate_pathwise_replication_in_1000_exits_3(tmp_path, monkeypat
                                                              recwarn):
     # Lift the floor just past the smallest int X^2 dt of 1000 replications:
     # `estimate` draws the same rows as `kolmogorov`, so exactly one of them
-    # is degenerate.  The horizon aborts instead of writing a NaN distance.
+    # is degenerate.  The horizon aborts instead of writing a NaN distance,
+    # in both commands and with the same message.
     args = ["--theta", "1", "--hurst", "0.6", "--t", "20", "--dt", "0.1", "--reps", "1000"]
     first = tmp_path / "first.json"
     assert main(["estimate", *args, "--format", "json", "--out", str(first)]) == 0
@@ -260,9 +261,9 @@ def test_one_degenerate_pathwise_replication_in_1000_exits_3(tmp_path, monkeypat
     scale = 20.0 * stationary_variance(ModelParams(theta=1.0, hurst=0.6, horizon=20.0))
     monkeypatch.setattr(process, "DEGENERATE_DENOM_FACTOR", dens[0] * (1 + 1e-9) / scale)
     capsys.readouterr()
-    assert_exits_3_without_output(["kolmogorov", *args, "--method", "pathwise"],
-                                  "1 of 1000 replications degenerate at T=20.0",
-                                  tmp_path, capsys, recwarn)
+    for argv in (["kolmogorov", *args, "--method", "pathwise"], ["estimate", *args]):
+        assert_exits_3_without_output(argv, "1 of 1000 replications degenerate at T=20.0",
+                                      tmp_path, capsys, recwarn)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -453,8 +454,9 @@ def test_estimate_one_row_below_floor_exits_3(tmp_path, monkeypatch, capsys):
     scale = 20.0 * stationary_variance(ModelParams(theta=1.0, hurst=0.6, horizon=20.0))
     monkeypatch.setattr(process, "DEGENERATE_DENOM_FACTOR", lowest * (1 + 1e-9) / scale)
     second = tmp_path / "second.csv"
+    capsys.readouterr()
     assert main([*args, "--out", str(second)]) == 3
-    assert "below" in capsys.readouterr().err
+    assert "1 of 9 replications degenerate at T=20.0" in capsys.readouterr().err
     assert not second.exists()
 
 
@@ -496,15 +498,38 @@ def test_dense_ceiling_rejects_before_any_dense_work(args, tmp_path, monkeypatch
     ["simulate", "--t", "10", "--n", "128"],
     ["estimate", "--t", "10", "--n", "128", "--reps", "2"],
     ["kolmogorov", "--t", "10", "--n", "128", "--reps", "100"],
+    # the later horizon is rejected before any work on the earlier one
+    ["simulate", "--t", "5,20", "--dt", "0.25"],       # n = 20, then 80
+    ["estimate", "--t", "5,20", "--dt", "0.25", "--reps", "2"],
+    ["kolmogorov", "--t", "5,20", "--dt", "0.25", "--reps", "100"],
 ])
 def test_cell_ceiling_rejects_before_any_sampling(args, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(fgn, "MAX_CELLS", 64)
     monkeypatch.setattr(cli, "sample_fgn", lambda *a: pytest.fail("sampled before the check"))
     monkeypatch.setattr(mc, "sample_fgn_batch", lambda *a: pytest.fail("sampled before the check"))
+    monkeypatch.setattr(mc, "horizon", lambda *a: pytest.fail("n-sized work before the check"))
     out = tmp_path / "out.csv"
     code = main([args[0], "--theta", "1", "--hurst", "0.6", *args[1:], "--out", str(out)])
     assert code == 2
-    assert "grid of n=128 cells exceeds the ceiling MAX_CELLS=64" in capsys.readouterr().err
+    message = ("grid of n=128 cells exceeds the ceiling MAX_CELLS=64" if "--n" in args
+               else "step dt=0.25 on T=20.0 exceeds MAX_CELLS=64 cells")
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "2.5"])
+@pytest.mark.parametrize("args", [
+    ["kolmogorov", "--t", "10,20", "--n", "16", "--reps", "100"],
+    ["estimate", "--t", "10,20", "--n", "16", "--reps", "10"],
+], ids=lambda args: args[0])
+def test_malformed_thread_count_exits_2_naming_it(args, threads, tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.setenv("FOU_THREADS", threads)
+    monkeypatch.setattr(mc, "sample_fgn_batch", lambda *a: pytest.fail("sampled before the check"))
+    out = tmp_path / "out.csv"
+    code = main([args[0], "--theta", "1", "--hurst", "0.6", *args[1:], "--out", str(out)])
+    assert code == 2
+    assert f"FOU_THREADS must be an integer, got '{threads}'" in capsys.readouterr().err
     assert not out.exists()
 
 

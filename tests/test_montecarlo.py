@@ -20,7 +20,13 @@ from fou.montecarlo import (
     run,
 )
 from fou.process import ar1_scan
-from oracles import kernel_f, kernel_g, normalized_pathwise_statistic, normalized_statistic
+from oracles import (
+    horizon_pairs,
+    kernel_f,
+    kernel_g,
+    normalized_pathwise_statistic,
+    normalized_statistic,
+)
 
 
 def test_ks_distance_hand_computed():
@@ -79,14 +85,6 @@ def test_rate_fit_exact_power_laws():
     assert fit["c_hat"] == pytest.approx(2.0, rel=1e-10)
 
 
-def test_run_needs_exactly_one_grid_policy():
-    args = dict(theta=1.0, hurst=0.5, t_list=(10.0,), reps=1000, seed=42, method=CHAOS_RATIO)
-    with pytest.raises(ValueError, match="exactly one of n"):
-        run(**args, n=None, dt=None)   # no policy
-    with pytest.raises(ValueError, match="exactly one of n"):
-        run(**args, n=100, dt=0.1)     # both policies
-
-
 def test_fast_chaos_matches_dense_ops():
     theta, h, t, n = 1.2, 0.7, 10.0, 128
     grid = Grid(horizon=t, n=n)
@@ -120,8 +118,8 @@ def test_fast_pathwise_matches_module_op():
 
 
 def test_run_small_config_sanity():
-    rows = run(theta=1.0, hurst=0.5, t_list=(25.0, 50.0), reps=400,
-               seed=7, n=None, dt=0.1, method=CHAOS_RATIO)
+    rows = run(horizon_pairs(1.0, 0.5, (25.0, 50.0), dt=0.1), reps=400,
+               seed=7, method=CHAOS_RATIO)
     assert len(rows) == 2
     for row in rows:
         assert row["samples"].shape == (400,)
@@ -130,8 +128,8 @@ def test_run_small_config_sanity():
 
 
 def test_run_deterministic_and_thread_invariant(monkeypatch):
-    args = dict(theta=1.0, hurst=0.6, t_list=(10.0, 20.0), reps=200,
-                seed=11, n=None, dt=0.1, method=CHAOS_RATIO)
+    args = dict(horizons=horizon_pairs(1.0, 0.6, (10.0, 20.0), dt=0.1), reps=200,
+                seed=11, method=CHAOS_RATIO)
     monkeypatch.setenv("FOU_THREADS", "1")
     r1 = run(**args)
     monkeypatch.setenv("FOU_THREADS", "8")
@@ -142,8 +140,8 @@ def test_run_deterministic_and_thread_invariant(monkeypatch):
 
 
 def test_run_fits_rate_with_three_horizons():
-    rows = run(theta=1.0, hurst=0.5, t_list=(10.0, 20.0, 40.0),
-               reps=300, seed=5, n=None, dt=0.1, method=CHAOS_RATIO)
+    rows = run(horizon_pairs(1.0, 0.5, (10.0, 20.0, 40.0), dt=0.1),
+               reps=300, seed=5, method=CHAOS_RATIO)
     fitted = rate_fit([(r["T"], r["ks_distance"]) for r in rows])
     assert fitted["beta_hat"] == fitted["beta_hat"]  # finite
 
@@ -153,8 +151,8 @@ def test_run_seed_median_trend():
     for h in (0.5, 0.7):
         medians = []
         for i, t in enumerate((25.0, 100.0)):
-            ds = [run(theta=1.0, hurst=h, t_list=(t,), reps=400,
-                      seed=ms, n=None, dt=0.1, method=CHAOS_RATIO)[0]["ks_distance"]
+            ds = [run(horizon_pairs(1.0, h, (t,), dt=0.1), reps=400,
+                      seed=ms, method=CHAOS_RATIO)[0]["ks_distance"]
                   for ms in (1, 2, 3, 4, 5)]
             medians.append(np.median(ds))
         assert medians[1] <= medians[0], h
@@ -166,8 +164,8 @@ def test_statistic_methods_agree_in_distribution():
     t, reps, dt = 200.0, 5000, 0.0125
     out = {}
     for method in ("chaos_ratio", "pathwise"):
-        out[method] = run(theta=1.0, hurst=0.5, t_list=(t,), reps=reps,
-                          seed=42, n=None, dt=dt, method=method)[0]["ks_distance"]
+        out[method] = run(horizon_pairs(1.0, 0.5, (t,), dt=dt), reps=reps,
+                          seed=42, method=method)[0]["ks_distance"]
     assert abs(out["chaos_ratio"] - out["pathwise"]) <= 0.02
 
 
@@ -210,9 +208,9 @@ def test_workspaces_stay_per_thread_under_contention(monkeypatch):
     # More workers than cores and a short switch interval: a workspace that
     # two threads shared would hand one chunk's rows to another's statistic.
     def setup(params, grid):
-        return lambda xi: xi[:, ::5].copy()
+        return lambda xi: (xi[:, ::5].copy(), 0)
 
-    args = (setup, 1.0, 0.7, [5.0, 10.0, 20.0], 640, 11, 1024, None)
+    args = (setup, horizon_pairs(1.0, 0.7, [5.0, 10.0, 20.0], n=1024), 640, 11)
     monkeypatch.setenv("FOU_THREADS", "1")
     serial = replicate(*args)
     monkeypatch.setenv("FOU_THREADS", "8")

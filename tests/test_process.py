@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fou.constants import ModelParams, b_t_closed_form, skorohod_correction
-from fou.errors import DegeneratePathError, NumericsError
+from fou.errors import NumericsError
 from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
 from fou.process import (
     ar1_scan,
-    check_denominators,
     degenerate_denominators,
     denominator_floor,
     estimate_pathwise,
@@ -118,8 +117,7 @@ def test_estimate_degenerate_path_raises():
     g = Grid(horizon=10.0, n=32)
     p = ModelParams(theta=1.0, hurst=0.5, horizon=10.0)
     _, den, _ = estimate_pathwise(g, p, np.zeros((1, 32)), 0.0)
-    with pytest.raises(DegeneratePathError):
-        check_denominators(p, den)
+    assert degenerate_denominators(p, den).tolist() == [True]
 
 
 def test_zero_denominator_is_degenerate_when_the_floor_underflows():
@@ -128,8 +126,6 @@ def test_zero_denominator_is_degenerate_when_the_floor_underflows():
     assert denominator_floor(p) == 0.0
     den = np.array([1.0, 0.0, -0.0, 2.0])
     assert degenerate_denominators(p, den).tolist() == [False, True, True, False]
-    with pytest.raises(DegeneratePathError, match="T=1.0"):
-        check_denominators(p, den)
 
 
 def test_i2_zero_kernel():

@@ -21,7 +21,16 @@ from fou.constants import ModelParams, b_t_closed_form, skorohod_correction
 from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
 from fou.montecarlo import _chaos_batch, _chaos_traces, run
 from fou.process import denominator_floor, estimate_pathwise, simulate_fou
-from oracles import contract1, fgn_autocov, i2, inner_h2, kernel_f, kernel_g, norm2_h2
+from oracles import (
+    contract1,
+    fgn_autocov,
+    horizon_pairs,
+    i2,
+    inner_h2,
+    kernel_f,
+    kernel_g,
+    norm2_h2,
+)
 
 SETTINGS = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -126,7 +135,7 @@ def test_batched_estimate_rows_equal_single_path(theta, hurst, dt, reps, chunk_c
                              format="csv", method=None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mc, "CHUNK_CELLS", chunk_cells)
-        rows = _rows_estimate(cfg)
+        rows = _rows_estimate(cfg, horizon_pairs(theta, hurst, cfg.t_list, dt=dt))
     assert [(row["T"], row["rep"]) for row in rows] == \
         [(t, r) for t in cfg.t_list for r in range(reps)]
     for row in rows:
@@ -143,8 +152,8 @@ def test_batched_estimate_rows_equal_single_path(theta, hurst, dt, reps, chunk_c
 @settings(max_examples=8, deadline=None)
 @given(chunk_cells=st.integers(1, 1500), method=st.sampled_from(["chaos_ratio", "pathwise"]))
 def test_mc_samples_independent_of_chunk_budget(chunk_cells, method):
-    args = dict(theta=1.0, hurst=0.7, t_list=(5.0, 10.0), reps=100,
-                seed=13, n=None, dt=0.1, method=method)
+    args = dict(horizons=horizon_pairs(1.0, 0.7, (5.0, 10.0), dt=0.1), reps=100,
+                seed=13, method=method)
     reference = run(**args)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mc, "CHUNK_CELLS", chunk_cells)
@@ -175,7 +184,7 @@ def test_two_product_ingredients_match_dense_oracles(theta, hurst, horizon, n):
     v = np.exp(-theta * (horizon - grid.midpoints))
     vwv2 = float(v @ w @ v) ** 2
     assert norm_h2 == pytest.approx(vwv2, rel=1e-10)
-    (row,) = [r for r in asymptotics_report(theta, hurst, [horizon], n=n)
+    (row,) = [r for r in asymptotics_report(horizon_pairs(theta, hurst, [horizon], n=n))
               if r["quantity"] == "norm_h2/T"]
     assert row["measured"] * horizon == pytest.approx(vwv2, rel=1e-10)
 
