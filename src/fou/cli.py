@@ -11,12 +11,15 @@ Commands:
     kolmogorov   Monte Carlo distance per horizon
     rate-fit     kolmogorov + fitted log-log rate (at least 3 horizons)
 
+Every argv check runs once, in `parse_args`, on one argparse parser: the
+command is its first positional, and every flag is registered once for
+all commands, --t (repeatable, comma separated) and the mutually
+exclusive --dt and --n among them.  The checks across flags follow.
 Only `kolmogorov` and `rate-fit` take --method; the other commands reject
-it, and their resolved method is None.  Every argv check runs once, in
-`parse_args`: argparse parses --t (repeatable, comma separated) and the
-mutually exclusive --dt and --n like every other flag, and the checks
-across flags follow.  Every command needs a --t horizon; `kolmogorov`, `rate-fit`
-and `asymptotics` need them strictly increasing, and T > 1 at H = 3/4.
+it (exit 2), and their resolved method is None.  --seed must lie in
+[0, 2**64), the range of the 64-bit stream key (`fgn.derive_seed`).
+Every command needs a --t horizon; `kolmogorov`, `rate-fit` and
+`asymptotics` need them strictly increasing, and T > 1 at H = 3/4.
 `resolve_horizons` then turns every horizon into its (params, grid) pair
 and checks every grid, before any row is built: a grid above
 `fgn.MAX_CELLS` cells, or in `bounds` and `asymptotics` above
@@ -80,33 +83,41 @@ def horizons(text: str) -> list[float]:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Translate argv into the validated configuration, defaults resolved;
-    exits with status 2 on unknown flags, missing values, or invariant violations."""
+    """Translate argv into the validated configuration, defaults resolved in
+    place on the parsed namespace; exits with status 2 on unknown flags,
+    missing values, or invariant violations, among them --method on a
+    command other than `kolmogorov` and `rate-fit` and a --seed outside
+    [0, 2**64)."""
     parser = argparse.ArgumentParser(
         prog="fou",
         description="Fractional Ornstein-Uhlenbeck drift-estimation experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--theta", type=float, required=True, help="drift parameter, > 0")
-        p.add_argument("--hurst", type=float, required=True, help="Hurst index in [0.5, 0.75]")
-        p.add_argument("--t", action="extend", type=horizons, default=None,
-                       metavar="T[,T...]", help="horizon(s); repeatable or comma separated")
-        step = p.add_mutually_exclusive_group()
-        step.add_argument("--dt", type=float, default=None, help="fixed step (default 0.05)")
-        step.add_argument("--n", type=int, default=None, help="fixed cell count per horizon")
-        p.add_argument("--reps", type=int, default=1000, help="replications (default 1000)")
-        p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-        p.add_argument("--out", default=None, help="output path (default <command>.<format>)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if name in MC_COMMANDS:
-            p.add_argument("--method", choices=(mc.CHAOS_RATIO, mc.PATHWISE),
-                           default=mc.CHAOS_RATIO, help="Monte Carlo statistic")
+    # registered in the field order of the resolved config (stderr echo, JSON)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--theta", type=float, required=True, help="drift parameter, > 0")
+    parser.add_argument("--hurst", type=float, required=True, help="Hurst index in [0.5, 0.75]")
+    parser.add_argument("--t", dest="t_list", action="extend", type=horizons, default=None,
+                        metavar="T[,T...]", help="horizon(s); repeatable or comma separated")
+    step = parser.add_mutually_exclusive_group()
+    step.add_argument("--dt", type=float, default=None, help="fixed step (default 0.05)")
+    step.add_argument("--n", type=int, default=None, help="fixed cell count per horizon")
+    parser.add_argument("--reps", type=int, default=1000, help="replications (default 1000)")
+    parser.add_argument("--seed", type=int, default=42,
+                        help="master seed in [0, 2**64) (default 42)")
+    parser.add_argument("--out", default=None, help="output path (default <command>.<format>)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--method", choices=(mc.CHAOS_RATIO, mc.PATHWISE), default=None,
+                        help="Monte Carlo statistic of kolmogorov and rate-fit "
+                             "(default chaos_ratio)")
     ns = parser.parse_args(argv)
 
-    t_list = tuple(ns.t or ())
-    dt = ns.dt if (ns.dt is not None or ns.n is not None) else 0.05
+    t_list = ns.t_list = tuple(ns.t_list or ())
+    ns.dt = ns.dt if (ns.dt is not None or ns.n is not None) else 0.05
     try:
+        if ns.method is not None and ns.command not in MC_COMMANDS:
+            raise ValueError(f"unrecognized arguments: --method {ns.method} "
+                             "(only kolmogorov and rate-fit take it)")
+        if not 0 <= ns.seed < 2**64:  # `derive_seed` keys on 64 bits
+            raise ValueError(f"seed must be in [0, 2**64), got {ns.seed}")
         for t in t_list:
             ModelParams(theta=ns.theta, hurst=ns.hurst, horizon=t)
         if ns.reps <= 0:
@@ -121,16 +132,15 @@ def parse_args(argv) -> argparse.Namespace:
             if any(t2 <= t1 for t1, t2 in zip(t_list, t_list[1:])):
                 raise ValueError(f"{ns.command} needs strictly increasing horizons")
             check_log_horizons(ns.hurst, t_list)
-        if dt is not None and not dt > 0:  # NaN fails too
-            raise ValueError(f"dt must be positive, got {dt}")
+        if ns.dt is not None and not ns.dt > 0:  # NaN fails too
+            raise ValueError(f"dt must be positive, got {ns.dt}")
         if ns.n is not None and ns.n < 2:
             raise ValueError(f"n must be at least 2, got {ns.n}")
     except ValueError as exc:
         parser.error(str(exc))
-    out = ns.out if ns.out is not None else f"{ns.command}.{ns.format}"
-    return argparse.Namespace(command=ns.command, theta=ns.theta, hurst=ns.hurst,
-                              t_list=t_list, dt=dt, n=ns.n, reps=ns.reps, seed=ns.seed,
-                              out=out, format=ns.format, method=getattr(ns, "method", None))
+    ns.out = ns.out if ns.out is not None else f"{ns.command}.{ns.format}"
+    ns.method = (ns.method or mc.CHAOS_RATIO) if ns.command in MC_COMMANDS else None
+    return ns
 
 
 def _fmt(value) -> str:

@@ -7,10 +7,6 @@ class NumericsError(RuntimeError):
     """A numerical routine failed or produced an inconsistent result."""
 
 
-class DegeneratePathError(NumericsError):
-    """A simulated path produced a denominator too small to be genuine."""
-
-
 @contextmanager
 def arithmetic(theta: float, horizon: float, what: str):
     """A FloatingPointError in the block, numpy's signal of an overflow, a

@@ -29,8 +29,12 @@ normalization.
 applies to `estimate` too.  Every statistic returns (result, degenerate
 count) per chunk, the count by `process.degenerate_denominators`, and
 `replicate` alone aborts a horizon with a degenerate replication.  It
-splits the replications into chunks of at most CHUNK_CELLS cells
-(rows x n), so peak memory does not grow with the replication count.
+runs every check and every per-horizon setup before any draw, then works
+through the horizons one at a time: a horizon's chunks are drawn and
+checked before the next horizon's are submitted, so an abort draws
+nothing past the failed horizon.  It splits the replications into chunks
+of at most CHUNK_CELLS cells (rows x n), so peak memory does not grow
+with the replication count.
 Each pool thread keeps one `fgn.Workspace`, which holds the chunk buffers
 (2n normals and n+1 complex coefficients per row) and the Philox
 generator; it is reused from chunk to chunk and never shared between
@@ -49,7 +53,7 @@ from contextvars import copy_context
 import numpy as np
 
 from .constants import HURST_MAX, ModelParams, sigma2_h, skorohod_correction
-from .errors import DegeneratePathError, NumericsError, arithmetic
+from .errors import NumericsError, arithmetic
 from .fgn import Grid, Workspace, derive_seed, sample_fgn_batch
 from .hilbert import horizon
 from .process import ar1_scan, degenerate_denominators, estimate_pathwise
@@ -133,15 +137,18 @@ def replicate(setup, horizons, reps: int, seed: int) -> list[list]:
 
     Per horizon, `setup(params, grid)` runs once, serially, and returns the
     statistic, a function of one chunk of fGn rows (rows x n) that returns
-    (result, degenerate count).  Replication r at horizon index i is the row
-    drawn from derive_seed(seed, i, r), and the chunks of at most CHUNK_CELLS
-    cells run on a pool of FOU_THREADS workers, so no row depends on chunk
-    boundaries or scheduling.  A FOU_THREADS that is not an integer is a
-    ValueError, and a theta*T that overflows a NumericsError, before any
-    draw.  The first horizon with a degenerate replication raises
-    DegeneratePathError ("k of reps replications degenerate at T=...").  Each
-    chunk runs in its own copy of the calling thread's context, so under
-    that thread's numpy error state (a pool thread does not inherit it), and
+    (result, degenerate count).  A FOU_THREADS that is not an integer is a
+    ValueError, and a theta*T that overflows a NumericsError; both checks
+    and every setup run before any draw.  Replication r at horizon index i
+    is the row drawn from derive_seed(seed, i, r), and the chunks of at
+    most CHUNK_CELLS cells run on a pool of FOU_THREADS workers, so no row
+    depends on chunk boundaries or scheduling.  One horizon at a time, its
+    chunks are drawn and collected, and their degenerate counts summed,
+    before the next horizon's chunks are submitted: the first horizon with
+    a degenerate replication raises NumericsError ("k of reps replications
+    degenerate at T=..."), and no later horizon is drawn.  Each chunk runs
+    in its own copy of the calling thread's context, so under that
+    thread's numpy error state (a pool thread does not inherit it), and
     `errors.arithmetic` names theta and T of a FloatingPointError.
 
     Each worker draws into its own `fgn.Workspace`, so the rows a statistic
@@ -153,39 +160,35 @@ def replicate(setup, horizons, reps: int, seed: int) -> list[list]:
         workers = max(1, int(threads or os.cpu_count() or 1))
     except ValueError:
         raise ValueError(f"FOU_THREADS must be an integer, got {threads!r}") from None
-    tasks, counts = [], []
-    for i, (params, grid) in enumerate(horizons):
+    statistics = []
+    for params, grid in horizons:
         if not math.isfinite(params.theta * params.horizon):
             raise NumericsError(f"theta*T overflows at theta = {params.theta:.6g}, "
                                 f"T = {params.horizon:.6g}")
-        statistic = setup(params, grid)
-        rows = max(1, CHUNK_CELLS // grid.n)
-        chunks = [(i, params, grid, statistic, r0, min(r0 + rows, reps))
-                  for r0 in range(0, reps, rows)]
-        tasks.extend(chunks)
-        counts.append(len(chunks))
+        statistics.append(setup(params, grid))
 
     local = threading.local()
 
     def start():  # each pool thread's own `fgn.Workspace`
         local.workspace = Workspace()
 
-    def work(task):
-        i, params, grid, statistic, r0, r1 = task
+    def work(i, params, grid, statistic, r0, r1):
         seeds = [derive_seed(seed, i, r) for r in range(r0, r1)]
         with arithmetic(params.theta, params.horizon, "a replication chunk"):
             return statistic(sample_fgn_batch(grid, params.hurst, seeds, local.workspace))
 
     out = []
     with ThreadPoolExecutor(workers, initializer=start) as pool:
-        contexts = [copy_context() for _ in tasks]  # this thread's error state, per chunk
-        results = pool.map(lambda context, task: context.run(work, task), contexts, tasks)
-        for (params, _), count in zip(horizons, counts):
-            chunks = [next(results) for _ in range(count)]
+        for i, ((params, grid), statistic) in enumerate(zip(horizons, statistics)):
+            rows = max(1, CHUNK_CELLS // grid.n)
+            # copy_context() here: each chunk runs under this thread's error state
+            futures = [pool.submit(copy_context().run, work, i, params, grid, statistic,
+                                   r0, min(r0 + rows, reps)) for r0 in range(0, reps, rows)]
+            chunks = [future.result() for future in futures]
             degenerate = sum(bad for _, bad in chunks)
             if degenerate:
-                raise DegeneratePathError(f"{degenerate} of {reps} replications "
-                                          f"degenerate at T={params.horizon}")
+                raise NumericsError(f"{degenerate} of {reps} replications "
+                                    f"degenerate at T={params.horizon}")
             out.append([result for result, _ in chunks])
     return out
 

@@ -120,13 +120,28 @@ def test_eps_is_not_a_flag(command):
      "reps must be positive, got 0"),
     (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "1"],
      "n must be at least 2, got 1"),
+    # only the Monte Carlo commands take --method
+    (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "16",
+      "--method", "pathwise"], "unrecognized arguments: --method pathwise"),
+    (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "16",
+      "--method", "pathwise"], "unrecognized arguments: --method pathwise"),
+    (["asymptotics", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "16",
+      "--method", "pathwise"], "unrecognized arguments: --method pathwise"),
+    # 42 + 2**64 and 42 - 2**64: the 64-bit seed key would draw as --seed 42
+    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "16",
+      "--reps", "100", "--seed", "18446744073709551658"],
+     "seed must be in [0, 2**64), got 18446744073709551658"),
+    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "16",
+      "--reps", "100", "--seed", "-18446744073709551574"],
+     "seed must be in [0, 2**64), got -18446744073709551574"),
 ], ids=["step_wider_than_horizon", "bounds_theta_nan", "kolmogorov_theta_nan",
         "estimate_t_nan", "simulate_t_inf", "dt_nan", "kolmogorov_reps_50",
         "kolmogorov_decreasing_t", "rate_fit_repeated_t", "asymptotics_decreasing_t",
         "kolmogorov_method_mle", "estimate_method", "step_above_cell_ceiling",
         "step_overflows", "bounds_b_t_underflows", "kolmogorov_b_t_underflows",
         "bounds_kernel_row_overflows", "t_not_a_number", "t_list_not_numbers",
-        "estimate_reps_0", "bounds_n_1"])
+        "estimate_reps_0", "bounds_n_1", "simulate_method", "bounds_method",
+        "asymptotics_method", "seed_above_64_bits", "seed_negative"])
 def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])
@@ -264,6 +279,24 @@ def test_one_degenerate_pathwise_replication_in_1000_exits_3(tmp_path, monkeypat
     for argv in (["kolmogorov", *args, "--method", "pathwise"], ["estimate", *args]):
         assert_exits_3_without_output(argv, "1 of 1000 replications degenerate at T=20.0",
                                       tmp_path, capsys, recwarn)
+
+
+def test_degenerate_horizon_aborts_before_drawing_the_next(tmp_path, monkeypatch, capsys,
+                                                          recwarn):
+    # one chaos denominator of 100 is negative at T = 10; the later horizons
+    # are never drawn
+    drawn = []
+
+    def sample(grid, *args):
+        drawn.append(grid.horizon)
+        return fgn.sample_fgn_batch(grid, *args)
+
+    monkeypatch.setattr(mc, "sample_fgn_batch", sample)
+    assert_exits_3_without_output(["kolmogorov", "--theta", "1000", "--hurst", "0.6",
+                                   "--t", "10,20,40,80", "--n", "64", "--reps", "100"],
+                                  "1 of 100 replications degenerate at T=10.0",
+                                  tmp_path, capsys, recwarn)
+    assert drawn and set(drawn) == {10.0}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
