@@ -79,7 +79,10 @@ def ks_distance(samples) -> float:
 def rate_fit(rows) -> dict:
     """OLS of log distance on log T over (T, distance) pairs: distance ~
     c_hat * T^(-beta_hat).  The caller passes at least 3 strictly increasing
-    horizons (`cli.parse_args`) and positive distances (`cli._rows_rate_fit`)."""
+    horizons (`cli.parse_args`).  Every distance is positive: a Kolmogorov
+    distance of N finite samples is at least 1/(2N), as at each order
+    statistic its two gaps to the empirical CDF sum to 1/N, and `replicate`
+    aborts a horizon before any NaN sample."""
     lx, ly = np.log(np.array(rows, dtype=float).T)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

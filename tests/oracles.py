@@ -71,6 +71,12 @@ def horizon_pairs(theta: float, hurst: float, t_list, n: int | None = None,
              Grid(t, n) if n is not None else Grid.from_step(t, dt)) for t in t_list]
 
 
+def midpoints(grid: Grid) -> np.ndarray:
+    """Cell midpoints t*_k = (k + 1/2) * step (k = 0..n-1), where the dense
+    kernels are sampled."""
+    return (np.arange(grid.n) + 0.5) * grid.step
+
+
 # `normalized_statistic` treats a chaos denominator I2(g) + b_T smaller
 # than this in magnitude as numerically zero.  It is the oracle's own
 # guard; production applies `fou.process.degenerate_denominators`.
@@ -87,7 +93,7 @@ def kernel_f(params: ModelParams, grid: Grid) -> np.ndarray:
 
 def boundary_vector(params: ModelParams, grid: Grid) -> np.ndarray:
     """Midpoint samples v_i = exp(-theta (T - t*_i)); the boundary kernel is h = v v'."""
-    return np.exp(-params.theta * (params.horizon - grid.midpoints))
+    return np.exp(-params.theta * (params.horizon - midpoints(grid)))
 
 
 def boundary_form_fft(params: ModelParams, grid: Grid) -> float:
@@ -211,7 +217,7 @@ def b_t_gram_quadrature(params: ModelParams, grid: Grid) -> float:
     """
     w = gram_weights(grid, params.hurst)
     nodes = grid.nodes
-    tm = grid.midpoints
+    tm = midpoints(grid)
     # e[i, j] = exp(-theta (t_i - t*_j)) for t*_j < t_i, else 0
     diff = nodes[:, None] - tm[None, :]
     e = np.where(diff > 0, np.exp(-params.theta * np.maximum(diff, 0.0)), 0.0)

@@ -32,7 +32,7 @@ from fou.montecarlo import (
     rate_fit,
     run,
 )
-from oracles import b_t_gram_quadrature, horizon_pairs, kernel_f, norm2_h2
+from oracles import b_t_gram_quadrature, horizon_pairs, kernel_f, midpoints, norm2_h2
 
 THETA = 1.0
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -117,7 +117,7 @@ def test_criterion_05_boundary_kernel_vanishes():
         vals = []
         for t in (25.0, 50.0, 100.0):
             grid = Grid(horizon=t, n=2048)
-            v = np.exp(-THETA * (t - grid.midpoints))
+            v = np.exp(-THETA * (t - midpoints(grid)))
             w = gram_weights(grid, h)
             vals.append(float(v @ w @ v) ** 2 / t)
         ok &= vals[0] > vals[1] > vals[2]

@@ -20,6 +20,7 @@ import fou.process as process
 from fou.cli import COMMANDS, CSV_COLUMNS, emit_report, main, parse_args
 from fou.constants import ModelParams, stationary_variance
 from fou.errors import NumericsError
+from argvs import EXIT_2, EXIT_3
 
 
 def test_parse_kolmogorov_example():
@@ -76,72 +77,8 @@ def test_eps_is_not_a_flag(command):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("args, message", [
-    (["asymptotics", "--theta", "1", "--hurst", "0.6", "--t", "10", "--dt", "20"],
-     "dt=20.0 leaves fewer than 2 cells on horizon T=10.0"),
-    (["bounds", "--theta", "nan", "--hurst", "0.6", "--t", "10", "--n", "16"],
-     "theta must be finite and positive, got nan"),
-    (["kolmogorov", "--theta", "nan", "--hurst", "0.6", "--t", "10,20", "--n", "64",
-      "--reps", "100"], "theta must be finite and positive, got nan"),
-    (["estimate", "--theta", "1", "--hurst", "0.6", "--t", "nan", "--n", "16", "--reps", "10"],
-     "horizon must be finite and positive, got nan"),
-    (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "inf", "--n", "4"],
-     "horizon must be finite and positive, got inf"),
-    (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--dt", "nan"],
-     "dt must be positive, got nan"),
-    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10", "--reps", "50"],
-     "needs at least 100 replications, got 50"),
-    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "20,10", "--reps", "100"],
-     "kolmogorov needs strictly increasing horizons"),
-    (["rate-fit", "--theta", "1", "--hurst", "0.6", "--t", "10,10,20", "--reps", "100"],
-     "rate-fit needs strictly increasing horizons"),
-    (["asymptotics", "--theta", "1", "--hurst", "0.6", "--t", "20,10", "--n", "64"],
-     "asymptotics needs strictly increasing horizons"),
-    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10", "--reps", "100",
-      "--method", "mle"], "invalid choice: 'mle'"),
-    (["estimate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--reps", "10",
-      "--method", "chaos_ratio"], "unrecognized arguments: --method chaos_ratio"),
-    (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--dt", "1e-8"],
-     "step dt=1e-08 on T=10.0 exceeds MAX_CELLS=4194304 cells"),
-    (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--dt", "1e-310"],
-     "exceeds MAX_CELLS=4194304 cells"),   # T/dt overflows to inf
-    (["bounds", "--theta", "1e300", "--hurst", "0.6", "--t", "10", "--n", "64"],
-     "b_T must be positive, got 0.0"),     # b_T underflows to 0
-    (["kolmogorov", "--theta", "1e300", "--hurst", "0.6", "--t", "10", "--n", "64",
-      "--reps", "100"], "b_T must be positive, got 0.0"),  # the same check as `bounds`
-    # theta*step is finite but theta*step*(n-1) is not: the row of f is
-    # built without an overflow, and b_T is what fails
-    (["bounds", "--theta", "1e300", "--hurst", "0.6", "--t", "1e10", "--n", "64"],
-     "b_T must be positive, got 0.0"),
-    (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "abc", "--n", "16"], "argument --t"),
-    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10,x", "--n", "16",
-      "--reps", "100"], "argument --t"),
-    (["estimate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--reps", "0"],
-     "reps must be positive, got 0"),
-    (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "1"],
-     "n must be at least 2, got 1"),
-    # only the Monte Carlo commands take --method
-    (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "16",
-      "--method", "pathwise"], "unrecognized arguments: --method pathwise"),
-    (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "16",
-      "--method", "pathwise"], "unrecognized arguments: --method pathwise"),
-    (["asymptotics", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "16",
-      "--method", "pathwise"], "unrecognized arguments: --method pathwise"),
-    # 42 + 2**64 and 42 - 2**64: the 64-bit seed key would draw as --seed 42
-    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "16",
-      "--reps", "100", "--seed", "18446744073709551658"],
-     "seed must be in [0, 2**64), got 18446744073709551658"),
-    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "16",
-      "--reps", "100", "--seed", "-18446744073709551574"],
-     "seed must be in [0, 2**64), got -18446744073709551574"),
-], ids=["step_wider_than_horizon", "bounds_theta_nan", "kolmogorov_theta_nan",
-        "estimate_t_nan", "simulate_t_inf", "dt_nan", "kolmogorov_reps_50",
-        "kolmogorov_decreasing_t", "rate_fit_repeated_t", "asymptotics_decreasing_t",
-        "kolmogorov_method_mle", "estimate_method", "step_above_cell_ceiling",
-        "step_overflows", "bounds_b_t_underflows", "kolmogorov_b_t_underflows",
-        "bounds_kernel_row_overflows", "t_not_a_number", "t_list_not_numbers",
-        "estimate_reps_0", "bounds_n_1", "simulate_method", "bounds_method",
-        "asymptotics_method", "seed_above_64_bits", "seed_negative"])
+@pytest.mark.parametrize("args, message", [case[:2] for case in EXIT_2],
+                         ids=[case[2] for case in EXIT_2])
 def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])
@@ -150,90 +87,8 @@ def test_invalid_input_exits_2_without_output(args, message, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args, named", [
-    (["bounds", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64"], "theta*step"),
-    (["asymptotics", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64"],
-     "theta"),
-    (["estimate", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64",
-      "--reps", "10"], "theta"),
-    (["kolmogorov", "--theta", "1e-300", "--hurst", "0.6", "--t", "10", "--n", "64",
-      "--reps", "100"], "theta*step"),
-    (["bounds", "--theta", "1e200", "--hurst", "0.6", "--t", "1e200", "--n", "64"],
-     "theta*step"),
-    (["asymptotics", "--theta", "1e200", "--hurst", "0.6", "--t", "1e200", "--n", "64"],
-     "theta^3.4 overflows"),
-    (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "1e300", "--n", "64"],
-     "overflows at step = 1.5625e+298, T = 1e+300"),
-    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "1e300", "--n", "64",
-      "--reps", "100"], "overflows at step = 1.5625e+298, T = 1e+300"),
-    (["kolmogorov", "--theta", "1e200", "--hurst", "0.6", "--t", "1e200", "--n", "64",
-      "--reps", "100"], "theta*T"),
-    (["estimate", "--theta", "1e200", "--hurst", "0.6", "--t", "1e200", "--n", "64",
-      "--reps", "100"], "theta*T"),
-    (["estimate", "--theta", "1e150", "--hurst", "0.6", "--t", "1e150", "--n", "64",
-      "--reps", "3"], "int X^2 dt"),  # theta*T is finite, the denominator is not
-    # int X^2 dt underflows to 0, and its floor with it
-    (["estimate", "--theta", "4.18e178", "--hurst", "0.5000001", "--t", "6.94e-176",
-      "--n", "16", "--reps", "100"], "T=6.94e-176"),
-    (["asymptotics", "--theta", "1e-100", "--hurst", "0.6", "--t", "10", "--n", "64"],
-     "theta^3.4 underflows"),
-    # an overflow in the arithmetic of the bound ingredients, named before
-    # it makes a NaN row
-    (["asymptotics", "--theta", "1", "--hurst", "0.5", "--t", "10,4.84e210", "--n", "2"],
-     "at theta = 1, T = 4.84e+210"),
-    (["bounds", "--theta", "0.0262", "--hurst", "0.7499999", "--t", "10,2.83e155", "--n", "3"],
-     "at theta = 0.0262, T = 2.83e+155"),
-    (["bounds", "--theta", "892", "--hurst", "0.7499999", "--t", "6.74e89", "--n", "16"],
-     "at theta = 892, T = 6.74e+89"),
-    # theta sigma2_H T overflows, so the scale of f is 0 and c2 / s_f divides by it
-    (["bounds", "--theta", "1e308", "--hurst", "0.6", "--t", "1e-72", "--n", "2"],
-     "divide by zero encountered in scalar divide in the bound ingredients at theta = 1e+308"),
-    # Psi divides by b_T^2, which underflows at theta T = 3.4e257
-    (["bounds", "--theta", "2.27e259", "--hurst", "0.5", "--t", "0.0149,1e139", "--n", "16"],
-     "b_T^2 underflows at theta = 2.27e+259, T = 0.0149"),
-    (["bounds", "--theta", "1.01e134", "--hurst", "0.7499999", "--t", "0.949,10", "--n", "3"],
-     "b_T^2 underflows at theta = 1.01e+134, T = 0.949"),
-    # every denominator degenerate: counted, not divided by
-    (["kolmogorov", "--theta", "4.18e178", "--hurst", "0.5000001", "--t",
-      "6.94e-176,1e-175", "--n", "16", "--reps", "100", "--method", "pathwise"],
-     "100 of 100 replications degenerate at T=6.94e-176"),
-    # theta*step*(n-1) overflows in the row of f; the products by M then overflow
-    (["asymptotics", "--theta", "1e90", "--hurst", "0.6", "--t", "1e220", "--n", "64"],
-     "in the bound ingredients at theta = 1e+90, T = 1e+220"),
-    # numpy overflows in a pool thread, under the error state of `main`:
-    # step * sum u^2, then u_T^2
-    (["estimate", "--theta", "1", "--hurst", "0.5", "--t", "1,3.576313464393855e+296",
-      "--n", "2", "--reps", "100"], "in int X^2 dt at theta = 1, T = 3.57631e+296"),
-    (["estimate", "--theta", "1", "--hurst", "0.7", "--t", "1e300", "--n", "2",
-      "--reps", "100"], "in a replication chunk at theta = 1, T = 1e+300"),
-    # at T = 1 on 2 cells, 6 chaos denominators are not positive
-    (["kolmogorov", "--theta", "1", "--hurst", "0.5", "--t", "1,1e307", "--n", "2",
-      "--reps", "100"], "6 of 100 replications degenerate at T=1.0"),
-    # the sample variance overflows
-    (["kolmogorov", "--theta", "1", "--hurst", "0.5", "--t", "1e307", "--n", "2",
-      "--reps", "100"], "overflow encountered in square in the summary at theta = 1, T = 1e+307"),
-    # one chaos denominator of 100 is negative at theta step = 156
-    (["kolmogorov", "--theta", "1000", "--hurst", "0.6", "--t", "10", "--n", "64",
-      "--reps", "100"], "1 of 100 replications degenerate at T=10.0"),
-    # H = 1/2 fails where its --hurst 0.5000001 twin does, with the same message
-    (["bounds", "--theta", "1e-170", "--hurst", "0.5", "--t", "1e170", "--n", "16"],
-     "overflow encountered in multiply in the bound ingredients at theta = 1e-170, T = 1e+170"),
-    (["kolmogorov", "--theta", "1e-170", "--hurst", "0.5", "--t", "1e170,2e170", "--n", "16",
-      "--reps", "100"],
-     "overflow encountered in multiply in a replication chunk at theta = 1e-170, T = 1e+170"),
-], ids=["bounds_tiny_theta", "asymptotics_tiny_theta", "estimate_tiny_theta",
-        "kolmogorov_tiny_theta", "bounds_theta_step_overflows", "asymptotics_theta_overflows",
-        "bounds_huge_t", "kolmogorov_huge_t", "kolmogorov_theta_t_overflows",
-        "estimate_theta_t_overflows", "estimate_denominator_overflows",
-        "estimate_denominator_underflows", "asymptotics_theta_underflows",
-        "asymptotics_nan_row", "bounds_nan_row", "bounds_ingredients_overflow",
-        "bounds_kernel_scale_underflows", "bounds_theta_squared_overflows",
-        "bounds_b_t_squared_underflows",
-        "kolmogorov_pathwise_degenerate", "asymptotics_kernel_row_overflows",
-        "estimate_denominator_product_overflows", "estimate_chunk_overflows",
-        "kolmogorov_chaos_degenerate_at_two_cells",
-        "kolmogorov_sample_var_overflows", "kolmogorov_chaos_one_degenerate",
-        "bounds_brownian_tiny_theta", "kolmogorov_brownian_tiny_theta"])
+@pytest.mark.parametrize("args, named", [case[:2] for case in EXIT_3],
+                         ids=[case[2] for case in EXIT_3])
 def test_overflow_exits_3_without_output(args, named, tmp_path, capsys, recwarn):
     assert_exits_3_without_output(args, named, tmp_path, capsys, recwarn)
 
@@ -563,17 +418,6 @@ def test_malformed_thread_count_exits_2_naming_it(args, threads, tmp_path, monke
     code = main([args[0], "--theta", "1", "--hurst", "0.6", *args[1:], "--out", str(out)])
     assert code == 2
     assert f"FOU_THREADS must be an integer, got '{threads}'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("distance", [0.0, float("nan")])
-def test_rate_fit_non_positive_distance_exits_3(distance, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(mc, "ks_distance", lambda samples: distance)
-    out = tmp_path / "out.csv"
-    code = main(["rate-fit", "--theta", "1", "--hurst", "0.6", "--t", "10,20,40",
-                 "--dt", "0.5", "--reps", "100", "--out", str(out)])
-    assert code == 3
-    assert "numerical failure: rate fit needs positive distances" in capsys.readouterr().err
     assert not out.exists()
 
 

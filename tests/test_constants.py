@@ -7,6 +7,7 @@ import scipy.special
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import fou.constants as constants
 from fou.constants import (
     ModelParams,
     b_t_closed_form,
@@ -17,6 +18,7 @@ from fou.constants import (
     skorohod_correction,
     stationary_variance,
 )
+from fou.errors import NumericsError
 from fou.montecarlo import normal_cdf
 from oracles import alpha_h, rate_exponent
 
@@ -258,6 +260,32 @@ def test_special_functions_at_huge_and_infinite_x():
         assert kummer_1f1(a, 1e300) == pytest.approx(a / 1e300, rel=1e-15)
         assert kummer_1f1(a, math.inf) == 0.0
     assert gamma_p(0.5, 0.0) == 0.0 and kummer_1f1(0.5, 0.0) == 1.0
+
+
+# the documented a ranges of the two series, x log-spaced over the whole
+# domain, and the longest run of each branch: just below its cutover
+SERIES_P_A = (0.0, 1e-8, 1e-4, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
+SERIES_F_A = (0.0, 1e-8, 1e-4, 0.01, 0.1, 0.25, 0.5)
+SERIES_X = (*np.geomspace(1e-8, 1e6, 400).tolist(), math.nextafter(40.0, 0.0),
+            math.nextafter(80.0, 0.0))
+
+
+def test_series_converge_well_within_max_terms(monkeypatch):
+    # the longest runs are 106 terms (gamma_p) and 252 (kummer_1f1 at a = 0
+    # just below x = 80), so the cap of 500 has room; a cap below them
+    # still says so instead of returning a truncated sum
+    assert constants.MAX_TERMS == 500
+    monkeypatch.setattr(constants, "MAX_TERMS", 260)
+    for a in SERIES_P_A:
+        for x in SERIES_X:
+            gamma_p(a, x)
+    for a in SERIES_F_A:
+        for x in SERIES_X:
+            kummer_1f1(a, x)
+    monkeypatch.setattr(constants, "MAX_TERMS", 100)
+    with pytest.raises(NumericsError, match="did not converge"):
+        for x in SERIES_X:
+            kummer_1f1(0.0, x)
 
 
 def test_normal_cdf_matches_ndtr():

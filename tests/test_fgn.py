@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fou.fgn as fgn
-from fou.errors import NumericsError
 from fou.fgn import (
     Grid,
     Workspace,
@@ -15,21 +14,17 @@ from fou.fgn import (
     sample_fgn_batch,
     toeplitz_product,
 )
-from oracles import fbm_cov, fgn_autocov, sample_fgn_cholesky
+from oracles import fbm_cov, fgn_autocov, midpoints, sample_fgn_cholesky
 
 
 def test_grid_basics():
     g = Grid(horizon=2.0, n=4)
     assert g.step == 0.5
     assert np.allclose(g.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
-    assert np.allclose(g.midpoints, [0.25, 0.75, 1.25, 1.75])
+    assert np.allclose(midpoints(g), [0.25, 0.75, 1.25, 1.75])
     assert g.nodes[-1] == pytest.approx(g.horizon, abs=1e-15)
     g = Grid.from_step(10.0, 0.05)
     assert g.n == 200
-    with pytest.raises(ValueError):
-        Grid(horizon=-1.0, n=4)
-    with pytest.raises(ValueError):
-        Grid(horizon=1.0, n=1)
 
 
 def test_from_step_rejects_fewer_than_two_cells():
@@ -245,14 +240,27 @@ def test_circulant_and_cholesky_sampler_agree_in_distribution(h):
         assert np.all(np.abs(cov - w) < 4.5 * se)
 
 
+@pytest.mark.parametrize("h", [0.5, 0.6, 0.7, 0.75])
+def test_embedding_eigenvalues_stay_above_a_floor(h):
+    # the fact that lets the sampler go without a fallback: the length-2n
+    # embedding is positive definite with room to spare (the lowest, 0.441,
+    # is at H = 3/4 and n = 2)
+    for n in (2, 3, 5, 64, 4096, 65536):
+        f0, fn, fmid = fgn._embedding_sqrt_eigs(n, h)
+        lam = np.r_[f0**2 * 2 * n, fn**2 * 2 * n, fmid**2 * 4 * n]
+        assert lam.min() >= 0.4, n
+
+
 def test_negative_embedding_eigenvalue_raises(monkeypatch):
     # lag-1 correlation 1.5 is no autocovariance: its circulant embedding
-    # has eigenvalues 1 + 3 cos(2 pi k / 2n), negative near k = n
+    # has eigenvalues 1 + 3 cos(2 pi k / 2n), negative near k = n, and the
+    # square root of one is an invalid value under the error state of
+    # `cli.main`
     monkeypatch.setattr(fgn, "_unit_autocov",
                         lambda kmax, hurst: np.r_[1.0, 1.5, np.zeros(kmax - 1)])
     fgn._embedding_sqrt_eigs.cache_clear()
     try:
-        with pytest.raises(NumericsError, match="negative eigenvalue"):
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError, match="sqrt"):
             sample_fgn_batch(Grid(horizon=1.0, n=8), 0.6, [1])
     finally:
         fgn._embedding_sqrt_eigs.cache_clear()

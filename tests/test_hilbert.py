@@ -21,6 +21,7 @@ from oracles import (
     kernel_f,
     kernel_g,
     kernel_h,
+    midpoints,
     norm2_h2,
 )
 
@@ -90,8 +91,8 @@ def test_kernel_h_rank_one():
     # corner midpoint (T - dt/2, T - dt/2) -> exp(-theta dt)
     assert h[-1, -1] == pytest.approx(math.exp(-g.step), rel=1e-12)
     # interior value at t* = s* = 5 on this grid
-    i = np.argmin(np.abs(g.midpoints - 5.0))
-    if abs(g.midpoints[i] - 5.0) < 1e-12:
+    i = np.argmin(np.abs(midpoints(g) - 5.0))
+    if abs(midpoints(g)[i] - 5.0) < 1e-12:
         assert h[i, i] == pytest.approx(math.exp(-10.0), rel=1e-10)
     # all 2x2 minors of a rank-one matrix vanish
     rng = np.random.default_rng(0)
@@ -112,7 +113,7 @@ def test_kernel_g_is_the_stated_combination():
 def test_kernel_g_diagonal_value():
     p, g = params_grid(1.0, 0.5, 1.0, 50)
     gg = kernel_g(p, g)
-    t0 = g.midpoints[0]
+    t0 = midpoints(g)[0]
     expect = math.sqrt(2.0) * (1 / (2 * math.sqrt(2.0))) - math.exp(-2 * (1.0 - t0)) / 2.0
     assert gg[0, 0] == pytest.approx(expect, rel=1e-12)
 
@@ -129,8 +130,8 @@ def test_inner_h_indicators_reproduce_fbm_cov_exactly():
     g = Grid(horizon=4.0, n=16)
     h = 0.75
     w = gram_weights(g, h)
-    phi = (g.midpoints < 1.0).astype(float)   # 1_[0,1]
-    psi = (g.midpoints < 2.0).astype(float)   # 1_[0,2]
+    phi = (midpoints(g) < 1.0).astype(float)   # 1_[0,1]
+    psi = (midpoints(g) < 2.0).astype(float)   # 1_[0,2]
     assert inner_h(phi, psi, w) == pytest.approx(fbm_cov(1.0, 2.0, h), rel=1e-13)
     assert inner_h(phi, psi, w) == pytest.approx(1.4142135623730951, rel=1e-12)
 
@@ -150,7 +151,7 @@ def test_norm2_h2_zero_and_rank_one():
     w = gram_weights(g, 0.6)
     zero = np.zeros((16, 16))
     assert norm2_h2(zero, w) == 0.0
-    v = np.exp(-0.7 * g.midpoints)
+    v = np.exp(-0.7 * midpoints(g))
     rank1 = np.outer(v, v)
     assert norm2_h2(rank1, w) == pytest.approx(float(v @ w @ v) ** 2, rel=1e-12)
 
@@ -167,7 +168,7 @@ def test_norm2_h2_rank_one_exactness():
     p, g = params_grid(1.0, 0.75, 25.0, 256)
     w = gram_weights(g, 0.75)
     h = kernel_h(p, g)
-    v = np.exp(-(25.0 - g.midpoints))
+    v = np.exp(-(25.0 - midpoints(g)))
     assert norm2_h2(h, w) == pytest.approx(float(v @ w @ v) ** 2, rel=1e-10)
 
 
@@ -227,7 +228,7 @@ def test_contract1_norm_against_brute_force_riemann():
     f = kernel_f(p, g)
     c = contract1(f, f, w)
     got = math.sqrt(norm2_h2(c, w))
-    tm = g.midpoints
+    tm = midpoints(g)
     dt = g.step
     fk = f
     contraction = np.einsum("iu,ju->ij", fk, fk) * dt   # int f(t1,u) f(t2,u) du

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fou.constants import ModelParams, b_t_closed_form, skorohod_correction
 from fou.fgn import Grid, Workspace, derive_seed, gram_weights, sample_fgn_batch
@@ -43,6 +45,14 @@ def test_ks_distance_calibrated_quantiles():
     n = 100
     z = scipy.stats.norm.ppf((np.arange(1, n + 1) - 0.5) / n)
     assert ks_distance(z) == pytest.approx(1.0 / (2 * n), rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=300))
+def test_ks_distance_is_at_least_half_a_step(samples):
+    # at each order statistic the two gaps to the empirical CDF sum to 1/N,
+    # so no distance that `rate_fit` takes the log of is 0
+    assert ks_distance(samples) >= (1 - 1e-12) / (2 * len(samples))
 
 
 def test_ks_distance_point_mass_and_empty():

@@ -29,6 +29,7 @@ from oracles import (
     inner_h2,
     kernel_f,
     kernel_g,
+    midpoints,
     norm2_h2,
 )
 
@@ -181,7 +182,7 @@ def test_two_product_ingredients_match_dense_oracles(theta, hurst, horizon, n):
     }
     for name, want in dense.items():
         assert ing[name] == pytest.approx(want, rel=1e-10), name
-    v = np.exp(-theta * (horizon - grid.midpoints))
+    v = np.exp(-theta * (horizon - midpoints(grid)))
     vwv2 = float(v @ w @ v) ** 2
     assert norm_h2 == pytest.approx(vwv2, rel=1e-10)
     (row,) = [r for r in asymptotics_report(horizon_pairs(theta, hurst, [horizon], n=n))
@@ -212,6 +213,6 @@ def test_generator_ingredients_match_dense_oracles(theta, hurst, horizon, n):
         }
     for name, want in dense.items():
         assert ing[name] == pytest.approx(want, rel=1e-11), name
-    v = np.exp(-theta * (horizon - grid.midpoints))
+    v = np.exp(-theta * (horizon - midpoints(grid)))
     assert norm_h2 == pytest.approx(float(v @ w @ v) ** 2, rel=1e-11)
     assert ing["b_T"] == b_t_closed_form(params)
