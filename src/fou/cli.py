@@ -11,20 +11,21 @@ Commands:
     kolmogorov   Monte Carlo distance per horizon
     rate-fit     kolmogorov + fitted log-log rate (at least 3 horizons)
 
-Every argv check runs once, in `parse_args`, on one argparse parser: the
-command is its first positional, and every flag is registered once for
-all commands, --t (repeatable, comma separated) and the mutually
-exclusive --dt and --n among them.  The checks across flags follow.
-Only `kolmogorov` and `rate-fit` take --method; the other commands reject
-it (exit 2), and their resolved method is None.  --seed must lie in
-[0, 2**64), the range of the 64-bit stream key (`fgn.derive_seed`).
-Every command needs a --t horizon; `kolmogorov`, `rate-fit` and
-`asymptotics` need them strictly increasing, and T > 1 at H = 3/4.
-`resolve_horizons` then turns every horizon into its (params, grid) pair
-and checks every grid, before any row is built: a grid above
-`fgn.MAX_CELLS` cells, or in `bounds` and `asymptotics` above
-`bounds.MAX_BOUND_CELLS`, is rejected (exit 2) before any n-sized array
-exists, at any horizon.  The row builders below take that list.
+Input is checked in two stages, both before any work.  `parse_args`, on
+one argparse parser (the command is its first positional, and every flag
+is registered once for all commands, --t repeatable and comma separated,
+--dt and --n mutually exclusive), checks each flag and the lists: only
+`kolmogorov` and `rate-fit` take --method (the other commands reject it,
+and their resolved method is None), --seed lies in [0, 2**64), the range
+of the 64-bit stream key (`fgn.derive_seed`), --reps, dt > 0, at least
+one --t horizon, and strictly increasing horizons for `SERIES_COMMANDS`.
+`resolve_horizons` then admits each horizon by one rule, in order: its
+`ModelParams`, T > 1 at H = 3/4 for `SERIES_COMMANDS`, and a cell count n
+(--n, or T/dt rounded) with 2 <= n <= the command's ceiling,
+`bounds.MAX_BOUND_CELLS` for `bounds` and `asymptotics` and
+`fgn.MAX_CELLS` otherwise.  A violation exits 2 before any n-sized array
+exists, at any horizon.  The row builders below take its (params, grid)
+list.
 
 Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O.  One policy
 decides exit 3, before the file is opened: `main` builds the rows under
@@ -59,13 +60,16 @@ import numpy as np  # noqa: E402  (after the variable above)
 
 from . import bounds as bounds_mod  # noqa: E402
 from . import montecarlo as mc
-from .constants import ModelParams, check_log_horizons, skorohod_correction
+from . import fgn
+from .constants import HURST_MAX, ModelParams, skorohod_correction
 from .errors import NumericsError
 from .fgn import Grid, derive_seed, sample_fgn
 from .process import degenerate_denominators, estimate_pathwise, simulate_fou
 
 COMMANDS = ("simulate", "estimate", "bounds", "asymptotics", "kolmogorov", "rate-fit")
 MC_COMMANDS = ("kolmogorov", "rate-fit")
+# read their horizons as one series in T: strictly increasing, log T > 0 at H = 3/4
+SERIES_COMMANDS = ("kolmogorov", "rate-fit", "asymptotics")
 
 CSV_COLUMNS = {
     "simulate": ["T", "t", "x"],
@@ -119,8 +123,6 @@ def parse_args(argv) -> argparse.Namespace:
                              "(only kolmogorov and rate-fit take it)")
         if not 0 <= ns.seed < 2**64:  # `derive_seed` keys on 64 bits
             raise ValueError(f"seed must be in [0, 2**64), got {ns.seed}")
-        for t in t_list:
-            ModelParams(theta=ns.theta, hurst=ns.hurst, horizon=t)
         if ns.reps <= 0:
             raise ValueError(f"reps must be positive, got {ns.reps}")
         if ns.command in MC_COMMANDS and ns.reps < 100:
@@ -129,14 +131,10 @@ def parse_args(argv) -> argparse.Namespace:
             raise ValueError(f"rate-fit needs at least 3 horizons, got {len(t_list)}")
         if not t_list:
             raise ValueError(f"{ns.command} requires at least one --t horizon")
-        if ns.command in ("kolmogorov", "rate-fit", "asymptotics"):
-            if any(t2 <= t1 for t1, t2 in zip(t_list, t_list[1:])):
-                raise ValueError(f"{ns.command} needs strictly increasing horizons")
-            check_log_horizons(ns.hurst, t_list)
+        if ns.command in SERIES_COMMANDS and any(t2 <= t1 for t1, t2 in zip(t_list, t_list[1:])):
+            raise ValueError(f"{ns.command} needs strictly increasing horizons")
         if ns.dt is not None and not ns.dt > 0:  # NaN fails too
             raise ValueError(f"dt must be positive, got {ns.dt}")
-        if ns.n is not None and ns.n < 2:
-            raise ValueError(f"n must be at least 2, got {ns.n}")
     except ValueError as exc:
         parser.error(str(exc))
     ns.out = ns.out if ns.out is not None else f"{ns.command}.{ns.format}"
@@ -153,15 +151,23 @@ def _fmt(value) -> str:
 def resolve_horizons(cfg) -> list[tuple[ModelParams, Grid]]:
     """The (params, grid) pair of every horizon: a fixed cell count --n (the
     step grows with T) or a fixed step --dt (the cell count grows with T).
-    Every grid is checked against the command's cell ceiling here, before
-    any row is built; a violation is a ValueError."""
+    The one place a horizon is admitted, before any row is built: its
+    `ModelParams`, T > 1 at H = 3/4 for `SERIES_COMMANDS`, and 2 <= n <= the
+    command's cell ceiling.  A violation is a ValueError."""
+    dense = cfg.command in ("bounds", "asymptotics")
+    ceiling = bounds_mod.MAX_BOUND_CELLS if dense else fgn.MAX_CELLS  # read here: tests patch them
     pairs = []
     for t in cfg.t_list:
-        grid = Grid(t, cfg.n) if cfg.n is not None else Grid.from_step(t, cfg.dt)
-        if cfg.command in ("bounds", "asymptotics") and grid.n > bounds_mod.MAX_BOUND_CELLS:
-            raise ValueError(f"horizon T={t} needs n={grid.n} cells, above the ceiling "
-                             f"of {bounds_mod.MAX_BOUND_CELLS} cells for the bound terms")
-        pairs.append((ModelParams(theta=cfg.theta, hurst=cfg.hurst, horizon=t), grid))
+        params = ModelParams(theta=cfg.theta, hurst=cfg.hurst, horizon=t)
+        if cfg.command in SERIES_COMMANDS and cfg.hurst == HURST_MAX and t <= 1.0:
+            raise ValueError(f"at H = {HURST_MAX} the scaling by log T needs every "
+                             f"horizon T > 1, got T = {t}")
+        n = cfg.n if cfg.n is not None else t / cfg.dt
+        n = round(n) if n < math.inf else n  # a T/dt that overflowed is not rounded
+        if not 2 <= n <= ceiling:
+            raise ValueError(f"horizon T={t} needs n={n} cells; {cfg.command} takes "
+                             f"2 to {ceiling} cells")
+        pairs.append((params, Grid(t, n)))
     return pairs
 
 

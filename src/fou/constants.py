@@ -4,7 +4,9 @@ Everything here is a deterministic function of (theta, H, T).  The Hurst
 range covered is H in [1/2, 3/4].  H = 1/2 is decided as the a = 0 end
 (a = 2H - 1) of the same closed forms, where b_T and c_T are continuous in
 H; only H = 3/4 takes its own dedicated branch, where the generic-H
-formulas for sigma2_H and delta_H degenerate.
+formulas for sigma2_H and delta_H degenerate.  Its log T scalings need
+T > 1, which `cli.resolve_horizons` checks with the other per-horizon
+rules; `ModelParams` checks theta, H and T themselves.
 
 b_T and c_T are closed forms, not numerical integrals: the incomplete gamma
 function P (`gamma_p`) and Kummer's transform 1F1(1; a+1; -theta T)
@@ -52,16 +54,6 @@ class ModelParams:
         _check_hurst(self.hurst)
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
-
-
-def check_log_horizons(hurst: float, t_list) -> None:
-    """At H = 3/4 the normalized statistic and the denominator-kernel
-    quantities carry a 1/sqrt(log T) or 1/log T scaling, which needs T > 1."""
-    if hurst == HURST_MAX:
-        bad = [t for t in t_list if t <= 1.0]
-        if bad:
-            raise ValueError(f"at H = {HURST_MAX} the scaling by log T needs every "
-                             f"horizon T > 1, got T = {bad[0]}")
 
 
 def sigma2_h(hurst: float) -> float:

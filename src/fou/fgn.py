@@ -41,7 +41,8 @@ from .constants import _check_hurst, checked_power
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# Largest grid of any command; sampling peaks near 0.5 GB at n = 2^20.
+# Largest grid of any command but `bounds` and `asymptotics`, enforced by
+# `cli.resolve_horizons`; sampling peaks near 0.5 GB at n = 2^20.
 MAX_CELLS = 1 << 22
 
 
@@ -50,28 +51,13 @@ class Grid:
     """Uniform partition of [0, horizon] into n cells, with nodes
     t_k = k * step (k = 0..n); kernels are sampled at the cell midpoints.
 
-    Every input is validated before a grid is built: a finite positive
-    horizon by `ModelParams`, n >= 2 and dt > 0 by `cli.parse_args`, and the
-    cell count of a step by `from_step`.  Only the MAX_CELLS ceiling, which
-    --n can exceed, is checked here.
+    A plain record: `cli.resolve_horizons` admits every horizon and cell
+    count (a finite positive T, 2 <= n <= the command's ceiling, MAX_CELLS
+    or `bounds.MAX_BOUND_CELLS`) before it builds a grid.
     """
 
     horizon: float
     n: int
-
-    def __post_init__(self) -> None:
-        if self.n > MAX_CELLS:
-            raise ValueError(f"grid of n={self.n} cells exceeds the ceiling MAX_CELLS={MAX_CELLS}")
-
-    @classmethod
-    def from_step(cls, horizon: float, dt: float) -> "Grid":
-        """Grid with cell width as close to dt > 0 as an integer cell count allows."""
-        if horizon / dt > MAX_CELLS:  # before int(), which fails when T/dt overflows
-            raise ValueError(f"step dt={dt} on T={horizon} exceeds MAX_CELLS={MAX_CELLS} cells")
-        n = int(round(horizon / dt))
-        if n < 2:
-            raise ValueError(f"step dt={dt} leaves fewer than 2 cells on horizon T={horizon}")
-        return cls(horizon=horizon, n=n)
 
     @property
     def step(self) -> float:

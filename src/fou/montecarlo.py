@@ -140,11 +140,12 @@ def replicate(setup, horizons, reps: int, seed: int) -> list[list]:
 
     Per horizon, `setup(params, grid)` runs once, serially, and returns the
     statistic, a function of one chunk of fGn rows (rows x n) that returns
-    (result, degenerate count).  A FOU_THREADS that is not an integer is a
-    ValueError, and a theta*T that overflows a NumericsError; both checks
-    and every setup run before any draw.  Replication r at horizon index i
-    is the row drawn from derive_seed(seed, i, r), and the chunks of at
-    most CHUNK_CELLS cells run on a pool of FOU_THREADS workers, so no row
+    (result, degenerate count).  A FOU_THREADS that is not a positive
+    integer (unset or empty means the CPU count) is a ValueError, and a
+    theta*T that overflows a NumericsError; both checks and every setup
+    run before any draw.  Replication r at horizon index i is the row
+    drawn from derive_seed(seed, i, r), and the chunks of at most
+    CHUNK_CELLS cells run on a pool of FOU_THREADS workers, so no row
     depends on chunk boundaries or scheduling.  One horizon at a time, its
     chunks are drawn and collected, and their degenerate counts summed,
     before the next horizon's chunks are submitted: the first horizon with
@@ -160,9 +161,11 @@ def replicate(setup, horizons, reps: int, seed: int) -> list[list]:
     """
     threads = os.environ.get("FOU_THREADS")
     try:
-        workers = max(1, int(threads or os.cpu_count() or 1))
+        workers = int(threads or os.cpu_count() or 1)
     except ValueError:
-        raise ValueError(f"FOU_THREADS must be an integer, got {threads!r}") from None
+        workers = 0  # not an integer: rejected with the nonpositive counts
+    if workers < 1:
+        raise ValueError(f"FOU_THREADS must be a positive integer, got {threads!r}")
     statistics = []
     for params, grid in horizons:
         if not math.isfinite(params.theta * params.horizon):

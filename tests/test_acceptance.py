@@ -79,11 +79,9 @@ def test_criterion_03_f_norm_rate():
     h = 0.6
     a2 = stationary_variance(ModelParams(THETA, h, 1.0)) ** 2
     scaled = []
-    for t in (25.0, 50.0, 100.0):
-        grid = Grid.from_step(t, 0.025)
-        p = ModelParams(theta=THETA, hurst=h, horizon=t)
+    for p, grid in horizon_pairs(THETA, h, (25.0, 50.0, 100.0), dt=0.025):
         nf2 = norm2_h2(kernel_f(p, grid), gram_weights(grid, h))
-        scaled.append(abs(2.0 * nf2 - a2) * t ** (3.0 - 4.0 * h))
+        scaled.append(abs(2.0 * nf2 - a2) * p.horizon ** (3.0 - 4.0 * h))
     ratios = [scaled[i + 1] / scaled[i] for i in range(2)]
     ok = all(0.5 <= r <= 2.0 for r in ratios)
     report(3, ok, f"scaled gaps={['%.5f' % s for s in scaled]} ratios={['%.3f' % r for r in ratios]}")
@@ -209,8 +207,7 @@ def test_criterion_09_kolmogorov_distance_brownian():
 def test_criterion_10_log_normalization_at_three_quarters():
     # the estimator-error statistic with the sqrt(theta sigma2 log T) scaling
     t, reps, dt = 400.0, 5000, 0.05
-    grid = Grid.from_step(t, dt)
-    p = ModelParams(theta=THETA, hurst=0.75, horizon=t)
+    ((p, grid),) = horizon_pairs(THETA, 0.75, [t], dt=dt)
     c_t = skorohod_correction(p)
     chunks = []
     for c0 in range(0, reps, 500):
@@ -232,7 +229,7 @@ def test_criterion_11_per_path_identity_refines():
     p_half = ModelParams(theta=THETA, hurst=0.5, horizon=t)
     med = {}
     for dt in (0.05, 0.0125):
-        grid = Grid.from_step(t, dt)
+        ((_, grid),) = horizon_pairs(THETA, 0.5, [t], dt=dt)
         seeds = [derive_seed(42, 0, r) for r in range(reps)]
         xi = sample_fgn_batch(grid, 0.5, seeds)
         chaos, bad = _chaos_batch(p_half, grid, xi, _chaos_traces(p_half, grid))

@@ -214,9 +214,8 @@ def test_psi1_gap_term_grows_against_contraction():
     # at H = 0.7 the (b^2 - 2||f||^2) part of Psi1 decays at the slower
     # T^-(3-4H) rate, so its ratio to the contraction part increases in T
     ratios = []
-    for t in (25.0, 50.0, 100.0, 200.0):
-        p = ModelParams(theta=1.0, hurst=0.7, horizon=t)
-        i = psi_terms(p, Grid.from_step(t, 0.1))
+    for p, grid in horizon_pairs(1.0, 0.7, (25.0, 50.0, 100.0, 200.0), dt=0.1):
+        i = psi_terms(p, grid)
         gap = abs(i["b_T"]**2 - 2.0 * i["norm_f2"])
         ratios.append(gap / i["norm_f1f"])
     assert all(r1 < r2 for r1, r2 in zip(ratios, ratios[1:]))

@@ -42,11 +42,12 @@ def test_parse_repeatable_t_flag():
     assert cfg.n == 128 and cfg.dt is None
 
 
-def test_parse_rejects_bad_hurst(capsys):
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["kolmogorov", "--theta", "1", "--hurst", "0.9", "--t", "50"])
-    assert exc.value.code == 2
+def test_parse_rejects_bad_hurst(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["kolmogorov", "--theta", "1", "--hurst", "0.9", "--t", "50",
+                 "--out", str(out)]) == 2
     assert "[0.5, 0.75]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_rejects_unknown_flag():
@@ -369,6 +370,8 @@ def test_estimate_floor_follows_the_finite_horizon_mean(args, tmp_path, capsys):
     ["asymptotics", "--t", "10", "--n", "128"],
     ["bounds", "--t", "5,20", "--dt", "0.25"],       # n = 20, then 80
     ["asymptotics", "--t", "5,20", "--dt", "0.25"],
+    ["bounds", "--t", "10", "--dt", repr(10 / 64.6)],  # T/dt = 64.6 rounds to 65
+    ["bounds", "--t", "10", "--dt", "1e-310"],         # T/dt overflows to inf
 ])
 def test_dense_ceiling_rejects_before_any_dense_work(args, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bounds, "MAX_BOUND_CELLS", 64)
@@ -378,7 +381,7 @@ def test_dense_ceiling_rejects_before_any_dense_work(args, tmp_path, monkeypatch
     code = main([args[0], "--theta", "1", "--hurst", "0.6", *args[1:], "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "ceiling of 64 cells for the bound terms" in err
+    assert f"{args[0]} takes 2 to 64 cells" in err
     assert not out.exists()
 
 
@@ -390,6 +393,8 @@ def test_dense_ceiling_rejects_before_any_dense_work(args, tmp_path, monkeypatch
     ["simulate", "--t", "5,20", "--dt", "0.25"],       # n = 20, then 80
     ["estimate", "--t", "5,20", "--dt", "0.25", "--reps", "2"],
     ["kolmogorov", "--t", "5,20", "--dt", "0.25", "--reps", "100"],
+    ["simulate", "--t", "10", "--dt", repr(10 / 64.6)],  # T/dt = 64.6 rounds to 65
+    ["simulate", "--t", "10", "--dt", "1e-310"],         # T/dt overflows to inf
 ])
 def test_cell_ceiling_rejects_before_any_sampling(args, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(fgn, "MAX_CELLS", 64)
@@ -399,13 +404,40 @@ def test_cell_ceiling_rejects_before_any_sampling(args, tmp_path, monkeypatch, c
     out = tmp_path / "out.csv"
     code = main([args[0], "--theta", "1", "--hurst", "0.6", *args[1:], "--out", str(out)])
     assert code == 2
-    message = ("grid of n=128 cells exceeds the ceiling MAX_CELLS=64" if "--n" in args
-               else "step dt=0.25 on T=20.0 exceeds MAX_CELLS=64 cells")
-    assert message in capsys.readouterr().err
+    assert f"{args[0]} takes 2 to 64 cells" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads", ["abc", "2.5"])
+@pytest.mark.parametrize("command, module, ceiling", [
+    ("simulate", fgn, "MAX_CELLS"),
+    ("bounds", bounds, "MAX_BOUND_CELLS"),
+])
+def test_cell_ceiling_applies_to_the_rounded_count(command, module, ceiling, tmp_path,
+                                                   monkeypatch):
+    # T/dt = 64.3 rounds to the 64 cells of --n 64, at the ceiling
+    monkeypatch.setattr(module, ceiling, 64)
+    outputs = []
+    for step in (["--dt", repr(10 / 64.3)], ["--n", "64"]):
+        out = tmp_path / f"{step[0][2:]}.csv"
+        assert main([command, "--theta", "1", "--hurst", "0.6", "--t", "10", *step,
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_step_leaves_at_least_two_cells(tmp_path, capsys):
+    # T/dt = 2.5 rounds to 2 cells, T/dt = 1.25 to 1
+    out = tmp_path / "out.csv"
+    args = ["simulate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--out", str(out)]
+    assert main([*args, "--dt", "4"]) == 0
+    assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["0", "5", "10"]
+    out.unlink()
+    assert main([*args, "--dt", "8"]) == 2
+    assert "needs n=1 cells; simulate takes 2 to" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "2.5", "0", "-2"])
 @pytest.mark.parametrize("args", [
     ["kolmogorov", "--t", "10,20", "--n", "16", "--reps", "100"],
     ["estimate", "--t", "10,20", "--n", "16", "--reps", "10"],
@@ -417,7 +449,7 @@ def test_malformed_thread_count_exits_2_naming_it(args, threads, tmp_path, monke
     out = tmp_path / "out.csv"
     code = main([args[0], "--theta", "1", "--hurst", "0.6", *args[1:], "--out", str(out)])
     assert code == 2
-    assert f"FOU_THREADS must be an integer, got '{threads}'" in capsys.readouterr().err
+    assert f"FOU_THREADS must be a positive integer, got '{threads}'" in capsys.readouterr().err
     assert not out.exists()
 
 

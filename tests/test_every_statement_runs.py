@@ -64,6 +64,8 @@ EXTRA = [
       "--out", "{tmp}/no_such_dir/out.csv"], 4, {}, "out_in_missing_dir"),
     (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "16", "--reps", "100"],
      2, {"FOU_THREADS": "abc"}, "threads_malformed"),
+    (["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "16", "--reps", "100"],
+     2, {"FOU_THREADS": "0"}, "threads_zero"),
     (["simulate", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "4194305"],
      2, {}, "n_above_max_cells"),
     (["bounds", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "8193"],

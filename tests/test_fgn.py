@@ -14,7 +14,7 @@ from fou.fgn import (
     sample_fgn_batch,
     toeplitz_product,
 )
-from oracles import fbm_cov, fgn_autocov, midpoints, sample_fgn_cholesky
+from oracles import fbm_cov, fgn_autocov, horizon_pairs, midpoints, sample_fgn_cholesky
 
 
 def test_grid_basics():
@@ -23,14 +23,8 @@ def test_grid_basics():
     assert np.allclose(g.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert np.allclose(midpoints(g), [0.25, 0.75, 1.25, 1.75])
     assert g.nodes[-1] == pytest.approx(g.horizon, abs=1e-15)
-    g = Grid.from_step(10.0, 0.05)
+    ((_, g),) = horizon_pairs(1.0, 0.5, [10.0], dt=0.05)
     assert g.n == 200
-
-
-def test_from_step_rejects_fewer_than_two_cells():
-    assert Grid.from_step(10.0, 4.0).n == 2  # 10 / 4 rounds to 2
-    with pytest.raises(ValueError, match=r"dt=8\.0 .* T=10\.0"):
-        Grid.from_step(10.0, 8.0)            # 10 / 8 rounds to 1
 
 
 def test_fbm_cov_values():

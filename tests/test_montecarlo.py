@@ -186,8 +186,7 @@ def test_warm_chunk_allocates_only_the_scan(method):
     # at what the scan alone needs (its rows x n output, its block carries
     # and numpy's fixed-size ufunc buffers) plus per-row results.  The
     # sampler's own draws and coefficients would add 4 x 8 rows n bytes.
-    params = ModelParams(theta=1.0, hurst=0.7, horizon=50.0)
-    grid = Grid.from_step(50.0, 0.05)
+    ((params, grid),) = horizon_pairs(1.0, 0.7, [50.0], dt=0.05)
     rows = CHUNK_CELLS // grid.n
     seeds = [derive_seed(3, 0, r) for r in range(rows)]
     if method == CHAOS_RATIO:

@@ -16,6 +16,7 @@ from fou.process import (
     simulate_fou,
 )
 from oracles import (
+    horizon_pairs,
     i2,
     kernel_f,
     kernel_g,
@@ -88,8 +89,7 @@ def test_estimate_consistency_brownian():
     # mean of theta_hat over 1000 paths at T = 500; dt small enough that the
     # order-dt noise-integral bias (about -theta^2 dt) stays inside the band
     theta, t, dt, reps = 1.0, 500.0, 0.0125, 1000
-    g = Grid.from_step(t, dt)
-    p = ModelParams(theta=theta, hurst=0.5, horizon=t)
+    ((p, g),) = horizon_pairs(theta, 0.5, [t], dt=dt)
     c_t = skorohod_correction(p)
     ests = []
     for c0 in range(0, reps, 250):
@@ -101,8 +101,7 @@ def test_estimate_consistency_brownian():
 
 def test_estimate_consistency_fractional():
     theta, h, t, dt, reps = 1.0, 0.7, 500.0, 0.0125, 1000
-    g = Grid.from_step(t, dt)
-    p = ModelParams(theta=theta, hurst=h, horizon=t)
+    ((p, g),) = horizon_pairs(theta, h, [t], dt=dt)
     c_t = skorohod_correction(p)
     ests = []
     for c0 in range(0, reps, 125):
@@ -200,8 +199,7 @@ def test_normalized_statistic_matches_pathwise_per_path():
 
 def test_statistic_mean_zero():
     theta, h, t, reps = 1.0, 0.5, 50.0, 2000
-    g = Grid.from_step(t, 0.05)
-    p = ModelParams(theta=theta, hurst=h, horizon=t)
+    ((p, g),) = horizon_pairs(theta, h, [t], dt=0.05)
     w = gram_weights(g, h)
     f, gg = kernel_f(p, g), kernel_g(p, g)
     b = b_t_closed_form(p)

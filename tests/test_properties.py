@@ -136,13 +136,13 @@ def test_batched_estimate_rows_equal_single_path(theta, hurst, dt, reps, chunk_c
                              format="csv", method=None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mc, "CHUNK_CELLS", chunk_cells)
-        rows = _rows_estimate(cfg, horizon_pairs(theta, hurst, cfg.t_list, dt=dt))
+        horizons = horizon_pairs(theta, hurst, cfg.t_list, dt=dt)
+        rows = _rows_estimate(cfg, horizons)
     assert [(row["T"], row["rep"]) for row in rows] == \
         [(t, r) for t in cfg.t_list for r in range(reps)]
     for row in rows:
         i = cfg.t_list.index(row["T"])
-        grid = Grid.from_step(row["T"], dt)
-        params = ModelParams(theta=theta, hurst=hurst, horizon=row["T"])
+        params, grid = horizons[i]
         xi = sample_fgn(grid, hurst, derive_seed(seed, i, row["rep"]))
         num, den, method = estimate_pathwise(grid, params, xi[None, :],
                                              skorohod_correction(params))
