@@ -30,22 +30,16 @@ the ingredients read: one product per block gives the displacement rows,
 and the running sums go down the block a row at a time.  O(n^2) flops and
 O(n) memory, one sweep per horizon.
 
-Largest relative error of the six matrix ingredients against a long-double
-dense reference (the same float64 s_f, c1 and c2; w, K, v and every product
-in long double; the routes this replaced are compared in CHANGES.md):
-
-    theta  H     T     n    theta step  error
-    1      0.6   200   512  0.39        7.1e-16
-    0.5    0.75  8     256  0.016       2.7e-15
-    0.5    0.6   2     512  0.0020      2.1e-14
-    0.1    0.7   0.25  128  0.00020     1.9e-14
-    0.01   0.6   1     256  0.000039    6.4e-13
-
-At theta T << 1, g = c2 (K - v v') (c1 s_f = c2) is a small difference of
-matrices near all-ones.  Taken as a difference of traces, each g-term
-would lose digits (the last two rows); here the difference sits in one
-scalar, lam = -expm1(-theta step), computed without cancelling.  What
-remains is the rounding of rho, ~eps / (theta step) in the g-terms.  For
+The six matrix ingredients agree with a long-double dense reference (the
+same float64 s_f, c1 and c2; w, K, v and every product in long double)
+within 5e-12 relative down to theta step = 4e-5
+(`test_ingredients_match_long_double_reference`; the routes this replaced
+are compared in CHANGES.md).  At theta T << 1, g = c2 (K - v v')
+(c1 s_f = c2) is a small difference of matrices near all-ones.  Taken as
+a difference of traces, each g-term would lose digits; here the
+difference sits in one scalar, lam = -expm1(-theta step), computed
+without cancelling.  What remains is the rounding of rho, ~eps /
+(theta step) in the g-terms.  For
 H >= 1/2 every term the one-sweep route adds up is nonnegative, and it
 divides only by lam in (0, 1], so deriving X from Y~ cancels nothing.
 
@@ -68,20 +62,19 @@ from .errors import NumericsError, arithmetic
 from .fgn import Grid
 from .hilbert import horizon
 
-# The largest power of two at which one horizon of `_ingredients` took no
-# longer than the dense n^3 route at n = 4096, when the sweep went row by
-# row; 16384 meets that mark since (timings in CHANGES.md).  Enforced on
-# every horizon by `cli.resolve_horizons`.
+# Cell ceiling of `bounds` and `asymptotics`, enforced on every horizon by
+# `cli.resolve_horizons`: one horizon here takes no longer than the retired
+# dense n^3 route did at n = 4096, a mark the sweep now meets up to 16384
+# (timings in CHANGES.md).
 MAX_BOUND_CELLS = 8192
 
 # Rows per block of `_diagonal_sweep` are SWEEP_CELLS // n (at most n), so
 # its scratch, rows x (n + rows + 1) doubles, stays within about 1 MiB.  A
 # block's product, at most 9 SWEEP_CELLS multiply-adds, then runs on one
 # OpenBLAS thread, and so do the row dot products (fewer than n cells, at
-# most 8191 up to MAX_BOUND_CELLS).  At 2^17 cells OpenBLAS threads the
-# product, which at n = 2048 made the sweep (then over two matrices) no
-# faster for 40% more CPU time; 2^15 and 2^14 were no faster at any n from
-# 1024 to 8192.
+# most 8191 up to MAX_BOUND_CELLS).  Larger blocks let OpenBLAS thread the
+# product for more CPU time and no speed, and smaller ones were no faster
+# (timings in CHANGES.md).
 SWEEP_CELLS = 2**16
 
 

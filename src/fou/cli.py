@@ -19,13 +19,14 @@ is registered once for all commands, --t repeatable and comma separated,
 and their resolved method is None), --seed lies in [0, 2**64), the range
 of the 64-bit stream key (`fgn.derive_seed`), --reps, dt > 0, at least
 one --t horizon, and strictly increasing horizons for `SERIES_COMMANDS`.
-`resolve_horizons` then admits each horizon by one rule, in order: its
-`ModelParams`, T > 1 at H = 3/4 for `SERIES_COMMANDS`, and a cell count n
-(--n, or T/dt rounded) with 2 <= n <= the command's ceiling,
+`resolve_horizons` then admits the model and each horizon, in order: a
+finite theta > 0 and H in [1/2, 3/4] once, then per horizon a finite
+T > 0, T > 1 at H = 3/4 for `SERIES_COMMANDS`, and a cell count n (--n, or
+T/dt rounded) with 2 <= n <= the command's ceiling,
 `bounds.MAX_BOUND_CELLS` for `bounds` and `asymptotics` and
 `fgn.MAX_CELLS` otherwise.  A violation exits 2 before any n-sized array
 exists, at any horizon.  The row builders below take its (params, grid)
-list.
+list, and nothing below re-checks that domain.
 
 Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O.  One policy
 decides exit 3, before the file is opened: `main` builds the rows under
@@ -61,7 +62,7 @@ import numpy as np  # noqa: E402  (after the variable above)
 from . import bounds as bounds_mod  # noqa: E402
 from . import montecarlo as mc
 from . import fgn
-from .constants import HURST_MAX, ModelParams, skorohod_correction
+from .constants import HURST_MAX, HURST_MIN, ModelParams, skorohod_correction
 from .errors import NumericsError
 from .fgn import Grid, derive_seed, sample_fgn
 from .process import degenerate_denominators, estimate_pathwise, simulate_fou
@@ -151,14 +152,20 @@ def _fmt(value) -> str:
 def resolve_horizons(cfg) -> list[tuple[ModelParams, Grid]]:
     """The (params, grid) pair of every horizon: a fixed cell count --n (the
     step grows with T) or a fixed step --dt (the cell count grows with T).
-    The one place a horizon is admitted, before any row is built: its
-    `ModelParams`, T > 1 at H = 3/4 for `SERIES_COMMANDS`, and 2 <= n <= the
-    command's cell ceiling.  A violation is a ValueError."""
+    The one place the model and a horizon are admitted, before any row is
+    built: a finite theta > 0 and H in [HURST_MIN, HURST_MAX], then per
+    horizon a finite T > 0, T > 1 at H = 3/4 for `SERIES_COMMANDS`, and
+    2 <= n <= the command's cell ceiling.  A violation is a ValueError."""
     dense = cfg.command in ("bounds", "asymptotics")
     ceiling = bounds_mod.MAX_BOUND_CELLS if dense else fgn.MAX_CELLS  # read here: tests patch them
+    if not (math.isfinite(cfg.theta) and cfg.theta > 0):
+        raise ValueError(f"theta must be finite and positive, got {cfg.theta}")
+    if not HURST_MIN <= cfg.hurst <= HURST_MAX:
+        raise ValueError(f"hurst must be in [{HURST_MIN}, {HURST_MAX}], got {cfg.hurst}")
     pairs = []
     for t in cfg.t_list:
-        params = ModelParams(theta=cfg.theta, hurst=cfg.hurst, horizon=t)
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"horizon must be finite and positive, got {t}")
         if cfg.command in SERIES_COMMANDS and cfg.hurst == HURST_MAX and t <= 1.0:
             raise ValueError(f"at H = {HURST_MAX} the scaling by log T needs every "
                              f"horizon T > 1, got T = {t}")
@@ -167,7 +174,7 @@ def resolve_horizons(cfg) -> list[tuple[ModelParams, Grid]]:
         if not 2 <= n <= ceiling:
             raise ValueError(f"horizon T={t} needs n={n} cells; {cfg.command} takes "
                              f"2 to {ceiling} cells")
-        pairs.append((params, Grid(t, n)))
+        pairs.append((ModelParams(cfg.theta, cfg.hurst, t), Grid(t, n)))
     return pairs
 
 

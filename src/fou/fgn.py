@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import _check_hurst, checked_power
+from .constants import checked_power
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -77,8 +77,8 @@ def _unit_autocov(kmax: int, hurst: float) -> np.ndarray:
 
 def increment_autocov(grid: Grid, hurst: float) -> np.ndarray:
     """gamma(0..n-1): covariance of two fGn increments of the grid k cells
-    apart.  A step^2H that overflows raises NumericsError naming step and T."""
-    _check_hurst(hurst)
+    apart, for the H that `cli.resolve_horizons` admits.  A step^2H that
+    overflows raises NumericsError naming step and T."""
     scale = checked_power(grid.step, 2.0 * hurst, "step", T=grid.horizon)
     return scale * _unit_autocov(grid.n - 1, hurst)
 
@@ -167,14 +167,15 @@ def sample_fgn_batch(grid: Grid, hurst: float, seeds,
     length-2n FFT is real; a half-spectrum transform (`hfft`) computes it
     from those coefficients.  The embedding is built on a unit step and
     scaled by step^H (self-similarity), so its eigenvalues depend on n and
-    H alone.  The transform overwrites the spent draws, so the result
-    is a non-contiguous view: the first n columns of a rows x 2n buffer.
+    H alone; it is nonnegative for the H that `cli.resolve_horizons`
+    admits (module docstring).  The transform overwrites the spent draws,
+    so the result is a non-contiguous view: the first n columns of a
+    rows x 2n buffer.
 
     That buffer belongs to `workspace`.  Without one, a fresh workspace is
     built and the caller owns the result.  With one, the result stays valid
     only until the workspace is used again.
     """
-    _check_hurst(hurst)
     n = grid.n
     f0, fn, fmid = _embedding_sqrt_eigs(n, hurst)
     ws = workspace if workspace is not None else Workspace()

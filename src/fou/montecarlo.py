@@ -6,7 +6,8 @@ horizon, and `rate_fit` is the `rate-fit` command's own step.
 
 Replication r at horizon index i draws from the stream derive_seed(master,
 i, r), so results are bit-identical regardless of chunking or worker
-count; FOU_THREADS caps the worker pool (default: hardware concurrency).
+count; FOU_THREADS sets the worker pool, 1 to MAX_THREADS (default: the
+CPU count, capped at MAX_THREADS).
 
 Per-replication statistics avoid dense n x n kernels entirely.  With
 rho = exp(-theta dt) and u = L xi the causal AR(1) scan of a row (the
@@ -24,21 +25,12 @@ tr(v v' W) = v' W v.  Only tr(f W) it takes itself, from the Toeplitz rows
 of f and W.  At H = 3/4 the statistic carries the extra 1/sqrt(log T)
 normalization.
 
-`replicate` is the one replication driver: `run` (for `kolmogorov` and
-`rate-fit`) and the `estimate` command both draw through it, so FOU_THREADS
-applies to `estimate` too.  Every statistic returns (result, degenerate
-count) per chunk, the count by `process.degenerate_denominators`, and
-`replicate` alone aborts a horizon with a degenerate replication.  It
-runs every check and every per-horizon setup before any draw, then works
-through the horizons one at a time: a horizon's chunks are drawn and
-checked before the next horizon's are submitted, so an abort draws
-nothing past the failed horizon.  It splits the replications into chunks
-of at most CHUNK_CELLS cells (rows x n), so peak memory does not grow
-with the replication count.
-Each pool thread keeps one `fgn.Workspace`, which holds the chunk buffers
-(2n normals and n+1 complex coefficients per row) and the Philox
-generator; it is reused from chunk to chunk and never shared between
-threads.  The statistics then reduce each row with
+`replicate` draws every replication, for `run` (`kolmogorov` and
+`rate-fit`) and for the `estimate` command; its docstring gives the order
+of its checks, draws and aborts.  It draws in chunks of at most CHUNK_CELLS
+cells (rows x n), so peak memory does not grow with the replication
+count.  Each pool thread reuses one `fgn.Workspace` (the chunk buffers and
+the Philox generator), and the statistics reduce each row with
 einsum("ij,ij->i", ...), so in steady state the only path-sized arrays a
 chunk allocates are those of the scan.
 """
@@ -61,6 +53,9 @@ from .process import ar1_scan, degenerate_denominators, estimate_pathwise
 CHAOS_RATIO = "chaos_ratio"
 PATHWISE = "pathwise"
 CHUNK_CELLS = 1 << 16  # cells per chunk; see the module docstring
+# Largest FOU_THREADS: the pool starts a thread per submitted chunk up to
+# its size, and a horizon can have hundreds of chunks.
+MAX_THREADS = 64
 
 
 def normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -140,13 +135,14 @@ def replicate(setup, horizons, reps: int, seed: int) -> list[list]:
 
     Per horizon, `setup(params, grid)` runs once, serially, and returns the
     statistic, a function of one chunk of fGn rows (rows x n) that returns
-    (result, degenerate count).  A FOU_THREADS that is not a positive
-    integer (unset or empty means the CPU count) is a ValueError, and a
-    theta*T that overflows a NumericsError; both checks and every setup
-    run before any draw.  Replication r at horizon index i is the row
-    drawn from derive_seed(seed, i, r), and the chunks of at most
-    CHUNK_CELLS cells run on a pool of FOU_THREADS workers, so no row
-    depends on chunk boundaries or scheduling.  One horizon at a time, its
+    (result, degenerate count).  A FOU_THREADS that is not an integer in
+    [1, MAX_THREADS] (unset or empty means the CPU count, capped at
+    MAX_THREADS) is a ValueError, and a theta*T that overflows a
+    NumericsError; both checks and every setup run before the pool starts.
+    Replication r at horizon index i is the row drawn from
+    derive_seed(seed, i, r), and the chunks of at most CHUNK_CELLS cells
+    run on a pool of FOU_THREADS workers, so no row depends on chunk
+    boundaries or scheduling.  One horizon at a time, its
     chunks are drawn and collected, and their degenerate counts summed,
     before the next horizon's chunks are submitted: the first horizon with
     a degenerate replication raises NumericsError ("k of reps replications
@@ -161,11 +157,12 @@ def replicate(setup, horizons, reps: int, seed: int) -> list[list]:
     """
     threads = os.environ.get("FOU_THREADS")
     try:
-        workers = int(threads or os.cpu_count() or 1)
+        workers = int(threads) if threads else min(os.cpu_count() or 1, MAX_THREADS)
     except ValueError:
-        workers = 0  # not an integer: rejected with the nonpositive counts
-    if workers < 1:
-        raise ValueError(f"FOU_THREADS must be a positive integer, got {threads!r}")
+        workers = 0  # not an integer: rejected with the out-of-range counts
+    if not 1 <= workers <= MAX_THREADS:
+        raise ValueError(f"FOU_THREADS must be an integer in [1, {MAX_THREADS}], "
+                         f"got {threads!r}")
     statistics = []
     for params, grid in horizons:
         if not math.isfinite(params.theta * params.horizon):

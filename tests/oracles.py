@@ -60,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from fou.cli import resolve_horizons
-from fou.constants import HURST_MAX, ModelParams, _check_hurst, sigma2_h, skorohod_correction
+from fou.constants import HURST_MAX, HURST_MIN, ModelParams, sigma2_h, skorohod_correction
 from fou.errors import NumericsError
 from fou.fgn import _MASK64, Grid, _unit_autocov, gram_weights, increment_autocov, toeplitz_product
 from fou.process import estimate_pathwise
@@ -270,6 +270,12 @@ def normalized_pathwise_statistic(grid: Grid, params: ModelParams, xi: np.ndarra
     num, den, _ = estimate_pathwise(grid, p, xi[None, :], skorohod_correction(p))
     theta_hat = float(num[0] / den[0])
     return math.sqrt(p.horizon / (p.theta * sigma2_h(p.hurst))) * (theta_hat - p.theta)
+
+
+def _check_hurst(hurst: float) -> None:
+    """The oracles' own domain check; `fou` admits H once, in `cli.resolve_horizons`."""
+    if not (HURST_MIN <= hurst <= HURST_MAX):
+        raise ValueError(f"hurst must be in [{HURST_MIN}, {HURST_MAX}], got {hurst}")
 
 
 def alpha_h(hurst: float) -> float:

@@ -437,7 +437,7 @@ def test_step_leaves_at_least_two_cells(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads", ["abc", "2.5", "0", "-2"])
+@pytest.mark.parametrize("threads", ["abc", "2.5", "0", "-2", "65"])
 @pytest.mark.parametrize("args", [
     ["kolmogorov", "--t", "10,20", "--n", "16", "--reps", "100"],
     ["estimate", "--t", "10,20", "--n", "16", "--reps", "10"],
@@ -446,10 +446,11 @@ def test_malformed_thread_count_exits_2_naming_it(args, threads, tmp_path, monke
                                                   capsys):
     monkeypatch.setenv("FOU_THREADS", threads)
     monkeypatch.setattr(mc, "sample_fgn_batch", lambda *a: pytest.fail("sampled before the check"))
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", lambda *a, **k: pytest.fail("pool started"))
     out = tmp_path / "out.csv"
     code = main([args[0], "--theta", "1", "--hurst", "0.6", *args[1:], "--out", str(out)])
     assert code == 2
-    assert f"FOU_THREADS must be a positive integer, got '{threads}'" in capsys.readouterr().err
+    assert f"FOU_THREADS must be an integer in [1, 64], got '{threads}'" in capsys.readouterr().err
     assert not out.exists()
 
 

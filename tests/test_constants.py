@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fou.constants as constants
+from fou.cli import main
 from fou.constants import (
     ModelParams,
     b_t_closed_form,
@@ -52,7 +53,7 @@ def test_alpha_h_values():
 
 @pytest.mark.parametrize("h", [0.49, 0.76, -1.0, 2.0])
 def test_hurst_domain_errors(h):
-    for fn in (alpha_h, sigma2_h, delta_h, rate_exponent):
+    for fn in (alpha_h, rate_exponent):
         with pytest.raises(ValueError):
             fn(h)
 
@@ -172,13 +173,18 @@ def test_closed_forms_continuous_at_half(theta):
                                                           rel=1e-11), x
 
 
-def test_model_params_validation():
-    with pytest.raises(ValueError):
-        ModelParams(theta=0.0, hurst=0.6, horizon=1.0)
-    with pytest.raises(ValueError):
-        ModelParams(theta=1.0, hurst=0.8, horizon=1.0)
-    with pytest.raises(ValueError):
-        ModelParams(theta=1.0, hurst=0.6, horizon=0.0)
+def test_model_params_validation(tmp_path, capsys):
+    # `ModelParams` is a plain record: `cli.resolve_horizons` admits theta, H
+    # and T, and each violation exits 2 with its message and writes nothing
+    out = tmp_path / "out.csv"
+    for theta, hurst, t, message in [
+            ("0", "0.6", "1", "theta must be finite and positive, got 0.0"),
+            ("1", "0.8", "1", "hurst must be in [0.5, 0.75], got 0.8"),
+            ("1", "0.6", "0", "horizon must be finite and positive, got 0.0")]:
+        assert main(["bounds", "--theta", theta, "--hurst", hurst, "--t", t, "--n", "16",
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def mp_b_t_and_c_t(theta, h, horizon):

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import tracemalloc
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from fou.constants import ModelParams, b_t_closed_form, skorohod_correction
 from fou.fgn import Grid, Workspace, derive_seed, gram_weights, sample_fgn_batch
+import fou.montecarlo as mc
 from fou.montecarlo import (
     CHAOS_RATIO,
     CHUNK_CELLS,
+    MAX_THREADS,
     _chaos_batch,
     _chaos_traces,
     _pathwise_batch,
@@ -232,3 +235,21 @@ def test_workspaces_stay_per_thread_under_contention(monkeypatch):
     assert len(serial[0]) == 10  # 64-row chunks
     for one, many in zip(serial, threaded):
         assert np.concatenate(one).tobytes() == np.concatenate(many).tobytes()
+
+
+@pytest.mark.parametrize("cpus, workers", [(1000, MAX_THREADS), (3, 3), (None, 1)])
+def test_default_pool_is_the_cpu_count_capped(cpus, workers, monkeypatch):
+    # an unset FOU_THREADS sizes the pool by the CPU count, at most
+    # MAX_THREADS; the pool is replaced by a stub, so no thread starts
+    sizes = []
+
+    def no_pool(size, **kwargs):
+        sizes.append(size)
+        raise RuntimeError("no pool")
+
+    monkeypatch.delenv("FOU_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(RuntimeError, match="no pool"):
+        replicate(lambda params, grid: None, horizon_pairs(1.0, 0.7, [5.0], n=16), 100, 1)
+    assert sizes == [workers]
