@@ -4,8 +4,8 @@ Commands:
     simulate     one path per horizon            (columns T,t,x), a batch of
                  one of the `process` functions
     estimate     per-replication drift estimates (columns T,rep,theta_hat,...),
-                 drawn like kolmogorov by `montecarlo.replicate`, on the
-                 FOU_THREADS pool, with one Skorohod correction per horizon
+                 drawn like kolmogorov by `montecarlo.replicate`, on
+                 FOU_THREADS workers, with one Skorohod correction per horizon
     bounds       bound terms per horizon         (fixed schema, see below)
     asymptotics  measured quantities vs limits   (long format, fixed schema)
     kolmogorov   Monte Carlo distance per horizon

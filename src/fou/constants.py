@@ -22,7 +22,7 @@ series of positive terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NumericsError
 
@@ -31,8 +31,7 @@ HURST_MAX = 0.75
 MAX_TERMS = 500  # iteration cap of the series in `gamma_p` and `kummer_1f1`
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     """Drift theta > 0, Hurst index H in [1/2, 3/4], horizon T > 0 (unit
     volatility).  A plain record: `cli.resolve_horizons` admits all three."""
 

@@ -25,15 +25,15 @@ replications are reproducible independent of scheduling and batching.
 One Philox bit generator serves a whole batch; per row it is reset to the
 initial state of the stream keyed by that row's seed.  A `Workspace` holds
 that generator and the batch's two buffers (the draws and the complex
-coefficients), so a caller that samples chunk after chunk, such as a
-worker of `montecarlo.replicate`, builds them once and allocates nothing
-path-sized per chunk.  `sample_fgn` is a batch of one and returns the
-plain n-vector of increments.
+coefficients); a worker thread of `montecarlo.replicate` builds one when
+it starts and draws every chunk it takes into it, so it allocates nothing
+path-sized after its first chunk.  `sample_fgn` is a batch of one and
+returns the plain n-vector of increments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 MAX_CELLS = 1 << 22
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(NamedTuple):
     """Uniform partition of [0, horizon] into n cells, with nodes
     t_k = k * step (k = 0..n); kernels are sampled at the cell midpoints.
 
@@ -135,10 +134,10 @@ def _embedding_sqrt_eigs(n: int, hurst: float) -> tuple:
 
 
 class Workspace:
-    """One thread's sampler state for `sample_fgn_batch`: a Philox bit
-    generator, its Generator and the zero-counter state template, and two
-    flat buffers (draws, complex coefficients) that grow on demand and are
-    never shrunk."""
+    """One worker thread's sampler state for `sample_fgn_batch`, built when
+    the worker starts: a Philox bit generator, its Generator and the
+    zero-counter state template, and two flat buffers (draws, complex
+    coefficients) that grow on demand and are never shrunk."""
 
     def __init__(self) -> None:
         self.bits = np.random.Philox(key=0)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ def kernel_g(params: ModelParams, grid: Grid) -> tuple[float, float]:
     return math.sqrt(sigma2_h(params.hurst) / theta_t), 1.0 / (2.0 * theta_t)
 
 
-@dataclass(frozen=True)
-class Horizon:
+class Horizon(NamedTuple):
     """The record of one horizon (module docstring)."""
 
     rho: float

@@ -6,7 +6,7 @@ horizon, and `rate_fit` is the `rate-fit` command's own step.
 
 Replication r at horizon index i draws from the stream derive_seed(master,
 i, r), so results are bit-identical regardless of chunking or worker
-count; FOU_THREADS sets the worker pool, 1 to MAX_THREADS (default: the
+count; FOU_THREADS sets the worker count, 1 to MAX_THREADS (default: the
 CPU count, capped at MAX_THREADS).
 
 Per-replication statistics avoid dense n x n kernels entirely.  With
@@ -29,18 +29,17 @@ normalization.
 `rate-fit`) and for the `estimate` command; its docstring gives the order
 of its checks, draws and aborts.  It draws in chunks of at most CHUNK_CELLS
 cells (rows x n), so peak memory does not grow with the replication
-count.  Each pool thread reuses one `fgn.Workspace` (the chunk buffers and
-the Philox generator), and the statistics reduce each row with
-einsum("ij,ij->i", ...), so in steady state the only path-sized arrays a
-chunk allocates are those of the scan.
+count.  Each worker thread draws every chunk it takes into one
+`fgn.Workspace` (the chunk buffers and the Philox generator), and the
+statistics reduce each row with einsum("ij,ij->i", ...), so in steady
+state the only path-sized arrays a chunk allocates are those of the scan.
 """
 from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
+from threading import Thread
 
 import numpy as np
 
@@ -53,8 +52,8 @@ from .process import ar1_scan, degenerate_denominators, estimate_pathwise
 CHAOS_RATIO = "chaos_ratio"
 PATHWISE = "pathwise"
 CHUNK_CELLS = 1 << 16  # cells per chunk; see the module docstring
-# Largest FOU_THREADS: the pool starts a thread per submitted chunk up to
-# its size, and a horizon can have hundreds of chunks.
+# Largest FOU_THREADS: a horizon starts min(FOU_THREADS, its chunk count)
+# threads, and a horizon can have hundreds of chunks.
 MAX_THREADS = 64
 
 
@@ -138,31 +137,31 @@ def replicate(setup, horizons, reps: int, seed: int) -> list[list]:
     (result, degenerate count).  A FOU_THREADS that is not an integer in
     [1, MAX_THREADS] (unset or empty means the CPU count, capped at
     MAX_THREADS) is a ValueError, and a theta*T that overflows a
-    NumericsError; both checks and every setup run before the pool starts.
-    Replication r at horizon index i is the row drawn from
-    derive_seed(seed, i, r), and the chunks of at most CHUNK_CELLS cells
-    run on a pool of FOU_THREADS workers, so no row depends on chunk
-    boundaries or scheduling.  One horizon at a time, its
-    chunks are drawn and collected, and their degenerate counts summed,
-    before the next horizon's chunks are submitted: the first horizon with
-    a degenerate replication raises NumericsError ("k of reps replications
-    degenerate at T=..."), and no later horizon is drawn.  Each chunk runs
-    in its own copy of the calling thread's context, so under that
-    thread's numpy error state (a pool thread does not inherit it), and
-    `errors.arithmetic` names theta and T of a FloatingPointError.
+    NumericsError; both checks and every setup run before any thread
+    starts.  Replication r at horizon index i is the row drawn from
+    derive_seed(seed, i, r), in chunks of at most CHUNK_CELLS cells, so no
+    row depends on chunk boundaries or scheduling.
 
-    Each worker draws into its own `fgn.Workspace`, so the rows a statistic
-    receives are overwritten by that worker's next chunk: a statistic must
-    not keep a view of its input rows, only arrays of its own.
+    One horizon at a time, min(FOU_THREADS, its chunk count) worker threads
+    start, each with its own `fgn.Workspace` and its own copy of the calling
+    thread's context: so under that thread's numpy error state (a new
+    thread does not inherit it), and `errors.arithmetic` names theta and T
+    of a FloatingPointError.  They take chunks from one shared iterator; a
+    worker whose chunk fails takes every chunk left.  All are joined, then
+    the exception of the first failed chunk in chunk order is re-raised, or
+    a horizon with a degenerate replication raises NumericsError ("k of
+    reps replications degenerate at T=..."); either way no later horizon is
+    drawn.  A statistic must not keep a view of its input rows, which its
+    worker's next chunk overwrites, only arrays of its own.
     """
-    threads = os.environ.get("FOU_THREADS")
+    env = os.environ.get("FOU_THREADS")
     try:
-        workers = int(threads) if threads else min(os.cpu_count() or 1, MAX_THREADS)
+        workers = int(env) if env else min(os.cpu_count() or 1, MAX_THREADS)
     except ValueError:
         workers = 0  # not an integer: rejected with the out-of-range counts
     if not 1 <= workers <= MAX_THREADS:
         raise ValueError(f"FOU_THREADS must be an integer in [1, {MAX_THREADS}], "
-                         f"got {threads!r}")
+                         f"got {env!r}")
     statistics = []
     for params, grid in horizons:
         if not math.isfinite(params.theta * params.horizon):
@@ -170,29 +169,38 @@ def replicate(setup, horizons, reps: int, seed: int) -> list[list]:
                                 f"T = {params.horizon:.6g}")
         statistics.append(setup(params, grid))
 
-    local = threading.local()
-
-    def start():  # each pool thread's own `fgn.Workspace`
-        local.workspace = Workspace()
-
-    def work(i, params, grid, statistic, r0, r1):
-        seeds = [derive_seed(seed, i, r) for r in range(r0, r1)]
-        with arithmetic(params.theta, params.horizon, "a replication chunk"):
-            return statistic(sample_fgn_batch(grid, params.hurst, seeds, local.workspace))
+    def work(i, params, grid, statistic, chunks, results, taken):
+        workspace = Workspace()
+        for k in taken:  # one shared iterator: next() on it is atomic under the GIL
+            seeds = [derive_seed(seed, i, r) for r in chunks[k]]
+            try:
+                with arithmetic(params.theta, params.horizon, "a replication chunk"):
+                    results[k] = statistic(sample_fgn_batch(grid, params.hurst, seeds, workspace))
+            except BaseException as exc:  # re-raised by the calling thread
+                results[k] = exc
+                list(taken)  # takes every chunk left: no worker starts one after a failure
 
     out = []
-    with ThreadPoolExecutor(workers, initializer=start) as pool:
-        for i, ((params, grid), statistic) in enumerate(zip(horizons, statistics)):
-            rows = max(1, CHUNK_CELLS // grid.n)
-            # copy_context() here: each chunk runs under this thread's error state
-            futures = [pool.submit(copy_context().run, work, i, params, grid, statistic,
-                                   r0, min(r0 + rows, reps)) for r0 in range(0, reps, rows)]
-            chunks = [future.result() for future in futures]
-            degenerate = sum(bad for _, bad in chunks)
-            if degenerate:
-                raise NumericsError(f"{degenerate} of {reps} replications "
-                                    f"degenerate at T={params.horizon}")
-            out.append([result for result, _ in chunks])
+    for i, ((params, grid), statistic) in enumerate(zip(horizons, statistics)):
+        rows = max(1, CHUNK_CELLS // grid.n)
+        chunks = [range(r0, min(r0 + rows, reps)) for r0 in range(0, reps, rows)]
+        results, taken = [None] * len(chunks), iter(range(len(chunks)))
+        # copy_context() here: each worker runs under this thread's error state
+        threads = [Thread(target=copy_context().run,
+                          args=(work, i, params, grid, statistic, chunks, results, taken))
+                   for _ in range(min(workers, len(chunks)))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
+        degenerate = sum(bad for _, bad in results)
+        if degenerate:
+            raise NumericsError(f"{degenerate} of {reps} replications "
+                                f"degenerate at T={params.horizon}")
+        out.append([result for result, _ in results])
     return out
 
 

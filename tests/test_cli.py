@@ -446,12 +446,35 @@ def test_malformed_thread_count_exits_2_naming_it(args, threads, tmp_path, monke
                                                   capsys):
     monkeypatch.setenv("FOU_THREADS", threads)
     monkeypatch.setattr(mc, "sample_fgn_batch", lambda *a: pytest.fail("sampled before the check"))
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", lambda *a, **k: pytest.fail("pool started"))
+    monkeypatch.setattr(mc, "Thread", lambda *a, **k: pytest.fail("thread started"))
     out = tmp_path / "out.csv"
     code = main([args[0], "--theta", "1", "--hurst", "0.6", *args[1:], "--out", str(out)])
     assert code == 2
     assert f"FOU_THREADS must be an integer in [1, 64], got '{threads}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_one_chunk_starts_one_thread(tmp_path, monkeypatch):
+    # 100 rows of n = 16 are one chunk: FOU_THREADS=8 starts one worker,
+    # and writes the bytes of FOU_THREADS=1
+    started = []
+
+    class Counted(mc.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(mc, "Thread", Counted)
+    outputs = {}
+    for threads in ("1", "8"):
+        monkeypatch.setenv("FOU_THREADS", threads)
+        out = tmp_path / f"k{threads}.csv"
+        assert main(["kolmogorov", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "16",
+                     "--reps", "100", "--out", str(out)]) == 0
+        outputs[threads] = out.read_bytes()
+        assert len(started) == 1
+        started.clear()
+    assert outputs["1"] == outputs["8"]
 
 
 @pytest.mark.parametrize("horizons", [[], ["--t", "10"], ["--t", "10,20"]])

@@ -3,7 +3,7 @@
 `test_reachable.py` follows name references between top-level
 definitions; this check runs the commands.  A fresh interpreter (this
 file run as a script) installs a line tracer, `sys.settrace` and
-`threading.settrace` for the pool workers, before it imports `fou.cli`,
+`threading.settrace` for the worker threads, before it imports `fou.cli`,
 so import-time lines and the first call of a cached function are seen.
 It then runs a fixed corpus of argvs through `fou.cli.main`, with
 FOU_THREADS=2 and every --out in a temporary directory:

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fou.constants import ModelParams, b_t_closed_form, skorohod_correction
+from fou.errors import NumericsError
 from fou.fgn import Grid, Workspace, derive_seed, gram_weights, sample_fgn_batch
 import fou.montecarlo as mc
 from fou.montecarlo import (
@@ -239,17 +241,70 @@ def test_workspaces_stay_per_thread_under_contention(monkeypatch):
 
 @pytest.mark.parametrize("cpus, workers", [(1000, MAX_THREADS), (3, 3), (None, 1)])
 def test_default_pool_is_the_cpu_count_capped(cpus, workers, monkeypatch):
-    # an unset FOU_THREADS sizes the pool by the CPU count, at most
-    # MAX_THREADS; the pool is replaced by a stub, so no thread starts
-    sizes = []
+    # an unset FOU_THREADS starts the CPU count of workers, at most
+    # MAX_THREADS, on a horizon of 100 one-row chunks; the threads are
+    # stubs that refuse to start, so no thread runs
+    made = []
 
-    def no_pool(size, **kwargs):
-        sizes.append(size)
-        raise RuntimeError("no pool")
+    class NoThread:
+        def __init__(self, **kwargs):
+            made.append(self)
+
+        def start(self):
+            raise RuntimeError("no thread")
 
     monkeypatch.delenv("FOU_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
-    with pytest.raises(RuntimeError, match="no pool"):
-        replicate(lambda params, grid: None, horizon_pairs(1.0, 0.7, [5.0], n=16), 100, 1)
-    assert sizes == [workers]
+    monkeypatch.setattr(mc, "Thread", NoThread)
+    with pytest.raises(RuntimeError, match="no thread"):
+        replicate(lambda params, grid: None,
+                  horizon_pairs(1.0, 0.7, [5.0], n=CHUNK_CELLS), 100, 1)
+    assert len(made) == workers
+
+
+def _failing_on_chunk_1(exc):
+    # at n = 1024 a chunk is 64 rows: chunk 1 of horizon 0 is the one whose
+    # first row is replication 64 of seed 3
+    ((_, grid),) = horizon_pairs(1.0, 0.7, [5.0], n=1024)
+    first = sample_fgn_batch(grid, 0.7, [derive_seed(3, 0, 64)])[0].copy()
+
+    def setup(params, grid):
+        def statistic(xi):
+            if np.array_equal(xi[0], first):
+                raise exc
+            return xi[:, 0].copy(), 0
+        return statistic
+
+    return setup
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "8"])
+def test_failed_chunk_is_raised_after_every_worker_ends(threads, monkeypatch):
+    # 256 rows are 4 chunks; the statistic fails on chunk 1 of T = 5, so
+    # T = 10 is never drawn, and one worker draws no chunk after it
+    drawn = []
+
+    def sample(grid, hurst, seeds, workspace):
+        drawn.append((grid.horizon, seeds[0]))
+        return sample_fgn_batch(grid, hurst, seeds, workspace)
+
+    monkeypatch.setenv("FOU_THREADS", threads)
+    monkeypatch.setattr(mc, "sample_fgn_batch", sample)
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="chunk 1"):
+        replicate(_failing_on_chunk_1(KeyError("chunk 1")),
+                  horizon_pairs(1.0, 0.7, [5.0, 10.0], n=1024), 256, 3)
+    assert threading.active_count() == before
+    chunk_of = {derive_seed(3, 0, 64 * k): k for k in range(4)}
+    taken = sorted(chunk_of[s] for t, s in drawn if t == 5.0)
+    assert {t for t, _ in drawn} == {5.0} and taken[:2] == [0, 1]
+    if threads == "1":
+        assert taken == [0, 1]
+
+
+def test_floating_point_error_in_a_worker_names_theta_and_t(monkeypatch):
+    monkeypatch.setenv("FOU_THREADS", "2")
+    with pytest.raises(NumericsError, match=r"^overflow encountered in multiply in a "
+                       r"replication chunk at theta = 1, T = 5$"):
+        replicate(_failing_on_chunk_1(FloatingPointError("overflow encountered in multiply")),
+                  horizon_pairs(1.0, 0.7, [5.0, 10.0], n=1024), 256, 3)
