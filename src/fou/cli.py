@@ -4,8 +4,9 @@ Commands:
     simulate     one path per horizon            (columns T,t,x), a batch of
                  one of the `process` functions
     estimate     per-replication drift estimates (columns T,rep,theta_hat,...),
-                 drawn like kolmogorov by `montecarlo.replicate`, on
-                 FOU_THREADS workers, with one Skorohod correction per horizon
+                 drawn by `montecarlo.replicate` with one Skorohod
+                 correction per horizon; method pathwise_ito at H = 1/2,
+                 skorohod_oracle above it
     bounds       bound terms per horizon         (fixed schema, see below)
     asymptotics  measured quantities vs limits   (long format, fixed schema)
     kolmogorov   Monte Carlo distance per horizon
@@ -188,22 +189,21 @@ def _rows_simulate(cfg, horizons):
     return rows
 
 
+def _estimate_batch(params, grid, xi, c_t):
+    """(numerator, denominator) rows of `estimate_pathwise` and their degenerate count."""
+    terms = estimate_pathwise(grid, params, xi, c_t)
+    return terms, int(degenerate_denominators(params, terms[:, 1]).sum())
+
+
 def _rows_estimate(cfg, horizons):
-    def setup(params, grid):
-        c_t = skorohod_correction(params)
-
-        def statistic(xi):
-            terms = estimate_pathwise(grid, params, xi, c_t)
-            return terms, int(degenerate_denominators(params, terms[1]).sum())
-
-        return statistic
-
+    draws = mc.replicate(horizons, cfg.reps, cfg.seed,
+                         lambda params, grid: skorohod_correction(params), _estimate_batch)
     rows = []
-    for (params, _), chunks in zip(horizons, mc.replicate(setup, horizons, cfg.reps, cfg.seed)):
-        terms = [(a, b, method) for num, den, method in chunks for a, b in zip(num, den)]
+    for (params, _), terms in zip(horizons, draws):
+        method = "pathwise_ito" if params.hurst == HURST_MIN else "skorohod_oracle"
         rows.extend({"T": params.horizon, "rep": r, "theta_hat": float(a / b),
                      "numerator": float(a), "denominator": float(b), "method": method}
-                    for r, (a, b, method) in enumerate(terms))
+                    for r, (a, b) in enumerate(terms))
     return rows
 
 

@@ -25,9 +25,9 @@ replications are reproducible independent of scheduling and batching.
 One Philox bit generator serves a whole batch; per row it is reset to the
 initial state of the stream keyed by that row's seed.  A `Workspace` holds
 that generator and the batch's two buffers (the draws and the complex
-coefficients); a worker thread of `montecarlo.replicate` builds one when
-it starts and draws every chunk it takes into it, so it allocates nothing
-path-sized after its first chunk.  `sample_fgn` is a batch of one and
+coefficients), so a caller that draws every batch into one, as each
+worker of `montecarlo.replicate` does, allocates nothing path-sized after
+its first batch.  `sample_fgn` is a batch of one and
 returns the plain n-vector of increments.
 """
 from __future__ import annotations

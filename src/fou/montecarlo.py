@@ -3,17 +3,14 @@ empirical Kolmogorov distance to N(0,1), and fit the decay rate.  `run`
 and `replicate` take the (params, grid) pair of every horizon, resolved
 and checked once by `cli.resolve_horizons`; `run` returns one row per
 horizon, and `rate_fit` is the `rate-fit` command's own step.
-
-Replication r at horizon index i draws from the stream derive_seed(master,
-i, r), so results are bit-identical regardless of chunking or worker
-count; FOU_THREADS sets the worker count, 1 to MAX_THREADS (default: the
-CPU count, capped at MAX_THREADS).
+`replicate` draws the replications of `run` (`kolmogorov` and `rate-fit`)
+and of the `estimate` command.
 
 Per-replication statistics avoid dense n x n kernels entirely.  With
-rho = exp(-theta dt) and u = L xi the causal AR(1) scan of a row (the
-blocked `process.ar1_scan`, u_i = rho u_{i-1} + xi_i), the exponential
-kernel E[i, j] = rho^|i-j| = (1 - rho^2) L'L + w w' (w_i = rho^(n-i)) and
-the boundary vector v_i = rho^(n-1/2-i) give
+rho = exp(-theta dt) and u = L xi the causal AR(1) scan of a row
+(u_i = rho u_{i-1} + xi_i, reduced by `process.scan_sums`), the
+exponential kernel E[i, j] = rho^|i-j| = (1 - rho^2) L'L + w w'
+(w_i = rho^(n-i)) and the boundary vector v_i = rho^(n-1/2-i) give
 
     xi' E xi = (1 - rho^2) sum_i u_i^2 + rho^2 u_T^2,    (xi . v)^2 = rho u_T^2,
 
@@ -24,15 +21,6 @@ and agrees with the dense operations to rounding error.  Once per horizon,
 tr(v v' W) = v' W v.  Only tr(f W) it takes itself, from the Toeplitz rows
 of f and W.  At H = 3/4 the statistic carries the extra 1/sqrt(log T)
 normalization.
-
-`replicate` draws every replication, for `run` (`kolmogorov` and
-`rate-fit`) and for the `estimate` command; its docstring gives the order
-of its checks, draws and aborts.  It draws in chunks of at most CHUNK_CELLS
-cells (rows x n), so peak memory does not grow with the replication
-count.  Each worker thread draws every chunk it takes into one
-`fgn.Workspace` (the chunk buffers and the Philox generator), and the
-statistics reduce each row with einsum("ij,ij->i", ...), so in steady
-state the only path-sized arrays a chunk allocates are those of the scan.
 """
 from __future__ import annotations
 
@@ -47,11 +35,11 @@ from .constants import HURST_MAX, ModelParams, sigma2_h, skorohod_correction
 from .errors import NumericsError, arithmetic
 from .fgn import Grid, Workspace, derive_seed, sample_fgn_batch
 from .hilbert import horizon
-from .process import ar1_scan, degenerate_denominators, estimate_pathwise
+from .process import degenerate_denominators, estimate_pathwise, scan_sums
 
 CHAOS_RATIO = "chaos_ratio"
 PATHWISE = "pathwise"
-CHUNK_CELLS = 1 << 16  # cells per chunk; see the module docstring
+CHUNK_CELLS = 1 << 16  # cells per chunk; see `replicate`
 # Largest FOU_THREADS: a horizon starts min(FOU_THREADS, its chunk count)
 # threads, and a horizon can have hundreds of chunks.
 MAX_THREADS = 64
@@ -94,11 +82,8 @@ def _chaos_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
     tr_f, tr_h, sf, c1, c2, b_t = traces
     x = params.theta * grid.step
     rho = math.exp(-x)
-    u = ar1_scan(xi, rho)
-    u_t2 = u[:, -1] ** 2
-    # einsum, not BLAS: its per-row sum does not depend on how many rows
-    # share the call, so no value depends on chunk boundaries.
-    q_exp = -math.expm1(-2.0 * x) * np.einsum("ij,ij->i", u, u) + rho * rho * u_t2
+    u_t2, sum_u2 = scan_sums(xi, rho)
+    q_exp = -math.expm1(-2.0 * x) * sum_u2 + rho * rho * u_t2
     i2_f = sf * q_exp - tr_f
     i2_g = c1 * i2_f - c2 * (rho * u_t2 - tr_h)
     den = i2_g + b_t
@@ -120,39 +105,44 @@ def _pathwise_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
                     c_t: float) -> tuple[np.ndarray, int]:
     """Normalized pathwise estimator error for each row of xi; returns
     (values, degenerate count).  A degenerate row is NaN, not divided."""
-    num, den, _ = estimate_pathwise(grid, params, xi, c_t)
+    num, den = estimate_pathwise(grid, params, xi, c_t).T
     bad = degenerate_denominators(params, den)
     theta_hat = np.divide(num, den, out=np.full_like(num, np.nan), where=~bad)
     scale = math.sqrt(params.horizon / (params.theta * sigma2_h(params.hurst)))
     return scale * (theta_hat - params.theta), int(np.count_nonzero(bad))
 
 
-def replicate(setup, horizons, reps: int, seed: int) -> list[list]:
+def replicate(horizons, reps: int, seed: int, prepare, statistic) -> list[np.ndarray]:
     """Draw reps replications at every horizon of `horizons`, its (params,
-    grid) pairs, and apply a statistic to each chunk of them; returns, per
-    horizon, the chunk results in replication order.
+    grid) pairs, and apply `statistic` to each chunk of them; returns one
+    array per horizon, the chunk values joined along axis 0 in replication
+    order.
 
-    Per horizon, `setup(params, grid)` runs once, serially, and returns the
-    statistic, a function of one chunk of fGn rows (rows x n) that returns
-    (result, degenerate count).  A FOU_THREADS that is not an integer in
+    Per horizon, `prepare(params, grid)` runs once, serially.  Each chunk
+    of fGn rows xi (rows x n) calls statistic(params, grid, xi, prepared),
+    which returns (values, degenerate count), values with one entry per
+    row along axis 0.  A FOU_THREADS that is not an integer in
     [1, MAX_THREADS] (unset or empty means the CPU count, capped at
     MAX_THREADS) is a ValueError, and a theta*T that overflows a
-    NumericsError; both checks and every setup run before any thread
+    NumericsError; both checks and every `prepare` run before any thread
     starts.  Replication r at horizon index i is the row drawn from
-    derive_seed(seed, i, r), in chunks of at most CHUNK_CELLS cells, so no
-    row depends on chunk boundaries or scheduling.
+    derive_seed(seed, i, r), in chunks of at most CHUNK_CELLS cells
+    (rows x n), so no row depends on chunk boundaries or scheduling, and
+    no path-sized array grows with reps.
 
     One horizon at a time, min(FOU_THREADS, its chunk count) worker threads
-    start, each with its own `fgn.Workspace` and its own copy of the calling
-    thread's context: so under that thread's numpy error state (a new
-    thread does not inherit it), and `errors.arithmetic` names theta and T
-    of a FloatingPointError.  They take chunks from one shared iterator; a
+    start, each with its own copy of the calling thread's context: so under
+    that thread's numpy error state (a new thread does not inherit it), and
+    `errors.arithmetic` names theta and T of a FloatingPointError.  Each
+    draws every chunk it takes into its own `fgn.Workspace` (the chunk
+    buffers and the Philox generator), so a statistic must not keep a view
+    of its input rows, which its worker's next chunk overwrites, only
+    arrays of its own.  The workers take chunks from one shared iterator; a
     worker whose chunk fails takes every chunk left.  All are joined, then
     the exception of the first failed chunk in chunk order is re-raised, or
     a horizon with a degenerate replication raises NumericsError ("k of
     reps replications degenerate at T=..."); either way no later horizon is
-    drawn.  A statistic must not keep a view of its input rows, which its
-    worker's next chunk overwrites, only arrays of its own.
+    drawn.
     """
     env = os.environ.get("FOU_THREADS")
     try:
@@ -162,32 +152,33 @@ def replicate(setup, horizons, reps: int, seed: int) -> list[list]:
     if not 1 <= workers <= MAX_THREADS:
         raise ValueError(f"FOU_THREADS must be an integer in [1, {MAX_THREADS}], "
                          f"got {env!r}")
-    statistics = []
+    prepared = []
     for params, grid in horizons:
         if not math.isfinite(params.theta * params.horizon):
             raise NumericsError(f"theta*T overflows at theta = {params.theta:.6g}, "
                                 f"T = {params.horizon:.6g}")
-        statistics.append(setup(params, grid))
+        prepared.append(prepare(params, grid))
 
-    def work(i, params, grid, statistic, chunks, results, taken):
+    def work(i, params, grid, per_horizon, chunks, results, taken):
         workspace = Workspace()
         for k in taken:  # one shared iterator: next() on it is atomic under the GIL
             seeds = [derive_seed(seed, i, r) for r in chunks[k]]
             try:
                 with arithmetic(params.theta, params.horizon, "a replication chunk"):
-                    results[k] = statistic(sample_fgn_batch(grid, params.hurst, seeds, workspace))
+                    xi = sample_fgn_batch(grid, params.hurst, seeds, workspace)
+                    results[k] = statistic(params, grid, xi, per_horizon)
             except BaseException as exc:  # re-raised by the calling thread
                 results[k] = exc
                 list(taken)  # takes every chunk left: no worker starts one after a failure
 
     out = []
-    for i, ((params, grid), statistic) in enumerate(zip(horizons, statistics)):
+    for i, ((params, grid), per_horizon) in enumerate(zip(horizons, prepared)):
         rows = max(1, CHUNK_CELLS // grid.n)
         chunks = [range(r0, min(r0 + rows, reps)) for r0 in range(0, reps, rows)]
         results, taken = [None] * len(chunks), iter(range(len(chunks)))
         # copy_context() here: each worker runs under this thread's error state
         threads = [Thread(target=copy_context().run,
-                          args=(work, i, params, grid, statistic, chunks, results, taken))
+                          args=(work, i, params, grid, per_horizon, chunks, results, taken))
                    for _ in range(min(workers, len(chunks)))]
         for thread in threads:
             thread.start()
@@ -200,28 +191,22 @@ def replicate(setup, horizons, reps: int, seed: int) -> list[list]:
         if degenerate:
             raise NumericsError(f"{degenerate} of {reps} replications "
                                 f"degenerate at T={params.horizon}")
-        out.append([result for result, _ in results])
+        out.append(np.concatenate([values for values, _ in results]))
     return out
 
 
 def run(horizons, reps: int, seed: int, method: str) -> list[dict]:
     """One row per horizon of the CHAOS_RATIO or PATHWISE statistic, drawn by
     `replicate` over the (params, grid) pairs of `horizons`, with the
-    `samples` array that no report writes.  Both statistics return
-    (values, degenerate count), so a degenerate replication aborts its
-    horizon in `replicate`, under either statistic."""
-    def setup(params, grid):
-        if method == CHAOS_RATIO:
-            traces = _chaos_traces(params, grid)
-            return lambda xi: _chaos_batch(params, grid, xi, traces)
-        c_t = skorohod_correction(params)
-        return lambda xi: _pathwise_batch(params, grid, xi, c_t)
-
+    `samples` array that no report writes."""
+    if method == CHAOS_RATIO:
+        prepare, statistic = _chaos_traces, _chaos_batch
+    else:
+        prepare, statistic = lambda params, grid: skorohod_correction(params), _pathwise_batch
     rows = []
-    for (params, _), chunks in zip(horizons, replicate(setup, horizons, reps, seed)):
+    for (params, _), s in zip(horizons, replicate(horizons, reps, seed, prepare, statistic)):
         t = params.horizon
         with arithmetic(params.theta, t, "the summary"):
-            s = np.concatenate(chunks)
             if params.hurst == HURST_MAX:
                 s /= math.sqrt(math.log(t))
             rows.append({"T": t, "ks_distance": ks_distance(s), "sample_mean": float(s.mean()),

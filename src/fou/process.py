@@ -10,17 +10,15 @@ in [1/2, 3/4]: theta_hat = -(Y - c_T(theta)) / int X^2 dt, where Y is the
 Young integral of X against itself and c_T(theta) is the divergence-trace
 correction (`constants.skorohod_correction`).  c_T needs the true theta, so
 this form is a simulation instrument only.  At H = 1/2 c_T = T/2 and the
-form is the Ito estimator (T - X_T^2) / (2 int X^2 dt); the `method` label
-of an estimate says which of the two names applies, pathwise_ito at
-H = 1/2 and skorohod_oracle above it.
+form is the Ito estimator (T - X_T^2) / (2 int X^2 dt).
 
 `simulate_fou` and `estimate_pathwise` take noise rows (rows x n), one
 path per row, and a single path is a batch of one.  A row's result does
 not depend on the other rows of its batch.  The recursion is a blocked
-numpy scan (`ar1_scan`), the same scan that `montecarlo._chaos_batch`
-and the products by M = L W L' of `hilbert.Horizon` use;
-`estimate_pathwise` reduces the scan's rows directly, without the node
-array that `simulate_fou` returns.
+numpy scan (`ar1_scan`), the same scan that the products by M = L W L'
+of `hilbert.Horizon` use.  `scan_sums` reduces the scan's rows to the
+two sums that `estimate_pathwise` and `montecarlo._chaos_batch` need,
+without the node array that `simulate_fou` returns.
 """
 from __future__ import annotations
 
@@ -28,12 +26,9 @@ import math
 
 import numpy as np
 
-from .constants import HURST_MIN, ModelParams, stationary_variance
+from .constants import ModelParams, stationary_variance
 from .errors import NumericsError, arithmetic
 from .fgn import Grid
-
-PATHWISE_ITO = "pathwise_ito"
-SKOROHOD_ORACLE = "skorohod_oracle"
 
 DEGENERATE_DENOM_FACTOR = 1e-12
 SCAN_BLOCK = 8  # cells per block of `ar1_scan`
@@ -71,6 +66,17 @@ def simulate_fou(grid: Grid, params: ModelParams, xi: np.ndarray) -> np.ndarray:
     return np.pad(ar1_scan(xi, math.exp(-params.theta * grid.step)), ((0, 0), (1, 0)))
 
 
+def scan_sums(xi: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """(u_T^2, sum_k u_k^2) of each row's scan u = ar1_scan(xi, rho).  An
+    overflow in u_T^2 signals under the caller's error state; the sum
+    overflows to inf without a signal.  The sum is an einsum, not BLAS: its
+    per-row sum does not depend on how many rows share the call, so no
+    value depends on chunk boundaries."""
+    u = ar1_scan(xi, rho)
+    u_t2 = u[:, -1] ** 2
+    return u_t2, np.einsum("ij,ij->i", u, u)
+
+
 def denominator_floor(params: ModelParams) -> float:
     """Smallest int X^2 dt a genuine path can produce; below it the path is
     degenerate.  DEGENERATE_DENOM_FACTOR times min(T a, T^(2H+1) / (2H+1)),
@@ -94,10 +100,10 @@ def degenerate_denominators(params: ModelParams, denominator: np.ndarray) -> np.
 
 
 def estimate_pathwise(grid: Grid, params: ModelParams, xi: np.ndarray,
-                      c_t: float) -> tuple[np.ndarray, np.ndarray, str]:
+                      c_t: float) -> np.ndarray:
     """Least-squares drift estimate theta_hat = numerator / denominator of
     the path that `simulate_fou` builds from each row of noise xi (rows x n);
-    returns (numerator, denominator, method).  c_t is
+    returns rows x 2, (numerator, denominator) per row.  c_t is
     skorohod_correction(params), T/2 at H = 1/2.  A degenerate
     denominator (`degenerate_denominators`) is left to the caller to count;
     one that overflows raises NumericsError.
@@ -110,15 +116,13 @@ def estimate_pathwise(grid: Grid, params: ModelParams, xi: np.ndarray,
     decays only like dt^(2H-1) and visibly biases the estimate; the
     trapezoid sum is the same Riemann-Stieltjes limit without that defect.)
 
-    Both come from the scan u = x[1..n] alone: with x_0 = 0 the trapezoid
-    sum is step * (sum_k u_k^2 - u_T^2 / 2), and the numerator needs only
-    u_T, so the node array and its square are never formed.
+    Both come from the scan u = x[1..n] alone (`scan_sums`): with x_0 = 0
+    the trapezoid sum is step * (sum_k u_k^2 - u_T^2 / 2), and the
+    numerator needs only u_T.
     """
-    u = ar1_scan(xi, math.exp(-params.theta * grid.step))
-    u_t2 = u[:, -1] ** 2
+    u_t2, sum_u2 = scan_sums(xi, math.exp(-params.theta * grid.step))
     with arithmetic(params.theta, params.horizon, "int X^2 dt"):
-        denominator = grid.step * (np.einsum("ij,ij->i", u, u) - 0.5 * u_t2)
-    if not np.isfinite(denominator).all():  # einsum overflows to inf without a signal
+        denominator = grid.step * (sum_u2 - 0.5 * u_t2)
+    if not np.isfinite(denominator).all():  # the einsum of `scan_sums` does not signal
         raise NumericsError(f"int X^2 dt overflows at T={params.horizon}")
-    return (c_t - 0.5 * u_t2, denominator,
-            PATHWISE_ITO if params.hurst == HURST_MIN else SKOROHOD_ORACLE)
+    return np.stack((c_t - 0.5 * u_t2, denominator), axis=1)

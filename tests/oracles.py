@@ -267,8 +267,8 @@ def normalized_pathwise_statistic(grid: Grid, params: ModelParams, xi: np.ndarra
     """sqrt(T / (theta sigma2_H)) (theta_hat - theta) from estimate_pathwise
     on the path of noise xi, a batch of one."""
     p = params
-    num, den, _ = estimate_pathwise(grid, p, xi[None, :], skorohod_correction(p))
-    theta_hat = float(num[0] / den[0])
+    ((num, den),) = estimate_pathwise(grid, p, xi[None, :], skorohod_correction(p))
+    theta_hat = float(num / den)
     return math.sqrt(p.horizon / (p.theta * sigma2_h(p.hurst))) * (theta_hat - p.theta)
 
 

@@ -77,6 +77,26 @@ def test_psi_terms_ingredients_match_one_op_route():
     assert min(terms["psi1"], terms["psi2"], terms["psi3"]) >= 0.0
 
 
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("horizon", [1.0, 10.0, 100.0])
+def test_norm_f2_converges_to_closed_form_brownian(theta, horizon):
+    # At H = 1/2, sigma2_H = 2 and f = s_f exp(-theta |t - s|) with
+    # s_f^2 = 1 / (8 theta T), so ||f||^2 = s_f^2 (T/theta - (1 - e^{-2 theta T}) / (2 theta^2)).
+    # The quadrature error is O(step^2): it falls by 4 per halving, and the
+    # Richardson value of the two finest grids is the closed form.
+    p = ModelParams(theta=theta, hurst=0.5, horizon=horizon)
+    exact = (horizon / theta + math.expm1(-2.0 * theta * horizon) / (2.0 * theta**2)) \
+        / (8.0 * theta * horizon)
+    n0 = 64
+    while n0 < 10.0 * theta * horizon:  # theta step <= 0.1
+        n0 *= 2
+    vals = [_ingredients(p, Grid(horizon=horizon, n=n0 * k))[0]["norm_f2"] for k in (1, 2, 4)]
+    errors = [v - exact for v in vals]
+    assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.01)
+    assert errors[1] / errors[2] == pytest.approx(4.0, abs=0.01)
+    assert (4.0 * vals[2] - vals[1]) / 3.0 == pytest.approx(exact, rel=1e-7)
+
+
 @pytest.mark.parametrize("n, theta_t, hurst", [(1024, 1.0, 0.75), (2048, 4.0, 0.6)])
 def test_ingredients_near_unit_ar1_coefficient(n, theta_t, hurst):
     # theta * step <= 2e-3 puts rho = exp(-theta step) near 1, where the

@@ -318,7 +318,8 @@ def test_three_quarters_rejects_horizon_without_log_scaling(args, tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("hurst, method", [("0.5", "pathwise_ito"), ("0.7", "skorohod_oracle")])
+@pytest.mark.parametrize("hurst, method", [("0.5", "pathwise_ito"), ("0.5000001", "skorohod_oracle"),
+                                           ("0.7", "skorohod_oracle")])
 def test_estimate_method_label_on_every_row(hurst, method, tmp_path, monkeypatch):
     monkeypatch.setattr(mc, "CHUNK_CELLS", 250)  # several chunks per horizon
     out = tmp_path / "est.csv"

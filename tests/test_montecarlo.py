@@ -221,10 +221,14 @@ def test_warm_chunk_allocates_only_the_scan(method):
 def test_workspaces_stay_per_thread_under_contention(monkeypatch):
     # More workers than cores and a short switch interval: a workspace that
     # two threads shared would hand one chunk's rows to another's statistic.
-    def setup(params, grid):
-        return lambda xi: (xi[:, ::5].copy(), 0)
+    chunk_rows = []
 
-    args = (setup, horizon_pairs(1.0, 0.7, [5.0, 10.0, 20.0], n=1024), 640, 11)
+    def statistic(params, grid, xi, prepared):
+        chunk_rows.append(len(xi))
+        return xi[:, ::5].copy(), 0
+
+    args = (horizon_pairs(1.0, 0.7, [5.0, 10.0, 20.0], n=1024), 640, 11,
+            lambda params, grid: None, statistic)
     monkeypatch.setenv("FOU_THREADS", "1")
     serial = replicate(*args)
     monkeypatch.setenv("FOU_THREADS", "8")
@@ -234,13 +238,14 @@ def test_workspaces_stay_per_thread_under_contention(monkeypatch):
         threaded = replicate(*args)
     finally:
         sys.setswitchinterval(interval)
-    assert len(serial[0]) == 10  # 64-row chunks
+    assert chunk_rows == [64] * 60  # 10 chunks per horizon and run
     for one, many in zip(serial, threaded):
-        assert np.concatenate(one).tobytes() == np.concatenate(many).tobytes()
+        assert one.shape == (640, 205)
+        assert one.tobytes() == many.tobytes()
 
 
 @pytest.mark.parametrize("cpus, workers", [(1000, MAX_THREADS), (3, 3), (None, 1)])
-def test_default_pool_is_the_cpu_count_capped(cpus, workers, monkeypatch):
+def test_default_worker_count_is_the_cpu_count_capped(cpus, workers, monkeypatch):
     # an unset FOU_THREADS starts the CPU count of workers, at most
     # MAX_THREADS, on a horizon of 100 one-row chunks; the threads are
     # stubs that refuse to start, so no thread runs
@@ -257,8 +262,8 @@ def test_default_pool_is_the_cpu_count_capped(cpus, workers, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(mc, "Thread", NoThread)
     with pytest.raises(RuntimeError, match="no thread"):
-        replicate(lambda params, grid: None,
-                  horizon_pairs(1.0, 0.7, [5.0], n=CHUNK_CELLS), 100, 1)
+        replicate(horizon_pairs(1.0, 0.7, [5.0], n=CHUNK_CELLS), 100, 1,
+                  lambda params, grid: None, None)
     assert len(made) == workers
 
 
@@ -268,14 +273,12 @@ def _failing_on_chunk_1(exc):
     ((_, grid),) = horizon_pairs(1.0, 0.7, [5.0], n=1024)
     first = sample_fgn_batch(grid, 0.7, [derive_seed(3, 0, 64)])[0].copy()
 
-    def setup(params, grid):
-        def statistic(xi):
-            if np.array_equal(xi[0], first):
-                raise exc
-            return xi[:, 0].copy(), 0
-        return statistic
+    def statistic(params, grid, xi, prepared):
+        if np.array_equal(xi[0], first):
+            raise exc
+        return xi[:, 0].copy(), 0
 
-    return setup
+    return statistic
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "8"])
@@ -292,8 +295,8 @@ def test_failed_chunk_is_raised_after_every_worker_ends(threads, monkeypatch):
     monkeypatch.setattr(mc, "sample_fgn_batch", sample)
     before = threading.active_count()
     with pytest.raises(KeyError, match="chunk 1"):
-        replicate(_failing_on_chunk_1(KeyError("chunk 1")),
-                  horizon_pairs(1.0, 0.7, [5.0, 10.0], n=1024), 256, 3)
+        replicate(horizon_pairs(1.0, 0.7, [5.0, 10.0], n=1024), 256, 3,
+                  lambda params, grid: None, _failing_on_chunk_1(KeyError("chunk 1")))
     assert threading.active_count() == before
     chunk_of = {derive_seed(3, 0, 64 * k): k for k in range(4)}
     taken = sorted(chunk_of[s] for t, s in drawn if t == 5.0)
@@ -306,5 +309,6 @@ def test_floating_point_error_in_a_worker_names_theta_and_t(monkeypatch):
     monkeypatch.setenv("FOU_THREADS", "2")
     with pytest.raises(NumericsError, match=r"^overflow encountered in multiply in a "
                        r"replication chunk at theta = 1, T = 5$"):
-        replicate(_failing_on_chunk_1(FloatingPointError("overflow encountered in multiply")),
-                  horizon_pairs(1.0, 0.7, [5.0, 10.0], n=1024), 256, 3)
+        replicate(horizon_pairs(1.0, 0.7, [5.0, 10.0], n=1024), 256, 3,
+                  lambda params, grid: None,
+                  _failing_on_chunk_1(FloatingPointError("overflow encountered in multiply")))

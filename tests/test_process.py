@@ -79,10 +79,9 @@ def test_estimate_ito_algebra():
     x1 = math.sqrt((t / 2 / g.step - x2**2) / 2)
     x = np.array([0.0, x1, x2, x1, 0.0])
     xi = x[1:] - math.exp(-p.theta * g.step) * x[:-1]  # the noise that replays to x
-    num, den, method = estimate_pathwise(g, p, xi[None, :], skorohod_correction(p))
-    assert method == "pathwise_ito"
-    assert num[0] / den[0] == pytest.approx(1.0, rel=1e-12)
-    assert den[0] == pytest.approx(t / 2, rel=1e-12)
+    ((num, den),) = estimate_pathwise(g, p, xi[None, :], skorohod_correction(p))
+    assert num / den == pytest.approx(1.0, rel=1e-12)
+    assert den == pytest.approx(t / 2, rel=1e-12)
 
 
 def test_estimate_consistency_brownian():
@@ -94,7 +93,7 @@ def test_estimate_consistency_brownian():
     ests = []
     for c0 in range(0, reps, 250):
         seeds = [derive_seed(9, 0, r) for r in range(c0, c0 + 250)]
-        num, den, _ = estimate_pathwise(g, p, sample_fgn_batch(g, 0.5, seeds), c_t)
+        num, den = estimate_pathwise(g, p, sample_fgn_batch(g, 0.5, seeds), c_t).T
         ests.extend(num / den)
     assert np.mean(ests) == pytest.approx(1.0, abs=0.02)
 
@@ -106,8 +105,7 @@ def test_estimate_consistency_fractional():
     ests = []
     for c0 in range(0, reps, 125):
         seeds = [derive_seed(10, 0, r) for r in range(c0, c0 + 125)]
-        num, den, method = estimate_pathwise(g, p, sample_fgn_batch(g, h, seeds), c_t)
-        assert method == "skorohod_oracle"
+        num, den = estimate_pathwise(g, p, sample_fgn_batch(g, h, seeds), c_t).T
         ests.extend(num / den)
     assert np.mean(ests) == pytest.approx(1.0, abs=0.03)
 
@@ -115,7 +113,7 @@ def test_estimate_consistency_fractional():
 def test_estimate_degenerate_path_raises():
     g = Grid(horizon=10.0, n=32)
     p = ModelParams(theta=1.0, hurst=0.5, horizon=10.0)
-    _, den, _ = estimate_pathwise(g, p, np.zeros((1, 32)), 0.0)
+    den = estimate_pathwise(g, p, np.zeros((1, 32)), 0.0)[:, 1]
     assert degenerate_denominators(p, den).tolist() == [True]
 
 

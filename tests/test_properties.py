@@ -89,7 +89,7 @@ def test_sampler_rows_independent_of_batching(theta, hurst, n, master, data):
     c_t = skorohod_correction(params)
 
     def stages(xi):
-        num, den, _ = estimate_pathwise(grid, params, xi, c_t)
+        num, den = estimate_pathwise(grid, params, xi, c_t).T
         return xi, simulate_fou(grid, params, xi), num, den
 
     seeds = seeds_for(master, 7)
@@ -140,14 +140,15 @@ def test_batched_estimate_rows_equal_single_path(theta, hurst, dt, reps, chunk_c
         rows = _rows_estimate(cfg, horizons)
     assert [(row["T"], row["rep"]) for row in rows] == \
         [(t, r) for t in cfg.t_list for r in range(reps)]
+    method = "pathwise_ito" if hurst == 0.5 else "skorohod_oracle"
     for row in rows:
         i = cfg.t_list.index(row["T"])
         params, grid = horizons[i]
         xi = sample_fgn(grid, hurst, derive_seed(seed, i, row["rep"]))
-        num, den, method = estimate_pathwise(grid, params, xi[None, :],
-                                             skorohod_correction(params))
+        ((num, den),) = estimate_pathwise(grid, params, xi[None, :],
+                                          skorohod_correction(params))
         assert (row["theta_hat"], row["numerator"], row["denominator"], row["method"]) == \
-            (float(num[0] / den[0]), float(num[0]), float(den[0]), method)
+            (float(num / den), float(num), float(den), method)
 
 
 @settings(max_examples=8, deadline=None)
