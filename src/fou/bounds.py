@@ -34,19 +34,18 @@ The six matrix ingredients agree with a long-double dense reference (the
 same float64 s_f, c1 and c2; w, K, v and every product in long double)
 within 5e-12 relative down to theta step = 4e-5
 (`test_ingredients_match_long_double_reference`; the routes this replaced
-are compared in CHANGES.md).  At theta T << 1, g = c2 (K - v v')
-(c1 s_f = c2) is a small difference of matrices near all-ones.  Taken as
-a difference of traces, each g-term would lose digits; here the
-difference sits in one scalar, lam = -expm1(-theta step), computed
-without cancelling.  What remains is the rounding of rho, ~eps /
-(theta step) in the g-terms.  For
-H >= 1/2 every term the one-sweep route adds up is nonnegative, and it
-divides only by lam in (0, 1], so deriving X from Y~ cancels nothing.
+are compared in CHANGES.md).  At theta T << 1, g = c2 (K - v v') is a
+small difference of matrices near all-ones; here that difference sits in
+one scalar, lam = -expm1(-theta step), computed without cancelling, and
+the rounding of rho leaves ~eps / (theta step) in the g-terms, which sets
+the theta*step floor of the domain (`constants`).  For H >= 1/2 every
+term the one-sweep route adds up is nonnegative, and it divides only by
+lam in (0, 1], so deriving X from Y~ cancels nothing.
 
 s_f, c2, b_T, W and M come from the record of the horizon,
-`hilbert.horizon`, which runs the checks in the order its module docstring
-gives.  `cli.resolve_horizons` checks every grid against the cell
-ceiling `MAX_BOUND_CELLS`, set from measured time (see there), before any
+`hilbert.horizon`.  `cli.resolve_horizons` admits every horizon into the
+numeric domain and checks its grid against the cell ceiling
+`MAX_BOUND_CELLS`, set from measured time (see there), before any
 n-sized array exists.  The asymptotics report re-measures each ingredient
 across a T grid against its known limit; the bound constants themselves
 are existential and never claimed, so rate checks are ratio-based.
@@ -57,8 +56,7 @@ import math
 
 import numpy as np
 
-from .constants import HURST_MAX, ModelParams, checked_power, delta_h, sigma2_h, stationary_variance
-from .errors import NumericsError, arithmetic
+from .constants import HURST_MAX, ModelParams, delta_h, sigma2_h, stationary_variance
 from .fgn import Grid
 from .hilbert import horizon
 
@@ -149,58 +147,54 @@ def _ingredients(params: ModelParams, grid: Grid) -> tuple[dict, float]:
     For H >= 1/2 every entry of W, L, M, Y~, z, p and q is nonnegative, so
     each ingredient is a sum of nonnegative terms, and it divides only by
     lam in (0, 1].  rho, lam, s_f, c2, b_T, w, M and M e come from the
-    record of the horizon (`hilbert.horizon`), which runs the checks.
+    record of the horizon (`hilbert.horizon`).
     Returns the `bounds` columns b_T and the six ingredients, and ||h||^2.
     """
     rec = horizon(params, grid)
     n, rho, lam, s_f, w = grid.n, rec.rho, rec.lam, rec.f_row[0], rec.w
-    with arithmetic(params.theta, params.horizon, "the bound ingredients"):
-        a, m = rec.m_ends.T  # L w and M e, as L' e_0 = e_0
-        # M - Z M Z' = L (W - Z W Z') L' = a l' + l a' - w_0 l l' with l = L e_0, and
-        # S = D M D, D = diag(d, ..., d, d_last), adds the last row and column:
-        # S - Z S Z' = g0 j g0'.  With h0 = g0 j and zs = Z S e,
-        # S S - Z S S Z' = (S g0) h0' + g0 (S h0 - h0 g0' h0)' - zs zs'.
-        g0 = np.column_stack([a, rho ** np.arange(n), np.r_[np.zeros(n - 1), 1.0], m])
-        d, d_last = math.sqrt(s_f * (1.0 - rho) * (1.0 + rho)), math.sqrt(s_f * lam)
-        # D of S~ = E^1/2 S_f E^1/2 for its generators, D of S_f for p and q
-        dv, dv_f = (np.r_[np.full(n - 1, d), end] for end in (d_last, math.sqrt(s_f)))
-        e_diag = np.r_[np.ones(n - 1), lam]  # E
-        z = dv_f * math.sqrt(s_f) * m  # S_f e
-        scale = np.c_[dv, dv, dv, dv, dv_f, dv_f]
-        # S~ g0, and p = S_f z and q = S_f E z, in one pass
-        sg0, pq = np.hsplit(scale * rec.m_apply(scale * np.c_[g0, z, e_diag * z]), [4])
-        cross = d * (d_last - d)
-        j = np.array([[0.0, d * d, 0.0, 0.0],
-                      [d * d, -w[0] * d * d, 0.0, 0.0],
-                      [0.0, 0.0, (d_last - d) ** 2 * m[-1], cross],
-                      [0.0, 0.0, cross, 0.0]])
-        zs = np.r_[0.0, sg0[:-1, 2]]
-        left = np.column_stack([sg0, g0, zs])
-        right = np.column_stack([g0 @ j, (sg0 - g0 @ (j @ (g0.T @ g0))) @ j, -zs])
-        upper, diag, last = _diagonal_sweep(left, right)
-        p, q = pq.T
-        inner = 2.0 * upper - diag[:-1] @ diag[:-1]  # off-diagonal pairs count twice
-        side, corner, zz = last[:-1] @ last[:-1], last[-1], z @ z
-        kappa, trace = rec.c2 / s_f, diag.sum()
-        return {
-            "b_T": rec.b_t,
-            "norm_f2": float(diag[:-1].sum() + corner / lam + rho * zz),
-            "norm_f1f": math.sqrt(inner + 2.0 * side / lam + (corner / lam) ** 2
-                                  + 2.0 * rho * (p @ (e_diag * p)) + (rho * zz) ** 2),
-            "norm_f1g": kappa * math.sqrt(inner + (1.0 + lam) * side / lam
-                                          + corner * corner / lam + rho * (q @ (e_diag * p))),
-            "inner_fg": kappa * float(trace + rho * (z @ (e_diag * z))),
-            "norm_g2": kappa * kappa * float(trace),
-            "norm_g1g": kappa * kappa * math.sqrt(inner + 2.0 * side + corner * corner),
-        }, rec.vwv ** 2
+    a, m = rec.m_ends.T  # L w and M e, as L' e_0 = e_0
+    # M - Z M Z' = L (W - Z W Z') L' = a l' + l a' - w_0 l l' with l = L e_0, and
+    # S = D M D, D = diag(d, ..., d, d_last), adds the last row and column:
+    # S - Z S Z' = g0 j g0'.  With h0 = g0 j and zs = Z S e,
+    # S S - Z S S Z' = (S g0) h0' + g0 (S h0 - h0 g0' h0)' - zs zs'.
+    g0 = np.column_stack([a, rho ** np.arange(n), np.r_[np.zeros(n - 1), 1.0], m])
+    d, d_last = math.sqrt(s_f * (1.0 - rho) * (1.0 + rho)), math.sqrt(s_f * lam)
+    # D of S~ = E^1/2 S_f E^1/2 for its generators, D of S_f for p and q
+    dv, dv_f = (np.r_[np.full(n - 1, d), end] for end in (d_last, math.sqrt(s_f)))
+    e_diag = np.r_[np.ones(n - 1), lam]  # E
+    z = dv_f * math.sqrt(s_f) * m  # S_f e
+    scale = np.c_[dv, dv, dv, dv, dv_f, dv_f]
+    # S~ g0, and p = S_f z and q = S_f E z, in one pass
+    sg0, pq = np.hsplit(scale * rec.m_apply(scale * np.c_[g0, z, e_diag * z]), [4])
+    cross = d * (d_last - d)
+    j = np.array([[0.0, d * d, 0.0, 0.0],
+                  [d * d, -w[0] * d * d, 0.0, 0.0],
+                  [0.0, 0.0, (d_last - d) ** 2 * m[-1], cross],
+                  [0.0, 0.0, cross, 0.0]])
+    zs = np.r_[0.0, sg0[:-1, 2]]
+    left = np.column_stack([sg0, g0, zs])
+    right = np.column_stack([g0 @ j, (sg0 - g0 @ (j @ (g0.T @ g0))) @ j, -zs])
+    upper, diag, last = _diagonal_sweep(left, right)
+    p, q = pq.T
+    inner = 2.0 * upper - diag[:-1] @ diag[:-1]  # off-diagonal pairs count twice
+    side, corner, zz = last[:-1] @ last[:-1], last[-1], z @ z
+    kappa, trace = rec.c2 / s_f, diag.sum()
+    return {
+        "b_T": rec.b_t,
+        "norm_f2": float(diag[:-1].sum() + corner / lam + rho * zz),
+        "norm_f1f": math.sqrt(inner + 2.0 * side / lam + (corner / lam) ** 2
+                              + 2.0 * rho * (p @ (e_diag * p)) + (rho * zz) ** 2),
+        "norm_f1g": kappa * math.sqrt(inner + (1.0 + lam) * side / lam
+                                      + corner * corner / lam + rho * (q @ (e_diag * p))),
+        "inner_fg": kappa * float(trace + rho * (z @ (e_diag * z))),
+        "norm_g2": kappa * kappa * float(trace),
+        "norm_g1g": kappa * kappa * math.sqrt(inner + 2.0 * side + corner * corner),
+    }, rec.vwv ** 2
 
 
 def psi_terms(params: ModelParams, grid: Grid) -> dict:
     """The `bounds` row at (theta, H, T) on the grid: Psi1-3, max_psi and the ingredients."""
     ing, _ = _ingredients(params, grid)
-    if ing["b_T"] * ing["b_T"] == 0.0:
-        raise NumericsError(f"b_T^2 underflows at theta = {params.theta:.6g}, "
-                            f"T = {grid.horizon:.6g}")
     psi = dict(zip(("psi1", "psi2", "psi3"), psi_from_ingredients(ing)))
     return {"T": grid.horizon, **psi, "max_psi": max(psi.values()), **ing}
 
@@ -219,10 +213,7 @@ def asymptotics_report(horizons) -> list[dict]:
     first = horizons[0][0]
     theta, h = first.theta, first.hurst
     a = stationary_variance(first)
-    theta_power = checked_power(theta, 1 + 4 * h, "theta")
-    if theta_power == 0.0:
-        raise NumericsError(f"theta^{1 + 4 * h:.6g} underflows at theta = {theta:.6g}")
-    lim_g2 = delta_h(h) / (2.0 * theta_power)
+    lim_g2 = delta_h(h) / (2.0 * theta ** (1 + 4 * h))
     lim_fg = math.sqrt(theta / sigma2_h(h)) * lim_g2
     log_case = h == HURST_MAX
     label = "T/log(T)" if log_case else "T"

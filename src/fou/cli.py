@@ -22,28 +22,26 @@ of the 64-bit stream key (`fgn.derive_seed`), --reps, dt > 0, at least
 one --t horizon, and strictly increasing horizons for `SERIES_COMMANDS`.
 `resolve_horizons` then admits the model and each horizon, in order: a
 finite theta > 0 and H in [1/2, 3/4] once, then per horizon a finite
-T > 0, T > 1 at H = 3/4 for `SERIES_COMMANDS`, and a cell count n (--n, or
+T > 0, T > 1 at H = 3/4 for `SERIES_COMMANDS`, a cell count n (--n, or
 T/dt rounded) with 2 <= n <= the command's ceiling,
 `bounds.MAX_BOUND_CELLS` for `bounds` and `asymptotics` and
-`fgn.MAX_CELLS` otherwise.  A violation exits 2 before any n-sized array
-exists, at any horizon.  The row builders below take its (params, grid)
-list, and nothing below re-checks that domain.
+`fgn.MAX_CELLS` otherwise, and last theta, T and theta*step = theta T / n
+inside the numeric domain that `constants` declares, with its reasons.  A
+violation exits 2 before any n-sized array exists, at any horizon.  The
+row builders below take its (params, grid) list, and nothing below
+re-checks that domain.
 
-Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O.  One policy
-decides exit 3, before the file is opened: `main` builds the rows under
-numpy's error state divide/over/invalid = "raise" (underflow left alone),
-so numpy signals an overflow, a division by zero or an invalid value as
-a FloatingPointError instead of warning.  Where theta and T are known it
-becomes a `NumericsError` naming them (`errors.arithmetic`); a degenerate
-denominator in any replication (`process.degenerate_denominators`, the one
-rule) aborts its horizon in `montecarlo.replicate`.  Any other
-`ArithmeticError` (a Python float or `math` overflow), and a NaN or inf in
-a column, exits 3 too.  `check_finite` catches the last: a Python float
-product overflows without a signal, as psi1 does in `bounds --theta
-4.638379578782352e+114 --hurst 0.7 --t 5.475103100283654e+59 --n 16`.
-No command prints a RuntimeWarning.  The resolved configuration
-(defaults included) is echoed to stderr before any work, and numbers are
-printed with 12 significant digits.
+Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O.  Inside the
+domain the one numerical failure left is a degenerate denominator in some
+replication (`process.degenerate_denominators`, the one rule), which
+aborts its horizon in `montecarlo.replicate` with a NumericsError.  `main`
+builds the rows under numpy's error state divide/over/invalid = "raise"
+(underflow left alone), which `replicate` carries into its workers, so an
+overflow, a division by zero or an invalid value fails loudly as a
+FloatingPointError, exit 3, instead of writing a NaN.  No command prints
+a RuntimeWarning.  The resolved configuration (defaults included) is
+echoed to stderr before any work, and numbers are printed with 12
+significant digits.
 """
 from __future__ import annotations
 
@@ -63,7 +61,7 @@ import numpy as np  # noqa: E402  (after the variable above)
 from . import bounds as bounds_mod  # noqa: E402
 from . import montecarlo as mc
 from . import fgn
-from .constants import HURST_MAX, HURST_MIN, ModelParams, skorohod_correction
+from .constants import DOMAIN, HURST_MAX, HURST_MIN, ModelParams, skorohod_correction
 from .errors import NumericsError
 from .fgn import Grid, derive_seed, sample_fgn
 from .process import degenerate_denominators, estimate_pathwise, simulate_fou
@@ -155,8 +153,9 @@ def resolve_horizons(cfg) -> list[tuple[ModelParams, Grid]]:
     step grows with T) or a fixed step --dt (the cell count grows with T).
     The one place the model and a horizon are admitted, before any row is
     built: a finite theta > 0 and H in [HURST_MIN, HURST_MAX], then per
-    horizon a finite T > 0, T > 1 at H = 3/4 for `SERIES_COMMANDS`, and
-    2 <= n <= the command's cell ceiling.  A violation is a ValueError."""
+    horizon a finite T > 0, T > 1 at H = 3/4 for `SERIES_COMMANDS`,
+    2 <= n <= the command's cell ceiling, and theta, T and theta*step in
+    the numeric domain of `constants`.  A violation is a ValueError."""
     dense = cfg.command in ("bounds", "asymptotics")
     ceiling = bounds_mod.MAX_BOUND_CELLS if dense else fgn.MAX_CELLS  # read here: tests patch them
     if not (math.isfinite(cfg.theta) and cfg.theta > 0):
@@ -175,7 +174,13 @@ def resolve_horizons(cfg) -> list[tuple[ModelParams, Grid]]:
         if not 2 <= n <= ceiling:
             raise ValueError(f"horizon T={t} needs n={n} cells; {cfg.command} takes "
                              f"2 to {ceiling} cells")
-        pairs.append((ModelParams(cfg.theta, cfg.hurst, t), Grid(t, n)))
+        grid = Grid(t, n)
+        point = {"theta": cfg.theta, "T": t, "theta*step": cfg.theta * grid.step}
+        if not all(lo <= point[k] <= hi for k, (lo, hi) in DOMAIN.items()):
+            ranges = ", ".join(f"{k} in [{lo:g}, {hi:g}]" for k, (lo, hi) in DOMAIN.items())
+            raise ValueError(", ".join(f"{k} = {v:.6g}" for k, v in point.items())
+                             + f" must lie in the domain {ranges}")
+        pairs.append((ModelParams(cfg.theta, cfg.hurst, t), grid))
     return pairs
 
 
@@ -236,14 +241,6 @@ _ROW_BUILDERS = {
 }
 
 
-def check_finite(rows, command: str) -> None:
-    """Raise NumericsError naming the column and T of the first NaN or inf written."""
-    for row in rows:
-        for column in CSV_COLUMNS[command]:
-            if isinstance(row[column], float) and not math.isfinite(row[column]):
-                raise NumericsError(f"{column} is {row[column]} at T={row['T']:.6g}")
-
-
 def emit_report(rows, cfg) -> str:
     """Write rows to cfg.out in the fixed schema for cfg.command; returns the path."""
     columns = CSV_COLUMNS[cfg.command]
@@ -273,7 +270,6 @@ def main(argv=None) -> int:
         horizons = resolve_horizons(cfg)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             rows = _ROW_BUILDERS[cfg.command](cfg, horizons)
-        check_finite(rows, cfg.command)
         path = emit_report(rows, cfg)
     except (NumericsError, ArithmeticError) as exc:
         print(f"[fou] numerical failure: {exc}", file=sys.stderr)

@@ -1,12 +1,37 @@
-"""Closed-form constants for fractional OU drift estimation.
+"""Closed-form constants for fractional OU drift estimation, and the
+numeric domain of every command.
 
 Everything here is a deterministic function of (theta, H, T) on the
-domain theta > 0, H in [1/2, 3/4], T > 0, which `cli.resolve_horizons`
-admits once per command; nothing here checks it again.  H = 1/2 is
-decided as the a = 0 end (a = 2H - 1) of the same closed forms, where b_T
-and c_T are continuous in H; only H = 3/4 takes its own dedicated branch,
-where the generic-H formulas for sigma2_H and delta_H degenerate.  Its
-log T scalings need T > 1, which `resolve_horizons` checks too.
+domain that `cli.resolve_horizons` admits once per command; nothing here
+checks it again.  H lies in [1/2, 3/4], and per horizon theta, T and
+theta*step = theta T / n lie in the ranges of `DOMAIN`:
+
+    theta        [1e-6, 1e6]
+    T            [1e-6, 1e9]
+    theta*step   [1e-9, 10]
+
+* theta*step >= 1e-9: the g-terms of the bounds carry an error of about
+  eps / (theta*step) from the rounded rho = exp(-theta step) (6.4e-13 at
+  theta*step = 3.9e-5, 1.8e-10 at 3.9e-7), about 1e-7 at the floor.
+* theta*step <= 10: a grid much coarser than 1/theta gives a wrong answer
+  with no sign of it.  At theta = 100, H = 1/2, T = 20 and 200
+  replications, `kolmogorov` writes sample_var 1.21, 2.04, 4.54 and 8.49
+  at theta*step = 0.5, 2, 5 and 10, and 170.9 at 125.  The ceiling
+  rejects the gross cases and still admits a coarse grid such as
+  `simulate --theta 1 --t 10 --dt 4`; the bias between 1 and 10 is
+  discretization error.
+* theta and T: twelve and fifteen decades around the unit scale.  With
+  the theta*step range and at most 2^22 cells (theta T between 2e-9 and
+  4.2e7), every power that the closed forms and the products below take
+  (theta^(-2H), theta^(1+4H), T^(2H+1), step^(2H), b_T^2, sums of squares
+  over a path) stays between 1e-30 and 1e30, far inside float64's range.
+  So no module guards an overflow, an underflow or a degenerate rho: a
+  value outside these ranges exits 2 before any work.
+
+H = 1/2 is decided as the a = 0 end (a = 2H - 1) of the same closed forms,
+where b_T and c_T are continuous in H; only H = 3/4 takes its own dedicated
+branch, where the generic-H formulas for sigma2_H and delta_H degenerate.
+Its log T scalings need T > 1, which `resolve_horizons` checks too.
 
 b_T and c_T are closed forms, not numerical integrals: the incomplete gamma
 function P (`gamma_p`) and Kummer's transform 1F1(1; a+1; -theta T)
@@ -29,6 +54,8 @@ from .errors import NumericsError
 HURST_MIN = 0.5
 HURST_MAX = 0.75
 MAX_TERMS = 500  # iteration cap of the series in `gamma_p` and `kummer_1f1`
+# the numeric domain of every horizon, closed ranges (module docstring)
+DOMAIN = {"theta": (1e-6, 1e6), "T": (1e-6, 1e9), "theta*step": (1e-9, 10.0)}
 
 
 class ModelParams(NamedTuple):
@@ -67,20 +94,10 @@ def delta_h(hurst: float) -> float:
     )
 
 
-def checked_power(base: float, p: float, name: str, **context: float) -> float:
-    """base^p, or a NumericsError naming `name` = base and every `context`
-    value where it overflows."""
-    try:
-        return base**p
-    except OverflowError:
-        at = ", ".join(f"{k} = {v:.6g}" for k, v in {name: base, **context}.items())
-        raise NumericsError(f"{name}^{p:.6g} overflows at {at}") from None
-
-
 def stationary_variance(params: ModelParams) -> float:
     """a = H Gamma(2H) theta^(-2H), the T -> infinity limit of b_T."""
     h = params.hurst
-    return h * math.gamma(2 * h) * checked_power(params.theta, -2 * h, "theta")
+    return h * math.gamma(2 * h) * params.theta ** (-2 * h)
 
 
 def gamma_p(a: float, x: float) -> float:
@@ -128,8 +145,8 @@ def _gamma_factors(params: ModelParams) -> tuple[float, float]:
     """(A, J) = (a I_a, J): the incomplete gamma factors of `b_t_closed_form`,
     a = 2H-1.  A is 1 at a = 0."""
     theta, x, a = params.theta, params.theta * params.horizon, 2.0 * params.hurst - 1.0
-    return (checked_power(theta, -a, "theta") * math.gamma(a + 1) * gamma_p(a, x),
-            checked_power(theta, -(a + 1), "theta") * math.gamma(a + 1) * gamma_p(a + 1, x))
+    return (theta ** -a * math.gamma(a + 1) * gamma_p(a, x),
+            theta ** -(a + 1) * math.gamma(a + 1) * gamma_p(a + 1, x))
 
 
 def b_t_closed_form(params: ModelParams) -> float:

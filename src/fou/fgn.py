@@ -37,8 +37,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import checked_power
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Largest grid of any command but `bounds` and `asymptotics`, enforced by
@@ -51,8 +49,9 @@ class Grid(NamedTuple):
     t_k = k * step (k = 0..n); kernels are sampled at the cell midpoints.
 
     A plain record: `cli.resolve_horizons` admits every horizon and cell
-    count (a finite positive T, 2 <= n <= the command's ceiling, MAX_CELLS
-    or `bounds.MAX_BOUND_CELLS`) before it builds a grid.
+    count (T and theta*step in the domain of `constants`, 2 <= n <= the
+    command's ceiling, MAX_CELLS or `bounds.MAX_BOUND_CELLS`) before it
+    builds a grid.
     """
 
     horizon: float
@@ -76,10 +75,8 @@ def _unit_autocov(kmax: int, hurst: float) -> np.ndarray:
 
 def increment_autocov(grid: Grid, hurst: float) -> np.ndarray:
     """gamma(0..n-1): covariance of two fGn increments of the grid k cells
-    apart, for the H that `cli.resolve_horizons` admits.  A step^2H that
-    overflows raises NumericsError naming step and T."""
-    scale = checked_power(grid.step, 2.0 * hurst, "step", T=grid.horizon)
-    return scale * _unit_autocov(grid.n - 1, hurst)
+    apart, for the H that `cli.resolve_horizons` admits."""
+    return grid.step ** (2.0 * hurst) * _unit_autocov(grid.n - 1, hurst)
 
 
 def toeplitz_product(row: np.ndarray):

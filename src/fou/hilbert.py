@@ -1,6 +1,6 @@
 """The per-horizon record that the second-chaos statistic and the bound
 terms both read: the two kernels in compact form, b_T and the Gram
-matrix W of the grid, built and checked once per horizon by `horizon`.
+matrix W of the grid, built once per horizon by `horizon`.
 
 f is the numerator kernel (1 / (2 sqrt(theta sigma2_H T))) exp(-theta|t-s|)
 and g = c1 f - c2 v v' the denominator-fluctuation kernel, with v the
@@ -25,21 +25,10 @@ algebra on them are test oracles only (`tests/oracles.py`).
     vwv         v' W v = rho (M e)_{n-1}
 
 `montecarlo._chaos_traces` and `bounds._ingredients` read it, so the chaos
-statistic and the bound terms run the same checks on the same (theta, T,
-n).  The sampling commands check theta*T first (`montecarlo.replicate`):
-where it overflows, `kolmogorov` names theta*T and `bounds` on the same
-argv names theta*step (check 1).  Checks, in order:
-
-1. `kernel_f`: where rho rounds to 1 or theta step overflows, the AR(1)
-   factor is degenerate, a NumericsError.  Where rho < 1, s_f, c1 and c2
-   are finite too, as theta T >= theta step.
-2. b_T > 0, else a ValueError.
-3. The arithmetic: under the error state that `cli.main` sets, an
-   overflow, a division by zero or an invalid value raises
-   FloatingPointError, which `errors.arithmetic` turns into a NumericsError
-   naming theta and T.  It sets no error state itself; the bound
-   ingredients, int X^2 dt, each replication chunk and each horizon's
-   summary in `montecarlo.run` use it too.
+statistic and the bound terms use the same record of the same (theta, T,
+n).  It checks nothing: `cli.resolve_horizons` admits theta, T and
+theta*step into the domain of `constants`, where rho < 1, b_T > 0 and
+every product here is finite.
 """
 from __future__ import annotations
 
@@ -50,23 +39,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import ModelParams, b_t_closed_form, sigma2_h
-from .errors import NumericsError, arithmetic
 from .fgn import Grid, increment_autocov, toeplitz_product
 from .process import ar1_scan
 
 
 def kernel_f(params: ModelParams, grid: Grid) -> np.ndarray:
     """First row of the Toeplitz numerator kernel, f[i, j] = row[|i - j|]:
-    row[k] = exp(-theta step k) / (2 sqrt(theta sigma2_H T)).  Raises
-    NumericsError where the AR(1) factor degenerates (module docstring).
-    exp(-x k) is 0 in float64 for every k >= 1 once x >= 746, so x is
-    capped there and x k stays finite."""
-    x = params.theta * grid.step
-    if not (math.exp(-x) < 1.0 and math.isfinite(x)):
-        raise NumericsError(f"theta*step = {x:.6g} leaves the AR(1) factor of the kernels "
-                            f"degenerate (rho = exp(-theta*step) = {math.exp(-x)})")
+    row[k] = exp(-theta step k) / (2 sqrt(theta sigma2_H T))."""
     scale = 1.0 / (2.0 * math.sqrt(params.theta * sigma2_h(params.hurst) * params.horizon))
-    return scale * np.exp(-min(x, 746.0) * np.arange(grid.n))
+    return scale * np.exp(-params.theta * grid.step * np.arange(grid.n))
 
 
 def kernel_g(params: ModelParams, grid: Grid) -> tuple[float, float]:
@@ -92,24 +73,18 @@ class Horizon(NamedTuple):
 
 
 def horizon(params: ModelParams, grid: Grid) -> Horizon:
-    """The record of (theta, H, T) on the grid, checked in the order of the
-    module docstring."""
-    f_row = kernel_f(params, grid)
-    b_t = b_t_closed_form(params)
-    if b_t <= 0:
-        raise ValueError(f"b_T must be positive, got {b_t}")
+    """The record of (theta, H, T) on the grid (module docstring)."""
     x = params.theta * grid.step
     rho = math.exp(-x)
-    with arithmetic(params.theta, params.horizon, "the products by W"):
-        w = increment_autocov(grid, params.hurst)
-        w_apply = toeplitz_product(w)
+    w = increment_autocov(grid, params.hurst)
+    w_apply = toeplitz_product(w)
 
-        def m_apply(y):  # M y, column by column: backward scan, product by W, forward scan
-            u = ar1_scan(y.T[:, ::-1], rho)[:, ::-1]
-            return ar1_scan(w_apply(u), rho).T
+    def m_apply(y):  # M y, column by column: backward scan, product by W, forward scan
+        u = ar1_scan(y.T[:, ::-1], rho)[:, ::-1]
+        return ar1_scan(w_apply(u), rho).T
 
-        ends = np.zeros((grid.n, 2))
-        ends[0, 0] = ends[-1, 1] = 1.0
-        m_ends = m_apply(ends)
-        return Horizon(rho, -math.expm1(-x), f_row, *kernel_g(params, grid), b_t, w,
-                       m_apply, m_ends, rho * float(m_ends[-1, 1]))
+    ends = np.zeros((grid.n, 2))
+    ends[0, 0] = ends[-1, 1] = 1.0
+    m_ends = m_apply(ends)
+    return Horizon(rho, -math.expm1(-x), kernel_f(params, grid), *kernel_g(params, grid),
+                   b_t_closed_form(params), w, m_apply, m_ends, rho * float(m_ends[-1, 1]))

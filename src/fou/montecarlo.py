@@ -32,7 +32,7 @@ from threading import Thread
 import numpy as np
 
 from .constants import HURST_MAX, ModelParams, sigma2_h, skorohod_correction
-from .errors import NumericsError, arithmetic
+from .errors import NumericsError
 from .fgn import Grid, Workspace, derive_seed, sample_fgn_batch
 from .hilbert import horizon
 from .process import degenerate_denominators, estimate_pathwise, scan_sums
@@ -123,26 +123,26 @@ def replicate(horizons, reps: int, seed: int, prepare, statistic) -> list[np.nda
     which returns (values, degenerate count), values with one entry per
     row along axis 0.  A FOU_THREADS that is not an integer in
     [1, MAX_THREADS] (unset or empty means the CPU count, capped at
-    MAX_THREADS) is a ValueError, and a theta*T that overflows a
-    NumericsError; both checks and every `prepare` run before any thread
-    starts.  Replication r at horizon index i is the row drawn from
-    derive_seed(seed, i, r), in chunks of at most CHUNK_CELLS cells
+    MAX_THREADS) is a ValueError; the check and every `prepare` run before
+    any thread starts.  Replication r at horizon index i is the row drawn
+    from derive_seed(seed, i, r), in chunks of at most CHUNK_CELLS cells
     (rows x n), so no row depends on chunk boundaries or scheduling, and
     no path-sized array grows with reps.
 
     One horizon at a time, min(FOU_THREADS, its chunk count) worker threads
-    start, each with its own copy of the calling thread's context: so under
-    that thread's numpy error state (a new thread does not inherit it), and
-    `errors.arithmetic` names theta and T of a FloatingPointError.  Each
-    draws every chunk it takes into its own `fgn.Workspace` (the chunk
+    start, each with its own copy of the calling thread's context, so under
+    that thread's numpy error state, which a new thread does not inherit.
+    Each draws every chunk it takes into its own `fgn.Workspace` (the chunk
     buffers and the Philox generator), so a statistic must not keep a view
     of its input rows, which its worker's next chunk overwrites, only
-    arrays of its own.  The workers take chunks from one shared iterator; a
-    worker whose chunk fails takes every chunk left.  All are joined, then
-    the exception of the first failed chunk in chunk order is re-raised, or
-    a horizon with a degenerate replication raises NumericsError ("k of
-    reps replications degenerate at T=..."); either way no later horizon is
-    drawn.
+    arrays of its own.  A chunk with a degenerate replication fails with a
+    NumericsError ("at least k of reps replications degenerate at T=...",
+    k exact over the replications up to that chunk's last), as does a
+    chunk whose statistic raises.  The workers take chunks from one shared
+    iterator, in order; a worker whose chunk fails takes every chunk left.
+    All are joined, then the exception of the first failed chunk in chunk
+    order is re-raised, the same at any FOU_THREADS, and no later horizon
+    is drawn.
     """
     env = os.environ.get("FOU_THREADS")
     try:
@@ -152,21 +152,18 @@ def replicate(horizons, reps: int, seed: int, prepare, statistic) -> list[np.nda
     if not 1 <= workers <= MAX_THREADS:
         raise ValueError(f"FOU_THREADS must be an integer in [1, {MAX_THREADS}], "
                          f"got {env!r}")
-    prepared = []
-    for params, grid in horizons:
-        if not math.isfinite(params.theta * params.horizon):
-            raise NumericsError(f"theta*T overflows at theta = {params.theta:.6g}, "
-                                f"T = {params.horizon:.6g}")
-        prepared.append(prepare(params, grid))
+    prepared = [prepare(params, grid) for params, grid in horizons]
 
     def work(i, params, grid, per_horizon, chunks, results, taken):
         workspace = Workspace()
         for k in taken:  # one shared iterator: next() on it is atomic under the GIL
             seeds = [derive_seed(seed, i, r) for r in chunks[k]]
             try:
-                with arithmetic(params.theta, params.horizon, "a replication chunk"):
-                    xi = sample_fgn_batch(grid, params.hurst, seeds, workspace)
-                    results[k] = statistic(params, grid, xi, per_horizon)
+                xi = sample_fgn_batch(grid, params.hurst, seeds, workspace)
+                results[k], bad = statistic(params, grid, xi, per_horizon)
+                if bad:
+                    raise NumericsError(f"at least {bad} of {reps} replications "
+                                        f"degenerate at T={params.horizon}")
             except BaseException as exc:  # re-raised by the calling thread
                 results[k] = exc
                 list(taken)  # takes every chunk left: no worker starts one after a failure
@@ -187,11 +184,7 @@ def replicate(horizons, reps: int, seed: int, prepare, statistic) -> list[np.nda
         for result in results:
             if isinstance(result, BaseException):
                 raise result
-        degenerate = sum(bad for _, bad in results)
-        if degenerate:
-            raise NumericsError(f"{degenerate} of {reps} replications "
-                                f"degenerate at T={params.horizon}")
-        out.append(np.concatenate([values for values, _ in results]))
+        out.append(np.concatenate(results))
     return out
 
 
@@ -206,9 +199,8 @@ def run(horizons, reps: int, seed: int, method: str) -> list[dict]:
     rows = []
     for (params, _), s in zip(horizons, replicate(horizons, reps, seed, prepare, statistic)):
         t = params.horizon
-        with arithmetic(params.theta, t, "the summary"):
-            if params.hurst == HURST_MAX:
-                s /= math.sqrt(math.log(t))
-            rows.append({"T": t, "ks_distance": ks_distance(s), "sample_mean": float(s.mean()),
-                         "sample_var": float(s.var()), "samples": s})
+        if params.hurst == HURST_MAX:
+            s /= math.sqrt(math.log(t))
+        rows.append({"T": t, "ks_distance": ks_distance(s), "sample_mean": float(s.mean()),
+                     "sample_var": float(s.var()), "samples": s})
     return rows

@@ -27,7 +27,6 @@ import math
 import numpy as np
 
 from .constants import ModelParams, stationary_variance
-from .errors import NumericsError, arithmetic
 from .fgn import Grid
 
 DEGENERATE_DENOM_FACTOR = 1e-12
@@ -67,11 +66,9 @@ def simulate_fou(grid: Grid, params: ModelParams, xi: np.ndarray) -> np.ndarray:
 
 
 def scan_sums(xi: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """(u_T^2, sum_k u_k^2) of each row's scan u = ar1_scan(xi, rho).  An
-    overflow in u_T^2 signals under the caller's error state; the sum
-    overflows to inf without a signal.  The sum is an einsum, not BLAS: its
-    per-row sum does not depend on how many rows share the call, so no
-    value depends on chunk boundaries."""
+    """(u_T^2, sum_k u_k^2) of each row's scan u = ar1_scan(xi, rho).  The
+    sum is an einsum, not BLAS: its per-row sum does not depend on how many
+    rows share the call, so no value depends on chunk boundaries."""
     u = ar1_scan(xi, rho)
     u_t2 = u[:, -1] ** 2
     return u_t2, np.einsum("ij,ij->i", u, u)
@@ -81,17 +78,15 @@ def denominator_floor(params: ModelParams) -> float:
     """Smallest int X^2 dt a genuine path can produce; below it the path is
     degenerate.  DEGENERATE_DENOM_FACTOR times min(T a, T^(2H+1) / (2H+1)),
     the scale of E int X^2 dt at finite T: T a, with a the stationary
-    variance, once theta T >> 1, and T^(2H+1) / (2H+1) while theta T << 1.
-    T^2H is not formed past T = 1e200, where it would overflow."""
+    variance, once theta T >> 1, and T^(2H+1) / (2H+1) while theta T << 1."""
     h, t = params.hurst, params.horizon
-    early = t ** (2.0 * h) / (2.0 * h + 1.0) if t < 1e200 else math.inf
-    return DEGENERATE_DENOM_FACTOR * t * min(stationary_variance(params), early)
+    return DEGENERATE_DENOM_FACTOR * t * min(stationary_variance(params),
+                                             t ** (2.0 * h) / (2.0 * h + 1.0))
 
 
 def degenerate_denominators(params: ModelParams, denominator: np.ndarray) -> np.ndarray:
-    """Rows whose int X^2 dt is not positive or is below `denominator_floor`.
-    Both tests are needed: the floor itself underflows to 0 where the
-    denominator does.  This is the one rule for a degenerate denominator:
+    """Rows whose int X^2 dt is not positive (NaN included) or is below
+    `denominator_floor`.  This is the one rule for a degenerate denominator:
     the statistic of `estimate` and both statistics of `montecarlo.run`
     count its rows, the chaos statistic applying it to T times its
     denominator, the chaos form of (1/T) int X^2 dt, and
@@ -105,8 +100,7 @@ def estimate_pathwise(grid: Grid, params: ModelParams, xi: np.ndarray,
     the path that `simulate_fou` builds from each row of noise xi (rows x n);
     returns rows x 2, (numerator, denominator) per row.  c_t is
     skorohod_correction(params), T/2 at H = 1/2.  A degenerate
-    denominator (`degenerate_denominators`) is left to the caller to count;
-    one that overflows raises NumericsError.
+    denominator (`degenerate_denominators`) is left to the caller to count.
 
     The denominator is the trapezoid rule for int X^2 dt.  The numerator
     evaluates the Young integral of X dX by the trapezoid sum, which
@@ -121,8 +115,4 @@ def estimate_pathwise(grid: Grid, params: ModelParams, xi: np.ndarray,
     numerator needs only u_T.
     """
     u_t2, sum_u2 = scan_sums(xi, math.exp(-params.theta * grid.step))
-    with arithmetic(params.theta, params.horizon, "int X^2 dt"):
-        denominator = grid.step * (sum_u2 - 0.5 * u_t2)
-    if not np.isfinite(denominator).all():  # the einsum of `scan_sums` does not signal
-        raise NumericsError(f"int X^2 dt overflows at T={params.horizon}")
-    return np.stack((c_t - 0.5 * u_t2, denominator), axis=1)
+    return np.stack((c_t - 0.5 * u_t2, grid.step * (sum_u2 - 0.5 * u_t2)), axis=1)

@@ -11,7 +11,8 @@ FOU_THREADS=2 and every --out in a temporary directory:
 * the argvs of `goldens.json`, with --format json;
 * the exit-2 and exit-3 cases of `argvs.py`;
 * `EXTRA` below: CSV output, an I/O error, the environment, the cell
-  ceilings and the argv checks that the lists above leave out;
+  ceilings, the argv checks that the lists above leave out, and the
+  series branches of `constants` that no golden reaches;
 * one argv through `runpy`, as `python -m fou.cli` runs it, for `entry`
   and the `__main__` call.
 
@@ -77,6 +78,9 @@ EXTRA = [
      2, {}, "hurst_above_range"),
     (["kolmogorov", "--theta", "1", "--hurst", "0.75", "--t", "1,2", "--reps", "100"],
      2, {}, "three_quarters_unit_horizon"),
+    # b_T's series below theta T = 1, and Kummer's asymptotic series from theta T = 80 on
+    (["bounds", "--theta", "0.01", "--hurst", "0.6", "--t", "10,10000", "--n", "64"],
+     0, {}, "theta_t_series_branches"),
 ]
 # run as `python -m fou.cli`: `entry` and the `__main__` call
 MODULE_ARGV = ["bounds", "--theta", "1", "--hurst", "0.6", "--t", "10", "--n", "16"]

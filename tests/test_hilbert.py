@@ -7,7 +7,6 @@ from scipy.linalg import toeplitz
 from fou import hilbert
 from fou.bounds import _ingredients
 from fou.constants import ModelParams, b_t_closed_form, delta_h, sigma2_h
-from fou.errors import NumericsError
 from fou.fgn import Grid, gram_weights
 from fou.montecarlo import _chaos_traces
 from oracles import (
@@ -61,18 +60,6 @@ def test_one_boundary_form_for_the_statistic_and_the_bounds(theta, h, t, n):
     tol = 1e-14 + 4 * np.finfo(float).eps * theta * t
     assert abs(vwv / float(v @ w @ v) - 1) <= tol
     assert abs(vwv / boundary_form_fft(p, g) - 1) <= tol
-
-
-def test_record_checks_rho_before_b_t():
-    # theta step = 3.1e-17 rounds rho to 1, and b_T underflows to 0: the
-    # degenerate AR(1) factor is reported first, as a NumericsError
-    p, g = params_grid(1e300, 0.6, 2e-315, 64)
-    assert b_t_closed_form(p) == 0.0
-    with pytest.raises(NumericsError, match="theta\\*step"):
-        hilbert.horizon(p, g)
-    p, g = params_grid(1e300, 0.6, 10.0, 64)
-    with pytest.raises(ValueError, match="b_T must be positive, got 0.0"):
-        hilbert.horizon(p, g)
 
 
 def test_kernel_f_diagonal_and_decay():

@@ -305,10 +305,32 @@ def test_failed_chunk_is_raised_after_every_worker_ends(threads, monkeypatch):
         assert taken == [0, 1]
 
 
-def test_floating_point_error_in_a_worker_names_theta_and_t(monkeypatch):
+def test_worker_runs_under_the_callers_error_state(monkeypatch):
+    # each worker copies the calling thread's context, so its numpy error
+    # state: an overflow in a worker raises, and the calling thread re-raises it
     monkeypatch.setenv("FOU_THREADS", "2")
-    with pytest.raises(NumericsError, match=r"^overflow encountered in multiply in a "
-                       r"replication chunk at theta = 1, T = 5$"):
-        replicate(horizon_pairs(1.0, 0.7, [5.0, 10.0], n=1024), 256, 3,
-                  lambda params, grid: None,
-                  _failing_on_chunk_1(FloatingPointError("overflow encountered in multiply")))
+
+    def statistic(params, grid, xi, prepared):
+        return np.full(len(xi), 1e308) * 10.0, 0
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        replicate(horizon_pairs(1.0, 0.7, [5.0], n=1024), 256, 3, lambda params, grid: None,
+                  statistic)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "8"])
+def test_first_degenerate_chunk_in_order_is_reported(threads, monkeypatch):
+    # 256 rows are 4 chunks of 64; chunk k >= 1 holds k + 1 degenerate rows,
+    # so the count is that of chunk 1, the first with any, at every thread count
+    monkeypatch.setenv("FOU_THREADS", threads)
+    ((params, grid),) = horizon_pairs(1.0, 0.7, [5.0], n=1024)
+    chunk_of = {sample_fgn_batch(grid, 0.7, [derive_seed(3, 0, 64 * k)])[0].tobytes(): k
+                for k in range(4)}
+
+    def statistic(params, grid, xi, prepared):
+        k = chunk_of[xi[0].tobytes()]
+        return np.zeros(len(xi)), k + 1 if k else 0
+
+    with pytest.raises(NumericsError, match=r"^at least 2 of 256 replications degenerate "
+                       r"at T=5.0$"):
+        replicate([(params, grid)], 256, 3, lambda params, grid: None, statistic)

@@ -125,6 +125,21 @@ def test_zero_denominator_is_degenerate_when_the_floor_underflows():
     assert degenerate_denominators(p, den).tolist() == [False, True, True, False]
 
 
+@pytest.mark.parametrize("theta, hurst, t, regime", [
+    (1.0, 0.6, 1000.0, "late"), (2.0, 0.75, 50.0, "late"), (1e6, 0.5, 1e-3, "late"),
+    (1e-3, 0.5, 1e-2, "early"), (1e-3, 0.7, 0.1, "early"), (1e-6, 0.6, 10.0, "early"),
+])
+def test_denominator_floor_in_both_regimes(theta, hurst, t, regime):
+    # 1e-12 times the scale of E int X^2 dt: T a once theta T >> 1, with a
+    # the stationary variance H Gamma(2H) theta^-2H, and T^(2H+1) / (2H+1)
+    # while theta T << 1
+    p = ModelParams(theta=theta, hurst=hurst, horizon=t)
+    late = 1e-12 * t * hurst * math.gamma(2 * hurst) * theta ** (-2 * hurst)
+    early = 1e-12 * t ** (2 * hurst + 1) / (2 * hurst + 1)
+    assert (late < early) == (regime == "late")
+    assert denominator_floor(p) == pytest.approx(min(late, early), rel=1e-14, abs=0.0)
+
+
 def test_i2_zero_kernel():
     g = Grid(horizon=1.0, n=16)
     w = gram_weights(g, 0.6)
