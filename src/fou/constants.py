@@ -17,9 +17,9 @@ theta*step = theta T / n lie in the ranges of `DOMAIN`:
   with no sign of it.  At theta = 100, H = 1/2, T = 20 and 200
   replications, `kolmogorov` writes sample_var 1.21, 2.04, 4.54 and 8.49
   at theta*step = 0.5, 2, 5 and 10, and 170.9 at 125.  The ceiling
-  rejects the gross cases and still admits a coarse grid such as
-  `simulate --theta 1 --t 10 --dt 4`; the bias between 1 and 10 is
-  discretization error.
+  rejects the gross cases only and is not an accuracy bound: it still
+  admits a coarse grid such as `simulate --theta 1 --t 10 --dt 4`, and
+  the bias up to 10 is discretization error that no bound here limits.
 * theta and T: twelve and fifteen decades around the unit scale.  With
   the theta*step range and at most 2^22 cells (theta T between 2e-9 and
   4.2e7), every power that the closed forms and the products below take

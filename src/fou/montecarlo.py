@@ -136,13 +136,13 @@ def replicate(horizons, reps: int, seed: int, prepare, statistic) -> list[np.nda
     buffers and the Philox generator), so a statistic must not keep a view
     of its input rows, which its worker's next chunk overwrites, only
     arrays of its own.  A chunk with a degenerate replication fails with a
-    NumericsError ("at least k of reps replications degenerate at T=...",
-    k exact over the replications up to that chunk's last), as does a
-    chunk whose statistic raises.  The workers take chunks from one shared
-    iterator, in order; a worker whose chunk fails takes every chunk left.
-    All are joined, then the exception of the first failed chunk in chunk
-    order is re-raised, the same at any FOU_THREADS, and no later horizon
-    is drawn.
+    NumericsError ("k of reps replications degenerate at T=...", k counted
+    over the replications up to that chunk's last, and "at least k" when
+    later chunks were not counted), as does a chunk whose statistic raises.
+    The workers take chunks from one shared iterator, in order; a worker
+    whose chunk fails takes every chunk left.  All are joined, then the
+    exception of the first failed chunk in chunk order is re-raised, the
+    same at any FOU_THREADS, and no later horizon is drawn.
     """
     env = os.environ.get("FOU_THREADS")
     try:
@@ -162,7 +162,8 @@ def replicate(horizons, reps: int, seed: int, prepare, statistic) -> list[np.nda
                 xi = sample_fgn_batch(grid, params.hurst, seeds, workspace)
                 results[k], bad = statistic(params, grid, xi, per_horizon)
                 if bad:
-                    raise NumericsError(f"at least {bad} of {reps} replications "
+                    least = "at least " if chunks[k].stop < reps else ""
+                    raise NumericsError(f"{least}{bad} of {reps} replications "
                                         f"degenerate at T={params.horizon}")
             except BaseException as exc:  # re-raised by the calling thread
                 results[k] = exc

@@ -64,10 +64,11 @@ def test_corpus_of_synthetic_tree(tmp_path):
     ]
 
 
-def test_identical_trees_match(tmp_path, capsys):
+def test_identical_trees_match(tmp_path, capsys, monkeypatch):
     old = make_tree(tmp_path / "old", 1.0)
-    new = shutil.copytree(old, tmp_path / "new")
-    assert difftree.main([str(old), "--new", str(new), "--threads", "1,2"]) == 0
+    monkeypatch.setattr(difftree, "ROOT", shutil.copytree(old, tmp_path / "new"))
+    monkeypatch.setattr(difftree, "THREADS", ("1", "2"))
+    assert difftree.main([str(old)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 9
     assert all(line.startswith("same ") for line in lines[:8])
@@ -76,10 +77,11 @@ def test_identical_trees_match(tmp_path, capsys):
                         "output none, max rel diff n/a")
 
 
-def test_changed_factor_is_reported(tmp_path, capsys):
+def test_changed_factor_is_reported(tmp_path, capsys, monkeypatch):
     old = make_tree(tmp_path / "old", 1.0)
-    new = make_tree(tmp_path / "new", 1.001)
-    assert difftree.main([str(old), "--new", str(new), "--threads", "8"]) == 1
+    monkeypatch.setattr(difftree, "ROOT", make_tree(tmp_path / "new", 1.001))
+    monkeypatch.setattr(difftree, "THREADS", ("8",))
+    assert difftree.main([str(old)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[:4] == [
         "DIFF  golden_g_csv  FOU_THREADS=8: exit 0/0, stderr same, output differs, "

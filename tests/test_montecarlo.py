@@ -319,9 +319,13 @@ def test_worker_runs_under_the_callers_error_state(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "8"])
-def test_first_degenerate_chunk_in_order_is_reported(threads, monkeypatch):
-    # 256 rows are 4 chunks of 64; chunk k >= 1 holds k + 1 degenerate rows,
-    # so the count is that of chunk 1, the first with any, at every thread count
+@pytest.mark.parametrize("first, message", [
+    (1, "at least 2 of 256"),  # chunks 2 and 3 were not counted
+    (3, "4 of 256"),           # the last chunk: the count is exact
+])
+def test_first_degenerate_chunk_in_order_is_reported(threads, first, message, monkeypatch):
+    # 256 rows are 4 chunks of 64; chunk k >= first holds k + 1 degenerate
+    # rows, so the count is that of chunk `first` at every thread count
     monkeypatch.setenv("FOU_THREADS", threads)
     ((params, grid),) = horizon_pairs(1.0, 0.7, [5.0], n=1024)
     chunk_of = {sample_fgn_batch(grid, 0.7, [derive_seed(3, 0, 64 * k)])[0].tobytes(): k
@@ -329,8 +333,7 @@ def test_first_degenerate_chunk_in_order_is_reported(threads, monkeypatch):
 
     def statistic(params, grid, xi, prepared):
         k = chunk_of[xi[0].tobytes()]
-        return np.zeros(len(xi)), k + 1 if k else 0
+        return np.zeros(len(xi)), k + 1 if k >= first else 0
 
-    with pytest.raises(NumericsError, match=r"^at least 2 of 256 replications degenerate "
-                       r"at T=5.0$"):
+    with pytest.raises(NumericsError, match=rf"^{message} replications degenerate at T=5.0$"):
         replicate([(params, grid)], 256, 3, lambda params, grid: None, statistic)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import fou.montecarlo as mc
 from fou.bounds import _ingredients, asymptotics_report
 from fou.cli import _rows_estimate
-from fou.constants import DOMAIN, ModelParams, b_t_closed_form, skorohod_correction
+from fou.constants import ModelParams, b_t_closed_form, skorohod_correction
 from fou.fgn import Grid, derive_seed, gram_weights, sample_fgn, sample_fgn_batch
 from fou.montecarlo import _chaos_batch, _chaos_traces, run
 from fou.process import denominator_floor, estimate_pathwise, simulate_fou
@@ -166,7 +166,6 @@ def test_mc_samples_independent_of_chunk_budget(chunk_cells, method):
 
 @SETTINGS
 @given(theta=thetas, hurst=hursts, horizon=horizons, n=st.integers(2, 96))
-@example(theta=3.0, hurst=0.5, horizon=7.0, n=2)  # theta*step = 10.5, outside DOMAIN
 def test_two_product_ingredients_match_dense_oracles(theta, hurst, horizon, n):
     grid = Grid(horizon, n)
     params = ModelParams(theta=theta, hurst=hurst, horizon=horizon)
@@ -187,15 +186,16 @@ def test_two_product_ingredients_match_dense_oracles(theta, hurst, horizon, n):
     v = np.exp(-theta * (horizon - midpoints(grid)))
     vwv2 = float(v @ w @ v) ** 2
     assert norm_h2 == pytest.approx(vwv2, rel=1e-10)
-    # the report is reached only through admission: a grid coarser than
-    # DOMAIN's theta*step is rejected before any row is built
-    if theta * grid.step > DOMAIN["theta*step"][1]:
-        with pytest.raises(ValueError, match="must lie in the domain"):
-            horizon_pairs(theta, hurst, [horizon], n=n)
-        return
-    (row,) = [r for r in asymptotics_report(horizon_pairs(theta, hurst, [horizon], n=n))
+    (row,) = [r for r in asymptotics_report([(params, grid)])
               if r["quantity"] == "norm_h2/T"]
     assert row["measured"] * horizon == pytest.approx(vwv2, rel=1e-10)
+
+
+def test_admission_closes_the_theta_step_range_at_its_ceiling():
+    # theta*step = 10 is admitted, 10.5 (a point the property above draws) is not
+    assert horizon_pairs(5.0, 0.5, [4.0], n=2)
+    with pytest.raises(ValueError, match=r"theta\*step = 10.5 must lie in the domain"):
+        horizon_pairs(3.0, 0.5, [7.0], n=2)
 
 
 @SETTINGS

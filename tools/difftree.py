@@ -1,8 +1,8 @@
 """Run the CLI corpus through two source trees and report what differs.
 
-    python3 tools/difftree.py PARENT_DIR [--new DIR] [--threads 1,2,8]
+    python3 tools/difftree.py PARENT_DIR
 
-PARENT_DIR and the new tree (default: the tree that holds this file) are
+PARENT_DIR and the new tree (`ROOT`, the tree that holds this file) are
 checkouts of the repository.  The corpus is read from the new tree:
 
 * every argv of `tests/goldens.json`, once with CSV and once with JSON
@@ -11,7 +11,8 @@ checkouts of the repository.  The corpus is read from the new tree:
 * every failure argv of `tests/argvs.py` (each list named `EXIT_<code>`).
 
 Each argv runs in a fresh interpreter (`python -m fou.cli`, importing `fou`
-from the tree's `src/`) once per tree and per FOU_THREADS value, in an
+from the tree's `src/`) once per tree and per FOU_THREADS value of
+`THREADS`, in an
 empty working directory with the relative `--out` of the same name, so
 the stderr and the JSON `config.out` of both trees name the same path.
 For each run it prints whether the exit code, the stderr and the output
@@ -32,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+THREADS = ("1", "2", "8")
 PERFBENCH_SEED = "42"
 
 
@@ -110,14 +112,12 @@ def line(case_id: str, threads: str, c: dict) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
-    ap.add_argument("--new", type=Path, default=ROOT)
-    ap.add_argument("--threads", default="1,2,8")
-    args = ap.parse_args(argv)
+    parent = ap.parse_args(argv).parent
     differ = {}
     runs = 0
-    for case_id, case_argv in corpus(args.new):
-        for threads in args.threads.split(","):
-            c = compare(run(args.parent, case_argv, threads), run(args.new, case_argv, threads))
+    for case_id, case_argv in corpus(ROOT):
+        for threads in THREADS:
+            c = compare(run(parent, case_argv, threads), run(ROOT, case_argv, threads))
             print(line(case_id, threads, c), flush=True)
             runs += 1
             if not (c["exit"] and c["stderr"] and c["output"]):
