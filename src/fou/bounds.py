@@ -56,7 +56,7 @@ import math
 
 import numpy as np
 
-from .constants import HURST_MAX, ModelParams, delta_h, sigma2_h, stationary_variance
+from .constants import HURST_MAX, ModelParams, delta_h, log_factor, sigma2_h, stationary_variance
 from .fgn import Grid
 from .hilbert import horizon
 
@@ -204,10 +204,12 @@ def asymptotics_report(horizons) -> list[dict]:
     grid) pairs of `horizons`, one theta and H; returns the long-format
     `asymptotics` rows, ratio "" at a zero limit.
 
-    Quantity names carry the scaling actually applied; at H = 3/4 the
-    denominator-kernel quantities take their log-corrected scalings and
-    the affected names change accordingly.  The caller resolves and
-    validates the horizons and their grids (`cli.parse_args`,
+    Quantity names carry the scaling actually applied.  The g-quantities
+    are scaled by T / l_T^2 (l_T = `constants.log_factor`): T below 3/4,
+    and T / log T at H = 3/4, where their names change accordingly.  The
+    f-quantities take no scaling of their own: f already carries 1 / l_T
+    (`hilbert.kernel_f`), so 2*norm_f2 tends to a^2 at every H.  The caller
+    resolves and validates the horizons and their grids (`cli.parse_args`,
     `cli.resolve_horizons`).
     """
     first = horizons[0][0]
@@ -215,18 +217,15 @@ def asymptotics_report(horizons) -> list[dict]:
     a = stationary_variance(first)
     lim_g2 = delta_h(h) / (2.0 * theta ** (1 + 4 * h))
     lim_fg = math.sqrt(theta / sigma2_h(h)) * lim_g2
-    log_case = h == HURST_MAX
-    label = "T/log(T)" if log_case else "T"
+    label = "T/log(T)" if h == HURST_MAX else "T"
     rows = []
     for params, grid in horizons:
         t = params.horizon
         ing, norm_h2 = _ingredients(params, grid)
-        lt = math.log(t)
-        scale = t / lt if log_case else t
+        scale = t / log_factor(params) ** 2
         q = {
             "b_T": (ing["b_T"], a),
-            "2*norm_f2": (2.0 * ing["norm_f2"] / lt if log_case else 2.0 * ing["norm_f2"],
-                          a * a),
+            "2*norm_f2": (2.0 * ing["norm_f2"], a * a),
             "norm_f1f": (ing["norm_f1f"], 0.0),
             "norm_h2/T": (norm_h2 / t, 0.0),
             f"{label}*norm_g2": (scale * ing["norm_g2"], lim_g2),

@@ -22,14 +22,15 @@ of the 64-bit stream key (`fgn.derive_seed`), --reps, dt > 0, at least
 one --t horizon, and strictly increasing horizons for `SERIES_COMMANDS`.
 `resolve_horizons` then admits the model and each horizon, in order: a
 finite theta > 0 and H in [1/2, 3/4] once, then per horizon a finite
-T > 0, T > 1 at H = 3/4 for `SERIES_COMMANDS`, a cell count n (--n, or
-T/dt rounded) with 2 <= n <= the command's ceiling,
-`bounds.MAX_BOUND_CELLS` for `bounds` and `asymptotics` and
-`fgn.MAX_CELLS` otherwise, and last theta, T and theta*step = theta T / n
-inside the numeric domain that `constants` declares, with its reasons.  A
-violation exits 2 before any n-sized array exists, at any horizon.  The
-row builders below take its (params, grid) list, and nothing below
-re-checks that domain.
+T > 0, T > 1 at H = 3/4 for `LOG_T_COMMANDS`, whose outputs carry the
+sqrt(log T) normalization of `constants.log_factor` (every command but
+`simulate` and `estimate`), a cell count n (--n, or T/dt rounded) with
+2 <= n <= the command's ceiling, `bounds.MAX_BOUND_CELLS` for `bounds`
+and `asymptotics` and `fgn.MAX_CELLS` otherwise, and last theta, T and
+theta*step = theta T / n inside the numeric domain that `constants`
+declares, with its reasons.  A violation exits 2 before any n-sized
+array exists, at any horizon.  The row builders below take its (params,
+grid) list, and nothing below re-checks that domain.
 
 Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O.  Inside the
 domain the one numerical failure left is a degenerate denominator in some
@@ -68,8 +69,10 @@ from .process import degenerate_denominators, estimate_pathwise, simulate_fou
 
 COMMANDS = ("simulate", "estimate", "bounds", "asymptotics", "kolmogorov", "rate-fit")
 MC_COMMANDS = ("kolmogorov", "rate-fit")
-# read their horizons as one series in T: strictly increasing, log T > 0 at H = 3/4
+# read their horizons as one series in T: strictly increasing
 SERIES_COMMANDS = ("kolmogorov", "rate-fit", "asymptotics")
+# normalize by `constants.log_factor`, so need log T > 0 at H = 3/4
+LOG_T_COMMANDS = ("bounds", "asymptotics", "kolmogorov", "rate-fit")
 
 CSV_COLUMNS = {
     "simulate": ["T", "t", "x"],
@@ -153,7 +156,7 @@ def resolve_horizons(cfg) -> list[tuple[ModelParams, Grid]]:
     step grows with T) or a fixed step --dt (the cell count grows with T).
     The one place the model and a horizon are admitted, before any row is
     built: a finite theta > 0 and H in [HURST_MIN, HURST_MAX], then per
-    horizon a finite T > 0, T > 1 at H = 3/4 for `SERIES_COMMANDS`,
+    horizon a finite T > 0, T > 1 at H = 3/4 for `LOG_T_COMMANDS`,
     2 <= n <= the command's cell ceiling, and theta, T and theta*step in
     the numeric domain of `constants`.  A violation is a ValueError."""
     dense = cfg.command in ("bounds", "asymptotics")
@@ -166,7 +169,7 @@ def resolve_horizons(cfg) -> list[tuple[ModelParams, Grid]]:
     for t in cfg.t_list:
         if not (math.isfinite(t) and t > 0):
             raise ValueError(f"horizon must be finite and positive, got {t}")
-        if cfg.command in SERIES_COMMANDS and cfg.hurst == HURST_MAX and t <= 1.0:
+        if cfg.command in LOG_T_COMMANDS and cfg.hurst == HURST_MAX and t <= 1.0:
             raise ValueError(f"at H = {HURST_MAX} the scaling by log T needs every "
                              f"horizon T > 1, got T = {t}")
         n = cfg.n if cfg.n is not None else t / cfg.dt

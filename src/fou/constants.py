@@ -31,7 +31,13 @@ theta*step = theta T / n lie in the ranges of `DOMAIN`:
 H = 1/2 is decided as the a = 0 end (a = 2H - 1) of the same closed forms,
 where b_T and c_T are continuous in H; only H = 3/4 takes its own dedicated
 branch, where the generic-H formulas for sigma2_H and delta_H degenerate.
-Its log T scalings need T > 1, which `resolve_horizons` checks too.
+There the estimator is normalized by sqrt(T / log T) instead of sqrt(T),
+and `log_factor` is that extra sqrt(log T), 1 below 3/4.  It is the one
+place the normalization lives: `hilbert.kernel_f` divides f by it (so the
+bound terms describe the normalized statistic), `hilbert.kernel_g`
+multiplies c1 by it (so g stays as it is), and the pathwise statistic of
+`montecarlo` divides by it.  It needs T > 1, which `resolve_horizons`
+checks for every command that reads it.
 
 b_T and c_T are closed forms, not numerical integrals: the incomplete gamma
 function P (`gamma_p`) and Kummer's transform 1F1(1; a+1; -theta T)
@@ -92,6 +98,11 @@ def delta_h(hurst: float) -> float:
     return hurst**2 * (4 * hurst - 1) * (
         g(2 * hurst) ** 2 + g(2 * hurst) * g(3 - 4 * hurst) * g(4 * hurst - 1) / g(2 - 2 * hurst)
     )
+
+
+def log_factor(params: ModelParams) -> float:
+    """sqrt(log T) at H = 3/4, exactly 1.0 below it (module docstring)."""
+    return math.sqrt(math.log(params.horizon)) if params.hurst == HURST_MAX else 1.0
 
 
 def stationary_variance(params: ModelParams) -> float:

@@ -2,13 +2,17 @@
 terms both read: the two kernels in compact form, b_T and the Gram
 matrix W of the grid, built once per horizon by `horizon`.
 
-f is the numerator kernel (1 / (2 sqrt(theta sigma2_H T))) exp(-theta|t-s|)
-and g = c1 f - c2 v v' the denominator-fluctuation kernel, with v the
-boundary vector v_i = exp(-theta (T - t*_i)), both sampled at the grid
-midpoints.  f is Toeplitz, as midpoints i and j are |i - j| steps apart, so
-`kernel_f` returns its first row; `kernel_g` returns (c1, c2).  No n x n
-kernel and no v is formed.  With rho = exp(-theta step), L = (I - rho Z)^-1
-the AR(1) factor (Z the down shift) and e = e_{n-1}, v = sqrt(rho) L' e, so
+f is the numerator kernel exp(-theta|t-s|) / (2 sqrt(theta sigma2_H T) l_T),
+with l_T = `constants.log_factor`, sqrt(log T) at H = 3/4 and 1 below it,
+so -I2(f) / (I2(g) + b_T) is the estimator error under the paper's
+normalization, sqrt(T / log T) at H = 3/4; and g = c1 f - c2 v v' is the
+denominator-fluctuation kernel, with v the boundary vector
+v_i = exp(-theta (T - t*_i)), both sampled at the grid midpoints.  As
+c1 f[0] = c2 = 1 / (2 theta T), g does not depend on l_T.  f is Toeplitz,
+as midpoints i and j are |i - j| steps apart, so `kernel_f` returns its
+first row; `kernel_g` returns (c1, c2).  No n x n kernel and no v is
+formed.  With rho = exp(-theta step), L = (I - rho Z)^-1 the AR(1) factor
+(Z the down shift) and e = e_{n-1}, v = sqrt(rho) L' e, so
 v' W v = rho (M e)_{n-1} with M = L W L'.  The dense kernels and the tensor
 algebra on them are test oracles only (`tests/oracles.py`).
 
@@ -38,23 +42,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import ModelParams, b_t_closed_form, sigma2_h
+from .constants import ModelParams, b_t_closed_form, log_factor, sigma2_h
 from .fgn import Grid, increment_autocov, toeplitz_product
 from .process import ar1_scan
 
 
 def kernel_f(params: ModelParams, grid: Grid) -> np.ndarray:
     """First row of the Toeplitz numerator kernel, f[i, j] = row[|i - j|]:
-    row[k] = exp(-theta step k) / (2 sqrt(theta sigma2_H T))."""
-    scale = 1.0 / (2.0 * math.sqrt(params.theta * sigma2_h(params.hurst) * params.horizon))
+    row[k] = exp(-theta step k) / (2 sqrt(theta sigma2_H T) l_T)."""
+    scale = 1.0 / (2.0 * math.sqrt(params.theta * sigma2_h(params.hurst) * params.horizon)
+                   * log_factor(params))
     return scale * np.exp(-params.theta * grid.step * np.arange(grid.n))
 
 
 def kernel_g(params: ModelParams, grid: Grid) -> tuple[float, float]:
-    """(c1, c2) with g = c1 f - c2 v v': c1 = sqrt(sigma2_H / (theta T)) and
+    """(c1, c2) with g = c1 f - c2 v v': c1 = sqrt(sigma2_H / (theta T)) l_T and
     c2 = 1 / (2 theta T)."""
     theta_t = params.theta * params.horizon
-    return math.sqrt(sigma2_h(params.hurst) / theta_t), 1.0 / (2.0 * theta_t)
+    c1 = math.sqrt(sigma2_h(params.hurst) / theta_t) * log_factor(params)
+    return c1, 1.0 / (2.0 * theta_t)
 
 
 class Horizon(NamedTuple):

@@ -19,8 +19,15 @@ and agrees with the dense operations to rounding error.  Once per horizon,
 `_chaos_traces` reads the record of `hilbert.horizon`, checked as for
 `bounds`: the scale of f, c1 and c2 of g, b_T, and the recentering trace
 tr(v v' W) = v' W v.  Only tr(f W) it takes itself, from the Toeplitz rows
-of f and W.  At H = 3/4 the statistic carries the extra 1/sqrt(log T)
-normalization.
+of f and W.
+
+Both statistics are the estimator error under the paper's normalization,
+sqrt(T / (theta sigma2_H)) (theta_hat - theta) / l_T with l_T =
+`constants.log_factor`, sqrt(log T) at H = 3/4 and 1 below it: the chaos
+ratio through the kernel f of `hilbert`, which carries l_T, and the
+pathwise form in `_pathwise_batch`.  So the samples of `run` are the
+statistic whose distance the `bounds` terms bound, with no step of their
+own.
 """
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ from threading import Thread
 
 import numpy as np
 
-from .constants import HURST_MAX, ModelParams, sigma2_h, skorohod_correction
+from .constants import ModelParams, log_factor, sigma2_h, skorohod_correction
 from .errors import NumericsError
 from .fgn import Grid, Workspace, derive_seed, sample_fgn_batch
 from .hilbert import horizon
@@ -103,13 +110,14 @@ def _chaos_traces(params: ModelParams, grid: Grid) -> tuple:
 
 def _pathwise_batch(params: ModelParams, grid: Grid, xi: np.ndarray,
                     c_t: float) -> tuple[np.ndarray, int]:
-    """Normalized pathwise estimator error for each row of xi; returns
+    """Normalized pathwise estimator error sqrt(T / (theta sigma2_H))
+    (theta_hat - theta) / l_T for each row of xi (module docstring); returns
     (values, degenerate count).  A degenerate row is NaN, not divided."""
     num, den = estimate_pathwise(grid, params, xi, c_t).T
     bad = degenerate_denominators(params, den)
     theta_hat = np.divide(num, den, out=np.full_like(num, np.nan), where=~bad)
     scale = math.sqrt(params.horizon / (params.theta * sigma2_h(params.hurst)))
-    return scale * (theta_hat - params.theta), int(np.count_nonzero(bad))
+    return scale / log_factor(params) * (theta_hat - params.theta), int(np.count_nonzero(bad))
 
 
 def replicate(horizons, reps: int, seed: int, prepare, statistic) -> list[np.ndarray]:
@@ -192,16 +200,14 @@ def replicate(horizons, reps: int, seed: int, prepare, statistic) -> list[np.nda
 def run(horizons, reps: int, seed: int, method: str) -> list[dict]:
     """One row per horizon of the CHAOS_RATIO or PATHWISE statistic, drawn by
     `replicate` over the (params, grid) pairs of `horizons`, with the
-    `samples` array that no report writes."""
+    `samples` array that no report writes.  Both statistics arrive
+    normalized, at H = 3/4 too (module docstring), so the rows take the
+    samples as they are."""
     if method == CHAOS_RATIO:
         prepare, statistic = _chaos_traces, _chaos_batch
     else:
         prepare, statistic = lambda params, grid: skorohod_correction(params), _pathwise_batch
-    rows = []
-    for (params, _), s in zip(horizons, replicate(horizons, reps, seed, prepare, statistic)):
-        t = params.horizon
-        if params.hurst == HURST_MAX:
-            s /= math.sqrt(math.log(t))
-        rows.append({"T": t, "ks_distance": ks_distance(s), "sample_mean": float(s.mean()),
-                     "sample_var": float(s.var()), "samples": s})
-    return rows
+    draws = replicate(horizons, reps, seed, prepare, statistic)
+    return [{"T": params.horizon, "ks_distance": ks_distance(s), "sample_mean": float(s.mean()),
+             "sample_var": float(s.var()), "samples": s}
+            for (params, _), s in zip(horizons, draws)]

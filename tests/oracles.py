@@ -6,7 +6,9 @@ routes against.  No `fou` command calls any of them.
   compact kernels of `fou.hilbert` (the Toeplitz row of f, and g as
   (c1, c2) with v formed here).  `boundary_form_fft` is v' W v through the
   circulant embedding of W: a second route to `fou.hilbert.Horizon.vwv`,
-  which takes it from the AR(1) scans.
+  which takes it from the AR(1) scans.  `log_scale` is the paper's
+  sqrt(log T) normalization at H = 3/4 that f and c1 carry, written out
+  apart from `fou.constants.log_factor`.
 * `inner_h`, `norm2_h2`, `inner_h2` and `contract1` are the generic
   weighted tensor algebra on midpoint-sampled kernels.  They check
   `fou.bounds._ingredients`, which never forms f, g or any n x n array
@@ -86,10 +88,20 @@ def midpoints(grid: Grid) -> np.ndarray:
 NEAR_ZERO_DENOM = 1e-9
 
 
+def log_scale(params: ModelParams) -> float:
+    """The paper's extra normalization at H = 3/4: the estimator error is
+    scaled by sqrt(T / log T) there, so f, c1 and the statistics take
+    sqrt(log T); 1 below 3/4."""
+    if params.hurst == HURST_MAX:
+        return math.sqrt(math.log(params.horizon))
+    return 1.0
+
+
 def kernel_f(params: ModelParams, grid: Grid) -> np.ndarray:
-    """Numerator kernel f[i, j] = exp(-theta step |i - j|) / (2 sqrt(theta sigma2_H T)),
-    as midpoints i and j are |i - j| steps apart."""
-    scale = 1.0 / (2.0 * math.sqrt(params.theta * sigma2_h(params.hurst) * params.horizon))
+    """Numerator kernel f[i, j] = exp(-theta step |i - j|) / (2 sqrt(theta sigma2_H T) l),
+    as midpoints i and j are |i - j| steps apart, with l = `log_scale`."""
+    scale = 1.0 / (2.0 * math.sqrt(params.theta * sigma2_h(params.hurst) * params.horizon)
+                   * log_scale(params))
     idx = np.arange(grid.n)
     return scale * np.exp(-params.theta * grid.step * np.abs(idx[:, None] - idx[None, :]))
 
@@ -109,10 +121,13 @@ def boundary_form_fft(params: ModelParams, grid: Grid) -> float:
 def kernel_g(params: ModelParams, grid: Grid) -> np.ndarray:
     """Denominator-fluctuation kernel
 
-        g = sqrt(sigma2_H / (theta T)) f - (1 / (2 theta T)) h.
+        g = sqrt(sigma2_H / (theta T)) l f - (1 / (2 theta T)) h,
+
+    with l = `log_scale`, so g itself does not depend on l.
     """
     theta_t = params.theta * params.horizon
-    c1, c2 = math.sqrt(sigma2_h(params.hurst) / theta_t), 1.0 / (2.0 * theta_t)
+    c1 = math.sqrt(sigma2_h(params.hurst) / theta_t) * log_scale(params)
+    c2 = 1.0 / (2.0 * theta_t)
     v = boundary_vector(params, grid)
     return c1 * kernel_f(params, grid) - c2 * np.outer(v, v)
 
@@ -172,8 +187,9 @@ def ingredients_long_double(params: ModelParams, grid: Grid) -> dict:
     O(n^3) without BLAS; meant for n <= 256."""
     ld = np.longdouble
     theta, hurst, t = params.theta, params.hurst, params.horizon
-    scale = 1.0 / (2.0 * math.sqrt(theta * sigma2_h(hurst) * t))
-    c1, c2 = math.sqrt(sigma2_h(hurst) / (theta * t)), 1.0 / (2.0 * theta * t)
+    scale = 1.0 / (2.0 * math.sqrt(theta * sigma2_h(hurst) * t) * log_scale(params))
+    c1 = math.sqrt(sigma2_h(hurst) / (theta * t)) * log_scale(params)
+    c2 = 1.0 / (2.0 * theta * t)
     k = np.arange(grid.n, dtype=ld)
     two_h, step = 2 * ld(hurst), ld(t) / grid.n
     w = step**two_h * (((k + 1) ** two_h - 2 * k**two_h + np.abs(k - 1) ** two_h) / 2)
@@ -245,7 +261,8 @@ def i2(k: np.ndarray, xi: np.ndarray, w: np.ndarray):
 
 def normalized_statistic(grid: Grid, params: ModelParams, xi: np.ndarray, kernel_f,
                          kernel_g, b_t: float, weights: np.ndarray | None = None) -> float:
-    """sqrt(T / (theta sigma2_H)) (theta_hat - theta) in second-chaos form.
+    """sqrt(T / (theta sigma2_H)) (theta_hat - theta) / l in second-chaos form,
+    l = `log_scale`, when kernel_f and kernel_g are this module's f and g.
 
     Equals -I2(f) / (I2(g) + b_T) on the path's noise xi: the numerator
     kernel enters with a minus sign because the estimator error is minus
@@ -264,12 +281,13 @@ def normalized_statistic(grid: Grid, params: ModelParams, xi: np.ndarray, kernel
 
 
 def normalized_pathwise_statistic(grid: Grid, params: ModelParams, xi: np.ndarray) -> float:
-    """sqrt(T / (theta sigma2_H)) (theta_hat - theta) from estimate_pathwise
-    on the path of noise xi, a batch of one."""
+    """sqrt(T / (theta sigma2_H)) (theta_hat - theta) / l from estimate_pathwise
+    on the path of noise xi, a batch of one, with l = `log_scale`."""
     p = params
     ((num, den),) = estimate_pathwise(grid, p, xi[None, :], skorohod_correction(p))
     theta_hat = float(num / den)
-    return math.sqrt(p.horizon / (p.theta * sigma2_h(p.hurst))) * (theta_hat - p.theta)
+    scale = math.sqrt(p.horizon / (p.theta * sigma2_h(p.hurst))) / log_scale(p)
+    return scale * (theta_hat - p.theta)
 
 
 def _check_hurst(hurst: float) -> None:

@@ -544,7 +544,7 @@ def test_output_contract_inside_the_domain(command, log_theta, hurst, fractions,
     (t_lo, t_hi), (x_lo, x_hi) = DOMAIN["T"], DOMAIN["theta*step"]
     lo = max(t_lo, x_lo * n / theta) * (1 + 1e-9)  # margins for the rounding of theta T / n
     hi = min(t_hi, x_hi * n / theta) * (1 - 1e-9)
-    if hurst == HURST_MAX and command in cli.SERIES_COMMANDS:
+    if hurst == HURST_MAX and command in cli.LOG_T_COMMANDS:
         lo = max(lo, 1.0 + 1e-9)  # the log T scaling needs T > 1
     assume(lo < hi and (command != "rate-fit" or len(fractions) >= 3))
     horizons = [lo * (hi / lo) ** (k / 1000) for k in fractions]

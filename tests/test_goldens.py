@@ -7,7 +7,10 @@ replaced it; the estimate cases span several chunks at the last horizon,
 so chunk boundaries are covered.  The `bounds` and `asymptotics` cases
 were written by the six-product ingredient route, before the two-product
 route replaced it; they cover H = 1/2, 0.6 and 3/4 (the log-scaled
-quantity names) under both the fixed-n and the fixed-dt policy.  The
+quantity names) under both the fixed-n and the fixed-dt policy.  The two
+H = 3/4 cases were rewritten when the kernel f took the sqrt(log T)
+normalization of that H, so their f-columns describe the statistic
+that `kolmogorov` samples; their b_T and g-columns did not move.  The
 `rate-fit` case (three horizons at H = 0.6) was written by the code that
 still carried the `--eps` flag, before the kernel coefficients moved to
 `hilbert` and the dense oracles to `tests/oracles.py`.  A

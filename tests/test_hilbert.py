@@ -44,6 +44,16 @@ def test_compact_kernels_expand_to_the_dense_oracles(theta, h, t, n):
     assert np.allclose(c1 * f - c2 * np.outer(v, v), kernel_g(p, g), rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("h", [0.5, 0.6, 0.7, 0.75])
+def test_c1_times_f_diagonal_is_c2(h):
+    # c1 f[0] = c2 = 1 / (2 theta T) at every H: f and c1 carry the log T
+    # normalization of H = 3/4 in opposite powers, so g, b_T and the g-terms
+    # do not depend on where it lives
+    p, g = params_grid(1.3, h, 7.0, 16)
+    c1, c2 = hilbert.kernel_g(p, g)
+    assert c1 * hilbert.kernel_f(p, g)[0] == pytest.approx(c2, rel=1e-15)
+
+
 @pytest.mark.parametrize("theta, h, t, n", [
     (1.0, 0.6, 200.0, 512), (0.5, 0.75, 8.0, 256), (0.01, 0.6, 1.0, 256),
     (1.0, 0.5, 50.0, 200), (1.3, 0.6, 3.0, 2), (3.0, 0.7, 800.0, 300),

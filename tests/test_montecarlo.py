@@ -100,6 +100,11 @@ def test_rate_fit_exact_power_laws():
     assert fit["c_hat"] == pytest.approx(2.0, rel=1e-10)
 
 
+def test_rate_fit_flat_distances_fit_exactly():
+    # equal distances leave no spread in log distance: the fit is exact
+    assert rate_fit([(10, 1.0), (20, 1.0), (40, 1.0)])["r_squared"] == 1.0
+
+
 def test_fast_chaos_matches_dense_ops():
     theta, h, t, n = 1.2, 0.7, 10.0, 128
     grid = Grid(horizon=t, n=n)
